@@ -10,8 +10,8 @@ PATH):
   compare    published rows next to a fresh strategy run and the oracle
 
 Reports carry no timestamps, so a repeated run with the same seed writes
-byte-identical output.  Exit codes: 0 success, 2 usage or document error,
-3 no feasible solution.
+byte-identical output.  Exit codes: 0 success, 1 oracle iteration
+failure, 2 usage or document error, 3 no feasible solution.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _grid_spec(args: argparse.Namespace, overrides: dict[str, Any]) -> oracle.Gr
 
 def _improvement_logger(stream) -> Any:
     def observe(state: es.EsState) -> None:
-        if state.record.stall_counter == 0 and state.record.individual is not None:
+        if state.record.stall_counter == 0 and state.record.genome is not None:
             print(
                 f"generation {state.generation}: best {state.record.fitness:.6f}",
                 file=stream,
@@ -179,8 +179,6 @@ def _render_keyed(report: dict[str, Any], fmt: str) -> str:
             elif key == "warnings":
                 for i, item in enumerate(value, start=1):
                     rows.append((f"warning_{i}", str(item)))
-            elif key == "operations":
-                rows.append((key, " ".join(str(v) for v in value)))
             else:
                 rows.append((key, " ".join(str(v) for v in value)))
         elif isinstance(value, float):
@@ -451,10 +449,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text, code = _COMMANDS[args.command](args)
-    except (milling.ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (milling.ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except oracle.OracleError as exc:

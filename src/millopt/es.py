@@ -1,7 +1,8 @@
 """Self-adaptive (mu, eta) evolution strategy over milling decision vectors.
 
-Each individual carries its genome [v_1..v_m, f_1..f_m] together with one
-mutation step size per component.  Offspring are built by discrete
+The population is a pair of arrays with one row per individual: genomes
+[v_1..v_m, f_1..f_m] and one mutation step size per component.  The
+operators act on whole populations.  Offspring are built by discrete
 recombination of the genome, intermediate recombination of the step
 sizes, then log-normal step-size mutation followed by a Gaussian genome
 perturbation.  Selection is comma-style: only the eta children compete,
@@ -16,8 +17,8 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,37 +30,22 @@ from .milling import (
     batch_evaluate,
     compile_context,
     constraint_margins,
-    decision_bounds,
     derive_coefficients,
     plan_warnings,
 )
 
 __all__ = [
-    "Individual",
     "EsConfig",
     "BestRecord",
     "EsState",
     "RunResult",
-    "init_population",
+    "initial_state",
     "recombine",
     "mutate",
-    "clip_to_box",
     "select",
     "step",
     "run",
 ]
-
-
-@dataclass
-class Individual:
-    """One candidate solution: genome, per-component step sizes, fitness."""
-
-    genome: np.ndarray
-    sigmas: np.ndarray
-    fitness: float | None = None
-
-    def copy(self) -> "Individual":
-        return Individual(self.genome.copy(), self.sigmas.copy(), self.fitness)
 
 
 @dataclass(frozen=True)
@@ -126,10 +112,12 @@ class BestRecord:
     population so comma selection cannot lose it.
 
     fitness starts at 0.0, the death-penalty value, so only genuinely
-    profitable feasible individuals are ever recorded.
+    profitable feasible individuals are ever recorded; genome and sigmas
+    stay None until one is.
     """
 
-    individual: Individual | None = None
+    genome: np.ndarray | None = None
+    sigmas: np.ndarray | None = None
     fitness: float = 0.0
     generation_found: int = 0
     stall_counter: int = 0
@@ -167,28 +155,22 @@ class RunResult:
     warnings: tuple[str, ...]
 
 
-def clip_to_box(genome: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Project a genome onto the box; in-box points pass through unchanged."""
-    genome = np.asarray(genome, dtype=float)
-    if genome.shape[-1] != lower.shape[0] or lower.shape != upper.shape:
-        raise ContractError(
-            f"genome length {genome.shape[-1]} does not match bounds length {lower.shape[0]}"
-        )
-    return np.clip(genome, lower, upper)
+def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
+    """Generation 0: mu genomes uniform inside the box, all step sizes
+    equal to sigma_init, nothing evaluated yet."""
+    rng = np.random.default_rng(config.seed)
+    genomes = rng.uniform(ctx.lower, ctx.upper, size=(config.mu, ctx.lower.size))
+    return EsState(
+        genomes=genomes,
+        sigmas=np.full(genomes.shape, config.sigma_init, dtype=float),
+        record=BestRecord(),
+        generation=0,
+        evaluations=0,
+        rng=rng,
+    )
 
 
-def init_population(
-    plan: MillingPlan, config: EsConfig, rng: np.random.Generator
-) -> list[Individual]:
-    """mu individuals, genomes uniform inside the box, all step sizes
-    equal to sigma_init, fitness not yet evaluated."""
-    lower, upper = decision_bounds(plan)
-    genomes = rng.uniform(lower, upper, size=(config.mu, lower.size))
-    sigmas = np.full((config.mu, lower.size), config.sigma_init, dtype=float)
-    return [Individual(genomes[i], sigmas[i]) for i in range(config.mu)]
-
-
-def _recombine_batch(
+def recombine(
     genomes_a: np.ndarray,
     genomes_b: np.ndarray,
     sigmas_a: np.ndarray,
@@ -196,32 +178,20 @@ def _recombine_batch(
     alpha: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Discrete on the genome: each component from either parent with equal
-    # probability.  Intermediate on the step sizes.
+    """Breed one unevaluated child per row from two rows of parents.
+
+    Discrete on the genome: each component from either parent with equal
+    probability.  Intermediate on the step sizes.
+    """
+    if genomes_a.shape != genomes_b.shape:
+        raise ContractError(f"parent genome shapes differ: {genomes_a.shape} and {genomes_b.shape}")
     take_a = rng.integers(0, 2, size=genomes_a.shape).astype(bool)
     genomes = np.where(take_a, genomes_a, genomes_b)
     sigmas = alpha * sigmas_a + (1.0 - alpha) * sigmas_b
     return genomes, sigmas
 
 
-def recombine(
-    parent_a: Individual, parent_b: Individual, config: EsConfig, rng: np.random.Generator
-) -> Individual:
-    """Breed one unevaluated child from two parents."""
-    if parent_a.genome.shape != parent_b.genome.shape:
-        raise ContractError("parents have different genome lengths")
-    genomes, sigmas = _recombine_batch(
-        parent_a.genome[None, :],
-        parent_b.genome[None, :],
-        parent_a.sigmas[None, :],
-        parent_b.sigmas[None, :],
-        config.alpha,
-        rng,
-    )
-    return Individual(genomes[0], sigmas[0])
-
-
-def _mutate_batch(
+def mutate(
     genomes: np.ndarray,
     sigmas: np.ndarray,
     lower: np.ndarray,
@@ -229,7 +199,13 @@ def _mutate_batch(
     config: EsConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Self-adapt the step sizes, perturb the genomes, clip to the box.
+
+    Returns new arrays; the inputs are left unchanged.
+    """
     n, length = genomes.shape
+    if length != lower.shape[0]:
+        raise ContractError(f"genome length {length} does not match bounds length {lower.shape[0]}")
     tau_g, tau_l = config.resolved_taus(length)
     # One shared global draw per individual, one local draw per component.
     global_draw = rng.standard_normal((n, 1))
@@ -241,38 +217,15 @@ def _mutate_batch(
     return new_genomes, new_sigmas
 
 
-def mutate(
-    ind: Individual,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    config: EsConfig,
-    rng: np.random.Generator,
-) -> Individual:
-    """Self-adapt the step sizes, perturb the genome, clip to the box."""
-    if ind.genome.shape[0] != lower.shape[0]:
-        raise ContractError(
-            f"genome length {ind.genome.shape[0]} does not match bounds length {lower.shape[0]}"
-        )
-    genomes, sigmas = _mutate_batch(
-        ind.genome[None, :], ind.sigmas[None, :], lower, upper, config, rng
-    )
-    return Individual(genomes[0], sigmas[0])
-
-
-def _select_indices(fitnesses: np.ndarray, mu: int) -> np.ndarray:
-    # Stable sort on negated fitness: ties keep their generation order.
-    return np.argsort(-fitnesses, kind="stable")[:mu]
-
-
-def select(children: list[Individual], config: EsConfig) -> list[Individual]:
-    """Keep the mu best of the children by fitness; parents never survive."""
-    if len(children) < config.mu:
-        raise ContractError(f"need at least mu={config.mu} children, got {len(children)}")
-    for child in children:
-        if child.fitness is None:
-            raise ContractError("cannot select among unevaluated children")
-    fitnesses = np.array([child.fitness for child in children], dtype=float)
-    return [children[i] for i in _select_indices(fitnesses, config.mu)]
+def select(fitnesses: np.ndarray, mu: int) -> np.ndarray:
+    """Indices of the mu fittest children, best first, ties in generation
+    order.  A NaN fitness marks a child that was never evaluated."""
+    if fitnesses.size < mu:
+        raise ContractError(f"need at least mu={mu} children, got {fitnesses.size}")
+    order = np.argsort(-fitnesses, kind="stable")
+    if math.isnan(fitnesses[order[-1]]):  # argsort puts any NaN last
+        raise ContractError("cannot select among unevaluated children")
+    return order[:mu]
 
 
 def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
@@ -288,7 +241,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     second = rng.integers(0, mu - 1, size=eta) if mu > 1 else np.zeros(eta, dtype=int)
     if mu > 1:
         second = second + (second >= first)
-    genomes, sigmas = _recombine_batch(
+    genomes, sigmas = recombine(
         state.genomes[first],
         state.genomes[second],
         state.sigmas[first],
@@ -296,29 +249,23 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         config.alpha,
         rng,
     )
-    genomes, sigmas = _mutate_batch(genomes, sigmas, ctx.lower, ctx.upper, config, rng)
+    genomes, sigmas = mutate(genomes, sigmas, ctx.lower, ctx.upper, config, rng)
 
     fitnesses = batch_evaluate(ctx, genomes).fitness
-    order = _select_indices(fitnesses, mu)
+    order = select(fitnesses, mu)
 
     best_idx = int(order[0])
     record = state.record
     if fitnesses[best_idx] > record.fitness:
         record = BestRecord(
-            individual=Individual(
-                genomes[best_idx].copy(), sigmas[best_idx].copy(), float(fitnesses[best_idx])
-            ),
+            genome=genomes[best_idx].copy(),
+            sigmas=sigmas[best_idx].copy(),
             fitness=float(fitnesses[best_idx]),
             generation_found=state.generation + 1,
             stall_counter=0,
         )
     else:
-        record = BestRecord(
-            individual=record.individual,
-            fitness=record.fitness,
-            generation_found=record.generation_found,
-            stall_counter=record.stall_counter + 1,
-        )
+        record = replace(record, stall_counter=record.stall_counter + 1)
 
     return EsState(
         genomes=genomes[order],
@@ -339,17 +286,7 @@ def run(
     config = config or EsConfig()
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
-    rng = np.random.default_rng(config.seed)
-
-    parents = init_population(plan, config, rng)
-    state = EsState(
-        genomes=np.stack([ind.genome for ind in parents]),
-        sigmas=np.stack([ind.sigmas for ind in parents]),
-        record=BestRecord(),
-        generation=0,
-        evaluations=0,
-        rng=rng,
-    )
+    state = initial_state(ctx, config)
 
     while state.record.stall_counter < config.stall_limit and state.generation < config.max_generations:
         state = step(state, ctx, config)
@@ -358,7 +295,7 @@ def run(
 
     warnings = plan_warnings(plan)
     record = state.record
-    if record.individual is None:
+    if record.genome is None:
         return RunResult(
             feasible=False,
             best=None,
@@ -372,15 +309,15 @@ def run(
             warnings=warnings,
         )
 
-    best = DecisionVector.from_genome(record.individual.genome)
+    best = DecisionVector.from_genome(record.genome)
     margins = constraint_margins(plan, best, coeffs)
-    evaluation = batch_evaluate(ctx, record.individual.genome[None, :])
+    evaluation = batch_evaluate(ctx, record.genome[None, :])
     cost = float(evaluation.unit_cost[0])
     time = float(evaluation.unit_time[0])
     return RunResult(
         feasible=all(m.satisfied for m in margins),
         best=best,
-        sigmas_final=tuple(float(s) for s in record.individual.sigmas),
+        sigmas_final=tuple(float(s) for s in record.sigmas),
         unit_cost=cost,
         unit_time=time,
         profit_rate=(ctx.sale_price - cost) / time,

@@ -15,7 +15,7 @@ form  coefficient * quantity <= 1  is satisfied exactly when its margin is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -426,10 +426,6 @@ def derive_coefficients(plan: MillingPlan) -> tuple[DerivedCoefficients, ...]:
             if tool.kind == ToolKind.FACE_MILL:
                 tan_lead = math.tan(math.radians(tool.lead_angle))
                 tan_clear = math.tan(math.radians(tool.clearance_angle))
-                if tan_clear == 0.0:
-                    raise DomainError(
-                        f"tool {tool.id}: clearance angle {tool.clearance_angle} has no cotangent"
-                    )
                 c6 = 318.0 / ((tan_lead + 1.0 / tan_clear) * op.surface_finish_req)
             else:
                 c7 = 318.0 / (4.0 * tool.diameter * op.surface_finish_req)

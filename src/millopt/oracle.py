@@ -20,9 +20,10 @@ import numpy as np
 from .milling import (
     DecisionVector,
     DerivedCoefficients,
+    EvalContext,
     MillingPlan,
+    compile_context,
     constraint_margins,
-    cutting_force,
     derive_coefficients,
     profit_rate,
     unit_cost,
@@ -88,7 +89,7 @@ def per_op_grid_min(
     op_index: int,
     lam: float,
     plan: MillingPlan,
-    coeffs: tuple[DerivedCoefficients, ...],
+    ctx: EvalContext,
     grid: GridSpec,
 ) -> tuple[float, float, float] | None:
     """Feasible grid point of one operation minimizing cost + lam * time.
@@ -96,41 +97,35 @@ def per_op_grid_min(
     Scans every point of the speed/feed grid; ties resolve to the lowest
     speed index, then the lowest feed index.  Returns (speed, feed, value)
     or None when no grid point satisfies the constraints.
-    """
-    op = plan.operations[op_index]
-    tool = plan.tool_for(op)
-    c = coeffs[op_index]
-    machine = plan.machine
-    rate = plan.economics.minute_rate
-    speed_exp = 1.0 / tool.life_exponent - 1.0
-    feed_exp = (machine.chip_area_exponent + machine.slenderness_exponent) / tool.life_exponent - 1.0
 
-    speeds = np.linspace(op.speed_bounds[0], op.speed_bounds[1], grid.resolution)
-    feeds = np.linspace(op.feed_bounds[0], op.feed_bounds[1], grid.resolution)
+    The formulas come from the compiled context batch_evaluate reads.  The
+    tool-change addend alone comes from the plan: it is part of every
+    compared value, so it fixes their rounding and with it argmin's pick.
+    """
+    i, m = op_index, ctx.m
+    change_time = plan.tool_for(plan.operations[i]).change_time
+    weight = ctx.rate + lam
+
+    speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
+    feeds = np.linspace(ctx.lower[m + i], ctx.upper[m + i], grid.resolution)
 
     feeds_pow = feeds**0.8
-    feed_ok = np.ones(feeds.size, dtype=bool)
-    if c.c6 is not None:
-        feed_ok &= c.c6 * feeds <= 1.0
-    if c.c7 is not None:
-        feed_ok &= c.c7 * feeds**2 <= 1.0
-    if c.c8 is not None:
-        force_unit = cutting_force(op_index, 1.0, plan)
-        feed_ok &= c.c8 * force_unit * feeds_pow <= 1.0
+    feed_ok = ctx.finish_coef[i] * feeds ** ctx.finish_power[i] <= 1.0
+    feed_ok &= ctx.force_coef[i] * feeds_pow <= 1.0
 
     inv_feeds = 1.0 / feeds
-    wear_feeds = feeds**feed_exp
+    wear_feeds = feeds ** ctx.feed_exponent[i]
     best_value = math.inf
     best_v = best_f = 0.0
     found = False
     for start in range(0, speeds.size, _CHUNK_ROWS):
         v = speeds[start : start + _CHUNK_ROWS, None]
         values = (
-            (rate + lam) * c.k1 * (1.0 / v) * inv_feeds[None, :]
-            + tool.price * c.k3 * v**speed_exp * wear_feeds[None, :]
-            + (rate + lam) * tool.change_time
+            weight * ctx.k1[i] * (1.0 / v) * inv_feeds[None, :]
+            + ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * wear_feeds[None, :]
+            + weight * change_time
         )
-        ok = feed_ok[None, :] & (c.c5 * v * feeds_pow[None, :] <= 1.0)
+        ok = feed_ok[None, :] & (ctx.c5[i] * v * feeds_pow[None, :] <= 1.0)
         if not ok.any():
             continue
         values = np.where(ok, values, math.inf)
@@ -172,6 +167,7 @@ def dinkelbach_solve(
     result when some operation has no feasible grid point at all.
     """
     coeffs = coeffs if coeffs is not None else derive_coefficients(plan)
+    ctx = compile_context(plan, coeffs)
     grid = grid or GridSpec()
     lam = _midpoint_lambda(plan, coeffs)
     trace: list[float] = [lam]
@@ -180,7 +176,7 @@ def dinkelbach_solve(
         speeds: list[float] = []
         feeds: list[float] = []
         for i in range(plan.m):
-            found = per_op_grid_min(i, lam, plan, coeffs, grid)
+            found = per_op_grid_min(i, lam, plan, ctx, grid)
             if found is None:
                 return OracleResult(
                     feasible=False,

@@ -41,7 +41,7 @@ from millopt import (
 )
 from millopt.case_study import REFERENCE_ROWS, consistency_gap
 from millopt.cli import main
-from millopt.es import Individual, mutate
+from millopt.es import mutate
 
 
 SALE_PRICE = 25.0
@@ -370,14 +370,14 @@ def test_mutation_step_size_statistics(builtin_plan):
 
     lower = np.full(length, 1e-12)
     upper = np.full(length, 1e12)
-    base = Individual(np.full(length, 50.0), np.full(length, 3.0))
+    base_genome, base_sigmas = np.full((1, length), 50.0), np.full((1, length), 3.0)
     rng = np.random.default_rng(2024)
 
     n = 100_000
     log_ratios = np.empty((n, length))
     for i in range(n):
-        child = mutate(base, lower, upper, config, rng)
-        log_ratios[i] = np.log(child.sigmas / base.sigmas)
+        _, child_sigmas = mutate(base_genome, base_sigmas, lower, upper, config, rng)
+        log_ratios[i] = np.log(child_sigmas[0] / base_sigmas[0])
 
     sample_mean = float(log_ratios.mean())
     sample_var = float((log_ratios**2).mean() - sample_mean**2)

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from millopt.case_study import dump_plan
+from millopt.case_study import builtin_document_bytes, dump_plan
 from millopt.cli import main
 
 from conftest import infeasible_plan, single_face_plan, two_op_plan
@@ -162,6 +162,16 @@ class TestOracleCommand:
         )
         assert code == 3
         assert report["feasible"] is False
+
+    def test_unconverged_iteration_exits_one(self, capsys, tmp_path):
+        document = json.loads(builtin_document_bytes())
+        document["oracle"] = {"max_dinkelbach_iterations": 1, "resolution": 50}
+        path = tmp_path / "one_iteration.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(capsys, "oracle", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "did not converge" in err
 
     def test_text_expands_trace(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
-"""Evolution-strategy engine tests: configuration validation, the three
-variation operators with scripted randomness, comma selection, the
-generation step, and whole-run behavior including determinism."""
+"""Evolution-strategy engine tests: configuration validation, the
+initial population, the three variation operators on population arrays
+with scripted randomness, comma selection, the generation step, and
+whole-run behavior including determinism."""
 
 from __future__ import annotations
 
@@ -11,19 +12,7 @@ import pytest
 
 import millopt
 from millopt import ContractError
-from millopt.es import (
-    BestRecord,
-    EsConfig,
-    EsState,
-    Individual,
-    clip_to_box,
-    init_population,
-    mutate,
-    recombine,
-    run,
-    select,
-    step,
-)
+from millopt.es import EsConfig, initial_state, mutate, recombine, run, select, step
 from millopt.milling import batch_evaluate, compile_context, decision_bounds, derive_coefficients
 from millopt.oracle import GridSpec, dinkelbach_solve
 
@@ -105,88 +94,125 @@ class TestEsConfig:
             EsConfig().resolved_taus(0)
 
 
+def zero_draws(length: int) -> QueuedNormals:
+    """Scripted mutation draws that leave step sizes and genome unchanged."""
+    return QueuedNormals([np.zeros((1, 1)), np.zeros((1, length)), np.zeros((1, length))])
+
+
+def clip(genome, lower, upper):
+    """One mutation with zero draws, so only the box projection acts."""
+    clipped, _ = mutate(
+        genome[None, :], np.ones((1, lower.size)), lower, upper, EsConfig(), zero_draws(lower.size)
+    )
+    return clipped[0]
+
+
 class TestClipToBox:
+    """mutate projects every perturbed genome onto the box."""
+
     def test_projects_out_of_box_speed(self, builtin_plan):
         lower, upper = decision_bounds(builtin_plan)
         genome = (lower + upper) / 2.0
         genome[0] = 130.0  # above the 120 ceiling of the first operation
-        clipped = clip_to_box(genome, lower, upper)
+        clipped = clip(genome, lower, upper)
         assert clipped[0] == 120.0
         assert np.array_equal(clipped[1:], genome[1:])
 
     def test_in_box_points_unchanged(self, builtin_plan):
         lower, upper = decision_bounds(builtin_plan)
         genome = lower * 0.25 + upper * 0.75
-        assert np.array_equal(clip_to_box(genome, lower, upper), genome)
+        assert np.array_equal(clip(genome, lower, upper), genome)
 
     def test_bounds_are_attainable(self, builtin_plan):
         lower, upper = decision_bounds(builtin_plan)
-        assert np.array_equal(clip_to_box(lower - 1.0, lower, upper), lower)
-        assert np.array_equal(clip_to_box(upper + 1.0, lower, upper), upper)
+        assert np.array_equal(clip(lower - 1.0, lower, upper), lower)
+        assert np.array_equal(clip(upper + 1.0, lower, upper), upper)
 
     def test_length_mismatch_rejected(self, builtin_plan):
         lower, upper = decision_bounds(builtin_plan)
         with pytest.raises(ContractError):
-            clip_to_box(np.ones(3), lower, upper)
+            mutate(np.ones((1, 3)), np.ones((1, 3)), lower, upper, EsConfig(), np.random.default_rng(0))
 
 
 class TestInitPopulation:
     def test_population_shape_and_sigmas(self, toy_single_plan):
-        cfg = toy_config(mu=5, eta=7, sigma_init=1.25)
-        pop = init_population(toy_single_plan, cfg, np.random.default_rng(3))
-        assert len(pop) == 5
+        cfg = toy_config(mu=5, eta=7, sigma_init=1.25, seed=3)
+        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        state = initial_state(ctx, cfg)
+        assert state.genomes.shape == (5, 2)
         lower, upper = decision_bounds(toy_single_plan)
-        for ind in pop:
-            assert ind.fitness is None
-            assert np.all(ind.genome >= lower) and np.all(ind.genome <= upper)
-            assert np.all(ind.sigmas == 1.25)
+        assert np.all(state.genomes >= lower) and np.all(state.genomes <= upper)
+        assert np.all(state.sigmas == 1.25)
+        # nothing evaluated yet
+        assert state.record.genome is None and state.record.fitness == 0.0
+        assert (state.generation, state.evaluations) == (0, 0)
 
     def test_same_seed_same_population(self, toy_single_plan):
-        cfg = toy_config()
-        a = init_population(toy_single_plan, cfg, np.random.default_rng(11))
-        b = init_population(toy_single_plan, cfg, np.random.default_rng(11))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.genome, y.genome)
+        cfg = toy_config(seed=11)
+        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        a = initial_state(ctx, cfg)
+        b = initial_state(ctx, cfg)
+        assert np.array_equal(a.genomes, b.genomes)
+        # one uniform draw of the whole population opens the seed's stream
+        lower, upper = decision_bounds(toy_single_plan)
+        expected = np.random.default_rng(11).uniform(lower, upper, size=(cfg.mu, lower.size))
+        assert np.array_equal(a.genomes, expected)
 
 
 class TestRecombine:
     def test_identical_parents_reproduce_exactly(self):
-        parent = Individual(np.array([80.0, 0.2]), np.array([2.0, 4.0]), fitness=1.0)
-        child = recombine(parent, parent.copy(), toy_config(), np.random.default_rng(0))
-        assert np.array_equal(child.genome, parent.genome)
-        assert np.array_equal(child.sigmas, parent.sigmas)
-        assert child.fitness is None
+        genome, sigmas = np.array([[80.0, 0.2]]), np.array([[2.0, 4.0]])
+        child, child_sigmas = recombine(
+            genome, genome.copy(), sigmas, sigmas.copy(), toy_config().alpha, np.random.default_rng(0)
+        )
+        assert np.array_equal(child, genome)
+        assert np.array_equal(child_sigmas, sigmas)
 
     def test_step_sizes_blend_to_midpoint(self):
-        a = Individual(np.array([1.0, 1.0]), np.array([2.0, 4.0]))
-        b = Individual(np.array([9.0, 9.0]), np.array([4.0, 8.0]))
-        child = recombine(a, b, toy_config(alpha=0.5), np.random.default_rng(0))
-        assert np.array_equal(child.sigmas, np.array([3.0, 6.0]))
+        _, sigmas = recombine(
+            np.array([[1.0, 1.0]]),
+            np.array([[9.0, 9.0]]),
+            np.array([[2.0, 4.0]]),
+            np.array([[4.0, 8.0]]),
+            toy_config(alpha=0.5).alpha,
+            np.random.default_rng(0),
+        )
+        assert np.array_equal(sigmas[0], np.array([3.0, 6.0]))
 
     def test_genome_components_come_from_a_parent(self):
         rng = np.random.default_rng(5)
-        a = Individual(np.array([1.0, 2.0, 3.0]), np.ones(3))
-        b = Individual(np.array([10.0, 20.0, 30.0]), np.ones(3))
+        a = np.array([[1.0, 2.0, 3.0]])
+        b = np.array([[10.0, 20.0, 30.0]])
         seen_from_both = set()
         for _ in range(50):
-            child = recombine(a, b, toy_config(), rng)
-            for i, value in enumerate(child.genome):
-                assert value in (a.genome[i], b.genome[i])
+            child, _ = recombine(a, b, np.ones((1, 3)), np.ones((1, 3)), toy_config().alpha, rng)
+            for i, value in enumerate(child[0]):
+                assert value in (a[0, i], b[0, i])
                 seen_from_both.add((i, value))
         # with 50 trials every parent component should appear at least once
         assert len(seen_from_both) == 6
 
     def test_asymmetric_alpha(self):
-        a = Individual(np.array([1.0]), np.array([10.0]))
-        b = Individual(np.array([1.0]), np.array([20.0]))
-        child = recombine(a, b, toy_config(alpha=0.25), np.random.default_rng(0))
-        assert child.sigmas[0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
+        _, sigmas = recombine(
+            np.array([[1.0]]),
+            np.array([[1.0]]),
+            np.array([[10.0]]),
+            np.array([[20.0]]),
+            toy_config(alpha=0.25).alpha,
+            np.random.default_rng(0),
+        )
+        assert sigmas[0, 0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
 
     def test_length_mismatch_rejected(self):
-        a = Individual(np.ones(2), np.ones(2))
-        b = Individual(np.ones(3), np.ones(3))
         with pytest.raises(ContractError):
-            recombine(a, b, toy_config(), np.random.default_rng(0))
+            recombine(
+                np.ones((1, 2)),
+                np.ones((1, 3)),
+                np.ones((1, 2)),
+                np.ones((1, 3)),
+                toy_config().alpha,
+                np.random.default_rng(0),
+            )
 
 
 class TestMutate:
@@ -194,130 +220,112 @@ class TestMutate:
     UPPER = np.array([120.0, 0.4])
 
     def test_zero_draws_leave_individual_unchanged(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 3.0]))
-        rng = QueuedNormals([np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 2))])
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
-        assert np.array_equal(child.genome, ind.genome)
-        assert np.array_equal(child.sigmas, ind.sigmas)
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
+        rng = zero_draws(2)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        assert np.array_equal(child, genome)
+        assert np.array_equal(child_sigmas, sigmas)
         assert rng.exhausted
 
     def test_unit_draws_scale_sigma_by_exp_of_tau_sum(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 3.0]))
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = QueuedNormals([np.ones((1, 1)), np.ones((1, 2)), np.zeros((1, 2))])
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
         tau_g = 1.0 / math.sqrt(2.0 * 2.0)
         tau_l = 1.0 / math.sqrt(2.0 * math.sqrt(2.0))
         expected = 3.0 * math.exp(tau_g + tau_l)
-        assert child.sigmas == pytest.approx([expected, expected], rel=1e-15)
-        assert np.array_equal(child.genome, ind.genome)
+        assert child_sigmas[0] == pytest.approx([expected, expected], rel=1e-15)
+        assert np.array_equal(child, genome)
 
     def test_length_ten_unit_draw_value(self):
-        ind = Individual(np.full(10, 80.0), np.full(10, 3.0))
+        genome, sigmas = np.full((1, 10), 80.0), np.full((1, 10), 3.0)
         lower = np.full(10, 0.01)
         upper = np.full(10, 200.0)
         rng = QueuedNormals([np.ones((1, 1)), np.ones((1, 10)), np.zeros((1, 10))])
-        child = mutate(ind, lower, upper, EsConfig(), rng)
+        _, child_sigmas = mutate(genome, sigmas, lower, upper, EsConfig(), rng)
         expected = 3.0 * math.exp(1.0 / math.sqrt(20.0) + 1.0 / math.sqrt(2.0 * math.sqrt(10.0)))
         assert expected == pytest.approx(5.5837, abs=5e-5)
-        assert child.sigmas == pytest.approx(np.full(10, expected), rel=1e-15)
+        assert child_sigmas[0] == pytest.approx(np.full(10, expected), rel=1e-15)
 
     def test_genome_step_uses_new_sigma_then_clips(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 0.01]))
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 0.01]])
         rng = QueuedNormals([np.zeros((1, 1)), np.zeros((1, 2)), np.array([[2.0, -1.0]])])
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
-        assert child.genome[0] == pytest.approx(90.0 + 3.0 * 2.0, rel=1e-15)
-        assert child.genome[1] == pytest.approx(0.2 - 0.01, rel=1e-15)
+        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        assert child[0, 0] == pytest.approx(90.0 + 3.0 * 2.0, rel=1e-15)
+        assert child[0, 1] == pytest.approx(0.2 - 0.01, rel=1e-15)
 
     def test_huge_step_clips_to_bounds(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 3.0]))
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = QueuedNormals(
             [np.zeros((1, 1)), np.zeros((1, 2)), np.array([[1000.0, -1000.0]])]
         )
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
-        assert np.array_equal(child.genome, np.array([120.0, 0.05]))
+        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        assert np.array_equal(child[0], np.array([120.0, 0.05]))
 
     def test_sigma_floor_applies(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 3.0]))
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = QueuedNormals(
             [np.full((1, 1), -100.0), np.zeros((1, 2)), np.zeros((1, 2))]
         )
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
-        assert np.all(child.sigmas == EsConfig().sigma_floor)
+        _, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        assert np.all(child_sigmas == EsConfig().sigma_floor)
 
     def test_mutated_individual_is_new_object(self):
-        ind = Individual(np.array([90.0, 0.2]), np.array([3.0, 3.0]))
-        rng = QueuedNormals([np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((1, 2))])
-        child = mutate(ind, self.LOWER, self.UPPER, EsConfig(), rng)
-        child.genome[0] = -1.0
-        assert ind.genome[0] == 90.0
+        genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
+        rng = zero_draws(2)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child[0, 0] = -1.0
+        child_sigmas[0, 0] = -1.0
+        assert genome[0, 0] == 90.0
+        assert sigmas[0, 0] == 3.0
 
     def test_length_mismatch_rejected(self):
-        ind = Individual(np.ones(3), np.ones(3))
         with pytest.raises(ContractError):
-            mutate(ind, self.LOWER, self.UPPER, EsConfig(), np.random.default_rng(0))
+            mutate(
+                np.ones((1, 3)), np.ones((1, 3)), self.LOWER, self.UPPER, EsConfig(), np.random.default_rng(0)
+            )
 
 
 class TestSelect:
     @staticmethod
     def make(fitnesses):
-        return [
-            Individual(np.array([float(i)]), np.array([1.0]), fitness=float(f))
-            for i, f in enumerate(fitnesses)
-        ]
+        return np.array(fitnesses, dtype=float)
 
     def test_keeps_best_two_of_three(self):
-        survivors = select(self.make([3.0, 2.0, 1.0]), toy_config(mu=2, eta=3))
-        assert [ind.fitness for ind in survivors] == [3.0, 2.0]
+        fitnesses = self.make([3.0, 2.0, 1.0])
+        survivors = select(fitnesses, toy_config(mu=2, eta=3).mu)
+        assert list(fitnesses[survivors]) == [3.0, 2.0]
 
     def test_order_independent_of_input_order(self):
-        survivors = select(self.make([1.0, 3.0, 2.0]), toy_config(mu=2, eta=3))
-        assert [ind.fitness for ind in survivors] == [3.0, 2.0]
+        fitnesses = self.make([1.0, 3.0, 2.0])
+        survivors = select(fitnesses, toy_config(mu=2, eta=3).mu)
+        assert list(fitnesses[survivors]) == [3.0, 2.0]
 
     def test_all_zero_fitness_keeps_first_mu_in_order(self):
-        children = self.make([0.0, 0.0, 0.0, 0.0])
-        survivors = select(children, toy_config(mu=2, eta=4))
-        assert survivors[0] is children[0]
-        assert survivors[1] is children[1]
+        survivors = select(self.make([0.0, 0.0, 0.0, 0.0]), toy_config(mu=2, eta=4).mu)
+        assert list(survivors) == [0, 1]
 
     def test_ties_resolve_to_earlier_children(self):
-        children = self.make([2.0, 5.0, 5.0, 2.0])
-        survivors = select(children, toy_config(mu=3, eta=4))
-        assert survivors[0] is children[1]
-        assert survivors[1] is children[2]
-        assert survivors[2] is children[0]
+        survivors = select(self.make([2.0, 5.0, 5.0, 2.0]), toy_config(mu=3, eta=4).mu)
+        assert list(survivors) == [1, 2, 0]
 
     def test_min_selected_at_least_max_discarded(self):
         rng = np.random.default_rng(19)
         for _ in range(25):
-            fitnesses = rng.uniform(0.0, 10.0, size=9)
-            children = self.make(fitnesses)
-            survivors = select(children, toy_config(mu=4, eta=9))
-            kept = {id(ind) for ind in survivors}
-            discarded = [c.fitness for c in children if id(c) not in kept]
-            assert min(ind.fitness for ind in survivors) >= max(discarded)
+            fitnesses = self.make(rng.uniform(0.0, 10.0, size=9))
+            survivors = select(fitnesses, toy_config(mu=4, eta=9).mu)
+            discarded = np.delete(fitnesses, survivors)
+            assert fitnesses[survivors].min() >= discarded.max()
 
     def test_too_few_children_rejected(self):
         with pytest.raises(ContractError):
-            select(self.make([1.0]), toy_config(mu=2, eta=3))
+            select(self.make([1.0]), toy_config(mu=2, eta=3).mu)
 
     def test_unevaluated_child_rejected(self):
-        children = self.make([1.0, 2.0, 3.0])
-        children[1].fitness = None
+        fitnesses = self.make([1.0, 2.0, 3.0])
+        fitnesses[1] = np.nan
         with pytest.raises(ContractError):
-            select(children, toy_config(mu=2, eta=3))
-
-
-def fresh_state(plan, config):
-    rng = np.random.default_rng(config.seed)
-    parents = init_population(plan, config, rng)
-    return EsState(
-        genomes=np.stack([ind.genome for ind in parents]),
-        sigmas=np.stack([ind.sigmas for ind in parents]),
-        record=BestRecord(),
-        generation=0,
-        evaluations=0,
-        rng=rng,
-    )
+            select(fitnesses, toy_config(mu=2, eta=3).mu)
 
 
 class TestStep:
@@ -325,7 +333,7 @@ class TestStep:
         cfg = toy_config(mu=4, eta=12)
         coeffs = derive_coefficients(toy_single_plan)
         ctx = compile_context(toy_single_plan, coeffs)
-        state = fresh_state(toy_single_plan, cfg)
+        state = initial_state(ctx, cfg)
         for expected_gen in (1, 2, 3):
             state = step(state, ctx, cfg)
             assert state.generation == expected_gen
@@ -339,7 +347,7 @@ class TestStep:
         cfg = toy_config(mu=4, eta=12)
         coeffs = derive_coefficients(toy_single_plan)
         ctx = compile_context(toy_single_plan, coeffs)
-        state = fresh_state(toy_single_plan, cfg)
+        state = initial_state(ctx, cfg)
         previous = 0.0
         for _ in range(20):
             state = step(state, ctx, cfg)
@@ -352,7 +360,7 @@ class TestStep:
         cfg = toy_config(mu=4, eta=12)
         coeffs = derive_coefficients(toy_single_plan)
         ctx = compile_context(toy_single_plan, coeffs)
-        state = fresh_state(toy_single_plan, cfg)
+        state = initial_state(ctx, cfg)
         last_fitness = 0.0
         for _ in range(15):
             before = state.record.stall_counter
@@ -367,10 +375,10 @@ class TestStep:
         cfg = toy_config(mu=3, eta=9)
         coeffs = derive_coefficients(toy_infeasible_plan)
         ctx = compile_context(toy_infeasible_plan, coeffs)
-        state = fresh_state(toy_infeasible_plan, cfg)
+        state = initial_state(ctx, cfg)
         for expected in (1, 2, 3):
             state = step(state, ctx, cfg)
-            assert state.record.individual is None
+            assert state.record.genome is None
             assert state.record.fitness == 0.0
             assert state.record.stall_counter == expected
 

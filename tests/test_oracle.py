@@ -5,6 +5,7 @@ nested grids, and failure modes."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from millopt import (
     unit_cost,
     unit_time,
 )
+from millopt.milling import compile_context
 from millopt.oracle import per_op_grid_min
 
 from conftest import single_face_plan, two_op_plan
@@ -84,23 +86,52 @@ def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
     return best
 
 
-class TestPerOpGridMin:
-    @pytest.mark.parametrize("lam", [0.0, 2.5, 10.0])
-    def test_matches_brute_force_single_op(self, toy_single_plan, lam):
-        coeffs = derive_coefficients(toy_single_plan)
-        got = per_op_grid_min(0, lam, toy_single_plan, coeffs, GridSpec(resolution=9))
-        expected = brute_force_op_min(
-            toy_single_plan, coeffs, 0, lam, 9, fill=((90.0,), (0.2,))
+def grid_min(plan, coeffs, op_index, lam, resolution):
+    ctx = compile_context(plan, coeffs)
+    return per_op_grid_min(op_index, lam, plan, ctx, GridSpec(resolution=resolution))
+
+
+def face_plan_variant(name):
+    """single_face_plan as is, with a tool force limit, or with a finish limit."""
+    plan = single_face_plan()
+    if name == "force_limit":
+        return dataclasses.replace(
+            plan, tools=(dataclasses.replace(plan.tools[0], permitted_force=2500.0),)
         )
+    if name == "finish_limit":
+        return dataclasses.replace(
+            plan, operations=(dataclasses.replace(plan.operations[0], surface_finish_req=4.0),)
+        )
+    return plan
+
+
+class TestPerOpGridMin:
+    # Without a limit the best feed at resolution 9 is the 0.4 ceiling; the
+    # force and face-mill finish limits move it down the feed axis.
+    @pytest.mark.parametrize(
+        "variant, best_feed, lam",
+        [pytest.param("plain", 0.4, lam, id=str(lam)) for lam in (0.0, 2.5, 10.0)]
+        + [
+            pytest.param(variant, best_feed, lam, id=f"{variant}-{lam}")
+            for variant, best_feed in (("force_limit", 0.18125), ("finish_limit", 0.1375))
+            for lam in (0.0, 2.5, 10.0)
+        ],
+    )
+    def test_matches_brute_force_single_op(self, variant, best_feed, lam):
+        plan = face_plan_variant(variant)
+        coeffs = derive_coefficients(plan)
+        got = grid_min(plan, coeffs, 0, lam, 9)
+        expected = brute_force_op_min(plan, coeffs, 0, lam, 9, fill=((90.0,), (0.2,)))
         assert got is not None and expected is not None
         assert got[0] == expected[0] and got[1] == expected[1]
         assert got[2] == pytest.approx(expected[2], rel=1e-12)
+        assert got[1] == pytest.approx(best_feed, rel=1e-12)
 
     @pytest.mark.parametrize("op_index", [0, 1])
     def test_matches_brute_force_two_ops(self, toy_two_op_plan, op_index):
         coeffs = derive_coefficients(toy_two_op_plan)
         fill = ((50.0, 45.0), (0.3, 0.3))
-        got = per_op_grid_min(op_index, 4.0, toy_two_op_plan, coeffs, GridSpec(resolution=7))
+        got = grid_min(toy_two_op_plan, coeffs, op_index, 4.0, 7)
         expected = brute_force_op_min(toy_two_op_plan, coeffs, op_index, 4.0, 7, fill)
         assert got is not None and expected is not None
         assert (got[0], got[1]) == (expected[0], expected[1])
@@ -108,7 +139,7 @@ class TestPerOpGridMin:
 
     def test_zero_multiplier_minimizes_cost_contribution_alone(self, toy_single_plan):
         coeffs = derive_coefficients(toy_single_plan)
-        v, f, value = per_op_grid_min(0, 0.0, toy_single_plan, coeffs, GridSpec(resolution=9))
+        v, f, value = grid_min(toy_single_plan, coeffs, 0, 0.0, 9)
         tool = toy_single_plan.tools[0]
         rate = toy_single_plan.economics.minute_rate
         time = machining_time(0, v, f, coeffs) + tool.change_time
@@ -122,7 +153,7 @@ class TestPerOpGridMin:
 
     def test_every_grid_point_infeasible_returns_none(self, toy_infeasible_plan):
         coeffs = derive_coefficients(toy_infeasible_plan)
-        assert per_op_grid_min(0, 1.0, toy_infeasible_plan, coeffs, GridSpec(resolution=15)) is None
+        assert grid_min(toy_infeasible_plan, coeffs, 0, 1.0, 15) is None
 
     def test_degenerate_single_point_box(self):
         base = two_op_plan()
@@ -140,7 +171,7 @@ class TestPerOpGridMin:
             operations=(pinned, base.operations[1]),
         )
         coeffs = derive_coefficients(plan)
-        got = per_op_grid_min(0, 3.0, plan, coeffs, GridSpec(resolution=4))
+        got = grid_min(plan, coeffs, 0, 3.0, 4)
         assert got is not None
         assert got[0] == 45.0 and got[1] == 0.2
 
