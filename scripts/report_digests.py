@@ -1,0 +1,91 @@
+"""Print the exit code and the sha256 of stdout and stderr of a fixed set
+of CLI runs, one line per run.
+
+Run it on two checkouts and diff the outputs to see which reports changed:
+
+    python3 scripts/report_digests.py > digests.txt
+
+The script imports millopt from the checkout it lives in (``src/``), and
+the random plan generator from that checkout's ``perfbench/workloads.py``.
+Every report is JSON, so full precision counts.  The set:
+
+  * optimize and compare on the bundled case, seeds 0-4;
+  * oracle on the bundled case at resolutions 500, 833, ..., 2500;
+  * one evaluate on the bundled case;
+  * optimize (stall 200), oracle (resolution 300) and evaluate (box
+    midpoints) on the first 60 random plan documents from rng [7, 3].
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from millopt.cli import main  # noqa: E402
+from workloads import midpoint_args, random_plan_document  # noqa: E402
+
+SEEDS = range(5)
+RESOLUTIONS = (500, 833, 1167, 1500, 1833, 2167, 2500)
+RANDOM_PLANS = 60
+PLAN_RNG = [7, 3]
+PLAN_STALL = "200"
+PLAN_RESOLUTION = "300"
+
+
+def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """(label, argv) of every run, in a fixed order."""
+    builtin = ("--builtin-case", "--out", "json")
+    for seed in SEEDS:
+        yield f"optimize builtin seed={seed}", ("optimize", *builtin, "--seed", str(seed))
+        yield f"compare builtin seed={seed}", ("compare", *builtin, "--seed", str(seed))
+    for resolution in RESOLUTIONS:
+        yield (
+            f"oracle builtin resolution={resolution}",
+            ("oracle", *builtin, "--grid-resolution", str(resolution)),
+        )
+    yield "evaluate builtin", (
+        "evaluate", *builtin,
+        "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
+    )
+
+    rng = np.random.default_rng(PLAN_RNG)
+    for k in range(RANDOM_PLANS):
+        document = random_plan_document(rng)
+        path = workdir / f"plan_{k}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        plan = ("--config", str(path), "--out", "json")
+        operations = document["operations"]
+        point = midpoint_args(
+            [op["speed_bounds"] for op in operations], [op["feed_bounds"] for op in operations]
+        )
+        yield f"optimize plan={k}", ("optimize", *plan, "--stall", PLAN_STALL)
+        yield f"oracle plan={k}", ("oracle", *plan, "--grid-resolution", PLAN_RESOLUTION)
+        yield f"evaluate plan={k}", ("evaluate", *plan, *point)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main_digests() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in runs(Path(tmp)):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+            print(f"{label}\texit={code}\tstdout={digest(out.getvalue())}\tstderr={digest(err.getvalue())}")
+
+
+if __name__ == "__main__":
+    main_digests()

@@ -8,29 +8,13 @@ certifies what it finds.
 """
 
 from .case_study import (
-    REFERENCE_ROWS,
-    LoadedDocument,
-    ReferenceRow,
     builtin_case,
     builtin_document_bytes,
-    consistency_gap,
-    dump_plan,
     load_document,
     load_document_file,
     load_plan,
 )
-from .es import (
-    BestRecord,
-    EsConfig,
-    EsState,
-    RunResult,
-    initial_state,
-    mutate,
-    recombine,
-    run,
-    select,
-    step,
-)
+from .es import EsConfig, mutate, recombine, run, select, step
 from .milling import (
     ContractError,
     DecisionVector,
@@ -41,7 +25,6 @@ from .milling import (
     MillingPlan,
     ModelError,
     OperationKind,
-    OperationMargins,
     OperationSpec,
     PlanError,
     ToolKind,
@@ -57,27 +40,18 @@ from .milling import (
     unit_cost,
     unit_time,
 )
-from .oracle import GridSpec, OracleError, OracleResult, dinkelbach_solve, per_op_grid_min
+from .oracle import GridSpec, OracleError, OracleResult, dinkelbach_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "REFERENCE_ROWS",
-    "LoadedDocument",
-    "ReferenceRow",
     "builtin_case",
     "builtin_document_bytes",
-    "consistency_gap",
-    "dump_plan",
     "load_document",
     "load_document_file",
     "load_plan",
-    "BestRecord",
     "EsConfig",
-    "EsState",
-    "RunResult",
-    "initial_state",
     "mutate",
     "recombine",
     "run",
@@ -92,7 +66,6 @@ __all__ = [
     "MillingPlan",
     "ModelError",
     "OperationKind",
-    "OperationMargins",
     "OperationSpec",
     "PlanError",
     "ToolKind",
@@ -111,5 +84,4 @@ __all__ = [
     "OracleError",
     "OracleResult",
     "dinkelbach_solve",
-    "per_op_grid_min",
 ]

@@ -18,6 +18,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .milling import (
+    FEED_LIMITS,
+    SPEED_LIMITS,
     EconomicConstants,
     MachineSpec,
     MillingPlan,
@@ -27,8 +29,6 @@ from .milling import (
     ToolKind,
     ToolQuality,
     ToolSpec,
-    default_feed_bounds,
-    default_speed_bounds,
 )
 
 __all__ = [
@@ -220,8 +220,8 @@ def _load_operation(section: Mapping[str, Any], where: str) -> OperationSpec:
     assumed = section.get("radial_depth_assumed", False)
     if not isinstance(assumed, bool):
         raise PlanError(f"'radial_depth_assumed' in {where} must be true or false")
-    speed_bounds = _bounds_pair(section, "speed_bounds", where) or default_speed_bounds(kind)
-    feed_bounds = _bounds_pair(section, "feed_bounds", where) or default_feed_bounds(kind)
+    speed_bounds = _bounds_pair(section, "speed_bounds", where) or SPEED_LIMITS[kind]
+    feed_bounds = _bounds_pair(section, "feed_bounds", where) or FEED_LIMITS[kind]
     return OperationSpec(
         number=_integer(section, "number", where),
         kind=kind,

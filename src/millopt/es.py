@@ -119,7 +119,6 @@ class BestRecord:
     genome: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     fitness: float = 0.0
-    generation_found: int = 0
     stall_counter: int = 0
 
 
@@ -261,7 +260,6 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
             genome=genomes[best_idx].copy(),
             sigmas=sigmas[best_idx].copy(),
             fitness=float(fitnesses[best_idx]),
-            generation_found=state.generation + 1,
             stall_counter=0,
         )
     else:
@@ -287,8 +285,9 @@ def run(
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     state = initial_state(ctx, config)
-
-    while state.record.stall_counter < config.stall_limit and state.generation < config.max_generations:
+    # No point of the box is feasible unless its lowest corner is.
+    max_generations = config.max_generations if batch_evaluate(ctx, ctx.lower).feasible[0] else 0
+    while state.record.stall_counter < config.stall_limit and state.generation < max_generations:
         state = step(state, ctx, config)
         if observer is not None:
             observer(state)

@@ -39,8 +39,6 @@ __all__ = [
     "OperationMargins",
     "SPEED_LIMITS",
     "FEED_LIMITS",
-    "default_speed_bounds",
-    "default_feed_bounds",
     "derive_coefficients",
     "machining_time",
     "unit_time",
@@ -106,14 +104,6 @@ FEED_LIMITS: dict[OperationKind, tuple[float, float]] = {
     OperationKind.POCKET: (0.05, 0.5),
     OperationKind.SLOT: (0.05, 0.5),
 }
-
-
-def default_speed_bounds(kind: OperationKind) -> tuple[float, float]:
-    return SPEED_LIMITS[OperationKind(kind)]
-
-
-def default_feed_bounds(kind: OperationKind) -> tuple[float, float]:
-    return FEED_LIMITS[OperationKind(kind)]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -380,10 +370,6 @@ class DecisionVector:
     def __len__(self) -> int:
         return len(self.speeds)
 
-    def as_genome(self) -> np.ndarray:
-        """Concatenate to a flat array [v_1..v_m, f_1..f_m]."""
-        return np.asarray(self.speeds + self.feeds, dtype=float)
-
     @staticmethod
     def from_genome(genome: np.ndarray) -> "DecisionVector":
         flat = np.asarray(genome, dtype=float).ravel()
@@ -557,6 +543,21 @@ class OperationMargins:
         yield "feed_box", None, self.feed_ok
 
 
+def _finish_and_force(
+    plan: MillingPlan, op_index: int, c: DerivedCoefficients, f: float
+) -> tuple[float | None, float | None]:
+    """Finish and force margins of one operation at feed f; None where the
+    operation has no such limit.  Neither depends on the speed."""
+    if c.c6 is not None:
+        finish: float | None = c.c6 * f
+    elif c.c7 is not None:
+        finish = c.c7 * f**2
+    else:
+        finish = None
+    force = None if c.c8 is None else c.c8 * cutting_force(op_index, f, plan)
+    return finish, force
+
+
 def constraint_margins(
     plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoefficients, ...]
 ) -> tuple[OperationMargins, ...]:
@@ -566,15 +567,8 @@ def constraint_margins(
     for i, op in enumerate(plan.operations):
         v, f = x.speeds[i], x.feeds[i]
         _check_positive_pair(v, f)
-        c = coeffs[i]
-        power = c.c5 * v * f**0.8
-        if c.c6 is not None:
-            finish: float | None = c.c6 * f
-        elif c.c7 is not None:
-            finish = c.c7 * f**2
-        else:
-            finish = None
-        force = None if c.c8 is None else c.c8 * cutting_force(i, f, plan)
+        power = coeffs[i].c5 * v * f**0.8
+        finish, force = _finish_and_force(plan, i, coeffs[i], f)
         speed_ok = op.speed_bounds[0] <= v <= op.speed_bounds[1]
         feed_ok = op.feed_bounds[0] <= f <= op.feed_bounds[1]
         out.append(
@@ -631,7 +625,13 @@ def plan_warnings(plan: MillingPlan) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Plan constants packed into arrays for batch evaluation."""
+    """Plan constants packed into arrays for batch evaluation.
+
+    feed_cap[i] folds operation i's finish and force limits and its upper
+    feed bound into one bound: the largest double f <= f_hi whose scalar
+    finish and force margins are both <= 1.  Both margins grow with f, so
+    a feed satisfies them exactly when it is <= feed_cap[i].
+    """
 
     sale_price: float
     rate: float
@@ -642,15 +642,40 @@ class EvalContext:
     speed_exponent: np.ndarray
     feed_exponent: np.ndarray
     c5: np.ndarray
-    finish_coef: np.ndarray
-    finish_power: np.ndarray
-    force_coef: np.ndarray
+    feed_cap: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     @property
     def m(self) -> int:
         return self.k1.size
+
+
+def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float:
+    """Largest double f <= f_hi that the scalar finish and force margins accept.
+
+    Starts from the closed form min(f_hi, 1/c6 or c7**-0.5,
+    (c8 * force at f = 1)**-1.25), which rounding leaves a few ulps off,
+    then steps up while the next double is accepted and down while the
+    current one is not.
+    """
+    f_hi = plan.operations[op_index].feed_bounds[1]
+
+    def accepted(f: float) -> bool:
+        return all(m is None or m <= 1.0 for m in _finish_and_force(plan, op_index, c, f))
+
+    cap = f_hi
+    if c.c6 is not None:
+        cap = min(cap, 1.0 / c.c6)
+    elif c.c7 is not None:
+        cap = min(cap, c.c7**-0.5)
+    if c.c8 is not None:
+        cap = min(cap, (c.c8 * cutting_force(op_index, 1.0, plan)) ** -1.25)
+    while cap < f_hi and accepted(math.nextafter(cap, math.inf)):
+        cap = math.nextafter(cap, math.inf)
+    while not accepted(cap):
+        cap = math.nextafter(cap, 0.0)
+    return cap
 
 
 def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) -> EvalContext:
@@ -663,19 +688,6 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
     tools = [plan.tool_for(op) for op in plan.operations]
     change_total = sum(tool.change_time for tool in tools)
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
-
-    finish_coef = np.zeros(plan.m)
-    finish_power = np.ones(plan.m)
-    force_coef = np.zeros(plan.m)
-    for i, op in enumerate(plan.operations):
-        c = coeffs[i]
-        if c.c6 is not None:
-            finish_coef[i], finish_power[i] = c.c6, 1.0
-        elif c.c7 is not None:
-            finish_coef[i], finish_power[i] = c.c7, 2.0
-        if c.c8 is not None:
-            # margin = c8 * force = (c8 * force-at-unit-feed) * f**0.8
-            force_coef[i] = c.c8 * cutting_force(i, 1.0, plan)
 
     lower, upper = decision_bounds(plan)
     return EvalContext(
@@ -690,9 +702,7 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
             [feed_exponent_base / tool.life_exponent - 1.0 for tool in tools]
         ),
         c5=np.array([c.c5 for c in coeffs]),
-        finish_coef=finish_coef,
-        finish_power=finish_power,
-        force_coef=force_coef,
+        feed_cap=np.array([_feed_cap(plan, i, c) for i, c in enumerate(coeffs)]),
         lower=lower,
         upper=upper,
     )
@@ -712,7 +722,9 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
     """Evaluate an (n, 2m) array of decision vectors in one pass.
 
     Matches the scalar functions exactly: same formulas, same inclusive
-    margin comparisons, same death penalty.
+    margin comparisons (finish and force through feed_cap), same death
+    penalty.  Every margin is nondecreasing in v and f, so a plan has a
+    feasible point iff its all-lowest genome ctx.lower is feasible here.
     """
     points = np.atleast_2d(np.asarray(genomes, dtype=float))
     m = ctx.m
@@ -730,12 +742,9 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
         + ctx.rate * t_machining.sum(axis=1)
         + (ctx.tool_cost_coef * v**ctx.speed_exponent * f**ctx.feed_exponent).sum(axis=1)
     )
-    f_power = f**0.8
-    ok = ctx.c5 * v * f_power <= 1.0
-    ok &= ctx.finish_coef * f**ctx.finish_power <= 1.0
-    ok &= ctx.force_coef * f_power <= 1.0
+    ok = ctx.c5 * v * f**0.8 <= 1.0
     ok &= (v >= ctx.lower[:m]) & (v <= ctx.upper[:m])
-    ok &= (f >= ctx.lower[m:]) & (f <= ctx.upper[m:])
+    ok &= (f >= ctx.lower[m:]) & (f <= ctx.feed_cap)
     feasible = ok.all(axis=1)
 
     rate_of_profit = (ctx.sale_price - cost_total) / time_total

@@ -22,6 +22,7 @@ from .milling import (
     DerivedCoefficients,
     EvalContext,
     MillingPlan,
+    batch_evaluate,
     compile_context,
     constraint_margins,
     derive_coefficients,
@@ -110,14 +111,12 @@ def per_op_grid_min(
     feeds = np.linspace(ctx.lower[m + i], ctx.upper[m + i], grid.resolution)
 
     feeds_pow = feeds**0.8
-    feed_ok = ctx.finish_coef[i] * feeds ** ctx.finish_power[i] <= 1.0
-    feed_ok &= ctx.force_coef[i] * feeds_pow <= 1.0
+    feed_ok = feeds <= ctx.feed_cap[i]
 
     inv_feeds = 1.0 / feeds
     wear_feeds = feeds ** ctx.feed_exponent[i]
     best_value = math.inf
     best_v = best_f = 0.0
-    found = False
     for start in range(0, speeds.size, _CHUNK_ROWS):
         v = speeds[start : start + _CHUNK_ROWS, None]
         values = (
@@ -136,8 +135,7 @@ def per_op_grid_min(
             row, col = divmod(flat, feeds.size)
             best_v = float(speeds[start + row])
             best_f = float(feeds[col])
-            found = True
-    if not found:
+    if best_value == math.inf:
         return None
     return best_v, best_f, best_value
 
@@ -164,32 +162,29 @@ def dinkelbach_solve(
 
     Raises OracleError with the multiplier trace if the iteration does
     not settle within max_dinkelbach_iterations; returns an infeasible
-    result when some operation has no feasible grid point at all.
+    result, before any iteration, when the plan has no feasible point.
     """
     coeffs = coeffs if coeffs is not None else derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     grid = grid or GridSpec()
+    # No point of the box is feasible unless its lowest corner is; when it
+    # is, that corner is a grid point, so every per-operation scan finds one.
+    if not batch_evaluate(ctx, ctx.lower).feasible[0]:
+        return OracleResult(
+            feasible=False,
+            best=None,
+            profit_rate=None,
+            unit_cost=None,
+            unit_time=None,
+            iterations=0,
+            lambda_trace=(),
+        )
     lam = _midpoint_lambda(plan, coeffs)
     trace: list[float] = [lam]
 
     for iteration in range(1, grid.max_dinkelbach_iterations + 1):
-        speeds: list[float] = []
-        feeds: list[float] = []
-        for i in range(plan.m):
-            found = per_op_grid_min(i, lam, plan, ctx, grid)
-            if found is None:
-                return OracleResult(
-                    feasible=False,
-                    best=None,
-                    profit_rate=None,
-                    unit_cost=None,
-                    unit_time=None,
-                    iterations=iteration,
-                    lambda_trace=tuple(trace),
-                )
-            speeds.append(found[0])
-            feeds.append(found[1])
-        x = DecisionVector(speeds=tuple(speeds), feeds=tuple(feeds))
+        points = [per_op_grid_min(i, lam, plan, ctx, grid) for i in range(plan.m)]
+        x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
         cost = unit_cost(plan, x, coeffs)
         time = unit_time(plan, x, coeffs)
         lam_next = (plan.economics.sale_price - cost) / time

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from millopt import (
@@ -155,6 +157,22 @@ def infeasible_plan() -> MillingPlan:
         tools=(CARBIDE_FACE_MILL,),
         operations=(op,),
     )
+
+
+def finish_infeasible_plan() -> MillingPlan:
+    """single_face_plan with a 1.0 um finish requirement: the finish margin
+    is 1.28 at the lowest feed, while power holds there and force is free."""
+    plan = single_face_plan()
+    op = dataclasses.replace(plan.operations[0], surface_finish_req=1.0)
+    return dataclasses.replace(plan, operations=(op,))
+
+
+def force_infeasible_plan() -> MillingPlan:
+    """single_face_plan with a 500 N force limit: the cutting force is
+    835 N at the lowest feed, while power holds there and finish is free."""
+    plan = single_face_plan()
+    tool = dataclasses.replace(plan.tools[0], permitted_force=500.0)
+    return dataclasses.replace(plan, tools=(tool,))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,13 @@ import pytest
 from millopt.case_study import builtin_document_bytes, dump_plan
 from millopt.cli import main
 
-from conftest import infeasible_plan, single_face_plan, two_op_plan
+from conftest import (
+    finish_infeasible_plan,
+    force_infeasible_plan,
+    infeasible_plan,
+    single_face_plan,
+    two_op_plan,
+)
 
 
 @pytest.fixture()
@@ -26,6 +32,21 @@ def infeasible_config_path(tmp_path):
     path = tmp_path / "hopeless.json"
     path.write_text(json.dumps(dump_plan(infeasible_plan())), encoding="utf-8")
     return str(path)
+
+
+def plan_path(tmp_path, plan) -> str:
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dump_plan(plan)), encoding="utf-8")
+    return str(path)
+
+
+# Plans whose lowest speed and feed break only the finish or only the force
+# limit; infeasible_plan breaks the power limit.
+CORNER_INFEASIBLE_PLANS = pytest.mark.parametrize(
+    "make_plan",
+    [finish_infeasible_plan, force_infeasible_plan],
+    ids=["finish", "force"],
+)
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +142,15 @@ class TestOptimizeCommand:
         assert report["feasible"] is False
         assert report["speeds"] is None and report["feeds"] is None
         assert report["profit_rate"] is None
+        # decided before the first generation
+        assert report["generations"] == 0 and report["evaluations"] == 0
+
+    @CORNER_INFEASIBLE_PLANS
+    def test_finish_or_force_infeasible_plan_exits_three(self, capsys, tmp_path, make_plan):
+        code, report = run_json(capsys, "optimize", "--config", plan_path(tmp_path, make_plan()))
+        assert code == 3
+        assert report["feasible"] is False
+        assert report["generations"] == 0 and report["evaluations"] == 0
 
     def test_verbose_logs_improvements_to_stderr(self, capsys, toy_config_path):
         code, out, err = run_cli(
@@ -162,6 +192,15 @@ class TestOracleCommand:
         )
         assert code == 3
         assert report["feasible"] is False
+        # decided before the first multiplier iteration
+        assert report["iterations"] == 0 and report["lambda_trace"] == []
+
+    @CORNER_INFEASIBLE_PLANS
+    def test_finish_or_force_infeasible_plan_exits_three(self, capsys, tmp_path, make_plan):
+        code, report = run_json(capsys, "oracle", "--config", plan_path(tmp_path, make_plan()))
+        assert code == 3
+        assert report["feasible"] is False
+        assert report["iterations"] == 0 and report["lambda_trace"] == []
 
     def test_unconverged_iteration_exits_one(self, capsys, tmp_path):
         document = json.loads(builtin_document_bytes())
@@ -310,12 +349,14 @@ class TestCompareCommand:
         assert "Evolutionary strategy (this implementation)" in out
 
     def test_infeasible_plan_exits_three(self, capsys, infeasible_config_path):
-        code, _, _ = run_cli(
+        code, report = run_json(
             capsys,
             "compare", "--config", infeasible_config_path, "--stall", "1",
             "--grid-resolution", "12",
         )
         assert code == 3
+        assert report["rows"] == []
+        assert report["generations"] == 0 and report["evaluations"] == 0
 
 
 class TestDocumentOverrides:

@@ -429,15 +429,15 @@ class TestRun:
         margins = millopt.constraint_margins(toy_single_plan, result.best, coeffs)
         assert all(m.satisfied for m in margins)
 
-    def test_infeasible_plan_stops_after_one_stalled_generation(self, toy_infeasible_plan):
+    def test_infeasible_plan_stops_before_the_first_generation(self, toy_infeasible_plan):
         result = run(toy_infeasible_plan, EsConfig(stall_limit=1))
         assert not result.feasible
         assert result.best is None
         assert result.sigmas_final is None
         assert result.unit_cost is None and result.unit_time is None
         assert result.profit_rate is None
-        assert result.generations == 1
-        assert result.evaluations == 105
+        assert result.generations == 0
+        assert result.evaluations == 0
         assert any("force constraint skipped" in w for w in result.warnings)
 
     def test_max_generations_caps_run_length(self, toy_single_plan):

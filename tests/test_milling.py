@@ -7,6 +7,7 @@ documented formulas, not read back from the implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,8 +43,6 @@ from millopt.milling import (
     SPEED_LIMITS,
     batch_evaluate,
     compile_context,
-    default_feed_bounds,
-    default_speed_bounds,
     plan_warnings,
 )
 
@@ -52,7 +51,9 @@ from conftest import (
     STANDARD_ECONOMICS,
     STANDARD_MACHINE,
     single_face_plan,
+    two_op_plan,
 )
+from test_acceptance import random_plan
 
 # Hand arithmetic, frozen: pi * diameter * travel / (1000 * teeth).
 EXPECTED_K1 = (
@@ -477,19 +478,19 @@ class TestValidation:
 
     def test_genome_round_trip(self):
         x = DecisionVector(speeds=(80.0, 45.0), feeds=(0.1, 0.2))
-        again = DecisionVector.from_genome(x.as_genome())
+        again = DecisionVector.from_genome(np.array(x.speeds + x.feeds))
         assert again == x
         with pytest.raises(ContractError):
             DecisionVector.from_genome(np.array([1.0, 2.0, 3.0]))
 
     def test_default_boxes_by_kind(self):
-        assert default_speed_bounds(OperationKind.FACE) == (60.0, 120.0)
-        assert default_speed_bounds(OperationKind.CORNER) == (40.0, 70.0)
-        assert default_speed_bounds(OperationKind.POCKET) == (40.0, 70.0)
-        assert default_speed_bounds(OperationKind.SLOT) == (30.0, 50.0)
-        assert default_feed_bounds(OperationKind.FACE) == (0.05, 0.4)
+        assert SPEED_LIMITS[OperationKind.FACE] == (60.0, 120.0)
+        assert SPEED_LIMITS[OperationKind.CORNER] == (40.0, 70.0)
+        assert SPEED_LIMITS[OperationKind.POCKET] == (40.0, 70.0)
+        assert SPEED_LIMITS[OperationKind.SLOT] == (30.0, 50.0)
+        assert FEED_LIMITS[OperationKind.FACE] == (0.05, 0.4)
         for kind in (OperationKind.CORNER, OperationKind.POCKET, OperationKind.SLOT):
-            assert default_feed_bounds(kind) == (0.05, 0.5)
+            assert FEED_LIMITS[kind] == (0.05, 0.5)
         assert set(SPEED_LIMITS) == set(FEED_LIMITS) == set(OperationKind)
 
 
@@ -528,30 +529,115 @@ class TestMonotonicity:
         assert tool_cost(v + bump) > tool_cost(v)
 
 
+def assert_batch_matches_scalar(plan, coeffs, genomes) -> np.ndarray:
+    """Every row priced by batch_evaluate as by the scalar functions, with
+    exactly the same feasibility verdict; returns the verdicts."""
+    batch = batch_evaluate(compile_context(plan, coeffs), genomes)
+    for row in range(genomes.shape[0]):
+        x = DecisionVector.from_genome(genomes[row])
+        assert batch.unit_cost[row] == pytest.approx(unit_cost(plan, x, coeffs), rel=1e-12)
+        assert batch.unit_time[row] == pytest.approx(unit_time(plan, x, coeffs), rel=1e-12)
+        scalar_fit = fitness(plan, x, coeffs)
+        if scalar_fit == 0.0:
+            assert batch.fitness[row] == 0.0
+        else:
+            assert batch.fitness[row] == pytest.approx(scalar_fit, rel=1e-12)
+        assert bool(batch.feasible[row]) == all(
+            m.satisfied for m in constraint_margins(plan, x, coeffs)
+        )
+    return batch.feasible
+
+
+FEED_LIMITS_NAMED = {"face_finish", "end_finish", "force"}
+
+
+def broken_limits(plan, coeffs, genome, op_index) -> set[str]:
+    """Names of the scalar limits that operation op_index breaks at genome,
+    the finish limit named by its tool kind."""
+    margin = constraint_margins(plan, DecisionVector.from_genome(genome), coeffs)[op_index]
+    finish = "face_finish" if coeffs[op_index].c6 is not None else "end_finish"
+    return {finish if name == "finish" else name for name, _, ok in margin.items() if not ok}
+
+
+class TestFeedCap:
+    def test_cap_is_largest_feed_the_scalar_margins_accept(self):
+        rng = np.random.default_rng(20261018)
+        binding: dict[str, int] = {}
+        for _ in range(2000):
+            plan = random_plan(rng)
+            coeffs = derive_coefficients(plan)
+            ctx = compile_context(plan, coeffs)
+            lower, _ = decision_bounds(plan)
+            for i, op in enumerate(plan.operations):
+                cap = float(ctx.feed_cap[i])
+                assert cap <= op.feed_bounds[1]
+                genome = lower.copy()
+                genome[plan.m + i] = cap
+                assert not broken_limits(plan, coeffs, genome, i) & FEED_LIMITS_NAMED
+                if cap < op.feed_bounds[1]:
+                    genome[plan.m + i] = math.nextafter(cap, math.inf)
+                    broken = broken_limits(plan, coeffs, genome, i) & FEED_LIMITS_NAMED
+                    assert broken
+                    for name in broken:
+                        binding[name] = binding.get(name, 0) + 1
+        # face- and end-mill finish caps and force caps all bind somewhere
+        assert set(binding) == FEED_LIMITS_NAMED
+        assert sum(binding.values()) >= 1000
+
+
 class TestBatchEvaluate:
     def test_matches_scalar_functions(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
         rng = np.random.default_rng(7)
         lower, upper = decision_bounds(builtin_plan)
         # widened sampling box brings in out-of-box and infeasible points
         genomes = rng.uniform(lower * 0.8, upper * 1.15, size=(64, lower.size))
-        batch = batch_evaluate(ctx, genomes)
-        for row in range(genomes.shape[0]):
-            x = DecisionVector.from_genome(genomes[row])
-            assert batch.unit_cost[row] == pytest.approx(
-                unit_cost(builtin_plan, x, builtin_coeffs), rel=1e-12
+        assert_batch_matches_scalar(builtin_plan, builtin_coeffs, genomes)
+
+        # Random plans bring force limits and face- and end-mill finish
+        # limits; three hand-made ones make sure each limit binds.  Besides
+        # random rows, each operation's feed is put exactly at its cap and
+        # one ulp above, once from the lowest corner and once from a random
+        # row, where only that limit can decide.
+        face = single_face_plan()
+        two_op = two_op_plan()
+        plans = [
+            dataclasses.replace(face, tools=(dataclasses.replace(face.tools[0], permitted_force=2500.0),)),
+            dataclasses.replace(
+                face, operations=(dataclasses.replace(face.operations[0], surface_finish_req=4.0),)
+            ),
+            dataclasses.replace(
+                two_op,
+                operations=(
+                    dataclasses.replace(two_op.operations[0], surface_finish_req=1.0),
+                    two_op.operations[1],
+                ),
+            ),
+        ]
+        plan_rng = np.random.default_rng(71)
+        plans += [random_plan(plan_rng) for _ in range(300)]
+        flips: dict[str, int] = {}
+        for plan in plans:
+            coeffs = derive_coefficients(plan)
+            ctx = compile_context(plan, coeffs)
+            lower, upper = decision_bounds(plan)
+            m = plan.m
+            random_rows = plan_rng.uniform(lower * 0.8, upper * 1.15, size=(8, lower.size))
+            edge_rows = []
+            for base in (lower, plan_rng.uniform(lower, upper)):
+                for i in range(m):
+                    for f in (ctx.feed_cap[i], math.nextafter(ctx.feed_cap[i], math.inf)):
+                        row = base.copy()
+                        row[m + i] = f
+                        edge_rows.append(row)
+            verdicts = assert_batch_matches_scalar(
+                plan, coeffs, np.vstack([random_rows, *edge_rows])
             )
-            assert batch.unit_time[row] == pytest.approx(
-                unit_time(builtin_plan, x, builtin_coeffs), rel=1e-12
-            )
-            scalar_fit = fitness(builtin_plan, x, builtin_coeffs)
-            if scalar_fit == 0.0:
-                assert batch.fitness[row] == 0.0
-            else:
-                assert batch.fitness[row] == pytest.approx(scalar_fit, rel=1e-12)
-            assert bool(batch.feasible[row]) == all(
-                m.satisfied for m in constraint_margins(builtin_plan, x, builtin_coeffs)
-            )
+            at_cap, above = verdicts[8::2], verdicts[9::2]
+            for k in np.flatnonzero(at_cap & ~above):
+                for name in broken_limits(plan, coeffs, edge_rows[2 * k + 1], k % m):
+                    flips[name] = flips.get(name, 0) + 1
+        # the one-ulp step decides feasibility through every kind of cap
+        assert set(flips) == FEED_LIMITS_NAMED | {"feed_box"}
 
     def test_rejects_wrong_width(self, builtin_plan, builtin_coeffs):
         ctx = compile_context(builtin_plan, builtin_coeffs)

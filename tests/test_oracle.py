@@ -26,10 +26,11 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.milling import compile_context
+from millopt.milling import batch_evaluate, compile_context
 from millopt.oracle import per_op_grid_min
 
 from conftest import single_face_plan, two_op_plan
+from test_acceptance import random_plan
 
 
 class TestGridSpec:
@@ -319,9 +320,32 @@ class TestFailureModes:
         assert result.best is None
         assert result.profit_rate is None
         assert result.unit_cost is None and result.unit_time is None
-        assert result.iterations == 1
-        # the box midpoint is infeasible too, so the multiplier starts at 0
-        assert result.lambda_trace == (0.0,)
+        # decided from the lowest corner, before any multiplier iteration
+        assert result.iterations == 0
+        assert result.lambda_trace == ()
+
+    def test_corner_test_matches_grid_and_scalar_feasibility(self):
+        # A plan has a feasible point iff its all-lowest genome is feasible:
+        # on random plans that verdict equals "every operation has a
+        # feasible grid point" and the scalar margins at that corner.
+        rng = np.random.default_rng(3)
+        grid = GridSpec(resolution=7)
+        verdicts = set()
+        for _ in range(500):
+            plan = random_plan(rng)
+            coeffs = derive_coefficients(plan)
+            ctx = compile_context(plan, coeffs)
+            corner = bool(batch_evaluate(ctx, ctx.lower).feasible[0])
+            on_grid = all(
+                per_op_grid_min(i, 0.0, plan, ctx, grid) is not None for i in range(plan.m)
+            )
+            scalar = all(
+                m.satisfied
+                for m in constraint_margins(plan, DecisionVector.from_genome(ctx.lower), coeffs)
+            )
+            assert corner == on_grid == scalar
+            verdicts.add(corner)
+        assert verdicts == {True, False}
 
     def test_iteration_budget_exhaustion_raises_with_trace(self, toy_two_op_plan):
         with pytest.raises(OracleError) as excinfo:
