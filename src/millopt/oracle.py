@@ -8,6 +8,15 @@ current minimizers (Dinkelbach's scheme) therefore finds the exact
 optimum over a finite speed/feed grid in a handful of iterations, without
 any evolutionary machinery.  The result is a certified lower bound on
 the continuous optimum and the yardstick the strategy is tested against.
+
+Each per-operation scan is exhaustive over the feasible grid points but
+evaluates no other.  Every constraint margin is nondecreasing in speed and
+feed, so the feasible points of a grid form a staircase: a prefix of the
+feeds in every row, no longer in a faster row.  Skipping the rest is
+exact, not a heuristic: the prefix widths come from the same rounded
+products the constraint test computes, and the kept values from the same
+float operations as a full-grid evaluation, so the scan returns the very
+point, bit for bit, that masking every infeasible point would.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ __all__ = [
     "dinkelbach_solve",
 ]
 
-_CHUNK_ROWS = 512
+# Elements per block of the grid scan: its two float64 buffers (256 KiB
+# each) stay in a per-core L2 cache.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class OracleError(RuntimeError):
@@ -95,9 +106,22 @@ def per_op_grid_min(
 ) -> tuple[float, float, float] | None:
     """Feasible grid point of one operation minimizing cost + lam * time.
 
-    Scans every point of the speed/feed grid; ties resolve to the lowest
-    speed index, then the lowest feed index.  Returns (speed, feed, value)
-    or None when no grid point satisfies the constraints.
+    Exhaustive over the feasible points of the speed/feed grid; ties
+    resolve to the lowest speed index, then the lowest feed index.
+    Returns (speed, feed, value) or None when no grid point satisfies the
+    constraints.
+
+    The feasible points form a staircase, and only they are evaluated.
+    The feeds ascend, so the test feeds <= feed_cap keeps a prefix of the
+    columns.  In each row the power test (c5 * v) * feeds**0.8 <= 1 scales
+    an ascending vector by one positive number, and rounding a product is
+    monotone, so it keeps a prefix too; a faster row keeps no more.  Each
+    row's prefix width is counted with the very product the test computes,
+    so the points skipped are exactly the ones the test rejects.  Each
+    value comes from the same float operations, in the same order, as
+    when every grid point was evaluated and the infeasible ones masked,
+    and blocks are compared with strict <, so the first minimum in
+    row-major order still wins.
 
     The formulas come from the compiled context batch_evaluate reads.  The
     tool-change addend alone comes from the plan: it is part of every
@@ -110,34 +134,66 @@ def per_op_grid_min(
     speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
     feeds = np.linspace(ctx.lower[m + i], ctx.upper[m + i], grid.resolution)
 
-    feeds_pow = feeds**0.8
-    feed_ok = feeds <= ctx.feed_cap[i]
+    ncol = int(np.searchsorted(feeds, ctx.feed_cap[i], side="right"))
+    feeds_pow = (feeds**0.8)[:ncol]
+    widths = _power_widths(ctx.c5[i] * speeds, feeds_pow)
+    nrow = int(np.count_nonzero(widths))
+    if nrow == 0:
+        return None
 
     inv_feeds = 1.0 / feeds
     wear_feeds = feeds ** ctx.feed_exponent[i]
+    time_rows = weight * ctx.k1[i] * (1.0 / speeds[:nrow])
+    wear_rows = ctx.tool_cost_coef[i] * speeds[:nrow] ** ctx.speed_exponent[i]
+    change_value = weight * change_time
+    columns = np.arange(ncol)
+
+    size = max(_BLOCK_ELEMENTS, int(widths[0]))
+    values_buf, wear_buf = np.empty(size), np.empty(size)
     best_value = math.inf
     best_v = best_f = 0.0
-    for start in range(0, speeds.size, _CHUNK_ROWS):
-        v = speeds[start : start + _CHUNK_ROWS, None]
-        values = (
-            weight * ctx.k1[i] * (1.0 / v) * inv_feeds[None, :]
-            + ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * wear_feeds[None, :]
-            + weight * change_time
-        )
-        ok = feed_ok[None, :] & (ctx.c5[i] * v * feeds_pow[None, :] <= 1.0)
-        if not ok.any():
-            continue
-        values = np.where(ok, values, math.inf)
+    start = 0
+    while start < nrow:
+        width = int(widths[start])
+        stop = min(nrow, start + max(1, _BLOCK_ELEMENTS // width))
+        values = values_buf[: (stop - start) * width].reshape(stop - start, width)
+        wear = wear_buf[: values.size].reshape(values.shape)
+        np.multiply(time_rows[start:stop, None], inv_feeds[None, :width], out=values)
+        np.multiply(wear_rows[start:stop, None], wear_feeds[None, :width], out=wear)
+        np.add(values, wear, out=values)
+        np.add(values, change_value, out=values)
+        if widths[stop - 1] < width:
+            values[columns[None, :width] >= widths[start:stop, None]] = math.inf
         flat = int(np.argmin(values))
         value = float(values.flat[flat])
         if value < best_value:
             best_value = value
-            row, col = divmod(flat, feeds.size)
+            row, col = divmod(flat, width)
             best_v = float(speeds[start + row])
             best_f = float(feeds[col])
+        start = stop
     if best_value == math.inf:
         return None
     return best_v, best_f, best_value
+
+
+def _power_widths(power: np.ndarray, feeds_pow: np.ndarray) -> np.ndarray:
+    """Per row, how many leading feeds pass power * feeds_pow <= 1.
+
+    Counting feeds_pow <= 1 / power can only come out short: 1 / power is
+    within half an ulp of the true reciprocal, so every feed it admits has
+    a product that rounds to at most 1.  It can miss only feeds whose
+    product comes within an ulp of 1, so each count is stepped up past the
+    next run of equal feeds for as long as their product passes.
+    """
+    ncol = feeds_pow.size
+    widths = np.searchsorted(feeds_pow, 1.0 / power, side="right")
+    while True:
+        grow = widths < ncol
+        grow[grow] = power[grow] * feeds_pow[widths[grow]] <= 1.0
+        if not grow.any():
+            return widths
+        widths[grow] = np.searchsorted(feeds_pow, feeds_pow[widths[grow]], side="right")
 
 
 def _midpoint_lambda(

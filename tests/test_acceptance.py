@@ -192,6 +192,10 @@ def test_twenty_seed_best_matches_grid_oracle_within_one_percent(seed_campaign):
     # frozen yardsticks for the bundled case
     assert oracle_fine.profit_rate == pytest.approx(1.3776734932538408, rel=1e-12)
     assert oracle_finer.profit_rate == pytest.approx(1.378387800122217, rel=1e-12)
+    # the grid scan is exact over its feasible points, so the yardsticks
+    # also hold to the last bit
+    assert oracle_fine.profit_rate == 1.3776734932538408
+    assert oracle_finer.profit_rate == 1.378387800122217
 
     best = max(r.profit_rate for r in results)
     assert abs(best - oracle_fine.profit_rate) / oracle_fine.profit_rate <= 0.01

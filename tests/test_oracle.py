@@ -27,6 +27,7 @@ from millopt import (
     unit_time,
 )
 from millopt.milling import batch_evaluate, compile_context
+from millopt import oracle
 from millopt.oracle import per_op_grid_min
 
 from conftest import single_face_plan, two_op_plan
@@ -177,6 +178,205 @@ class TestPerOpGridMin:
         assert got[0] == 45.0 and got[1] == 0.2
 
 
+_CHUNK_ROWS = 512
+
+
+def reference_grid_min(op_index, lam, plan, ctx, grid):
+    """Full-grid form of per_op_grid_min: every point of the grid is
+    evaluated, in chunks of 512 rows, and the infeasible ones are masked
+    with inf before the arg-min.  The staircase scan must return exactly
+    what this returns."""
+    i, m = op_index, ctx.m
+    change_time = plan.tool_for(plan.operations[i]).change_time
+    weight = ctx.rate + lam
+
+    speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
+    feeds = np.linspace(ctx.lower[m + i], ctx.upper[m + i], grid.resolution)
+
+    feeds_pow = feeds**0.8
+    feed_ok = feeds <= ctx.feed_cap[i]
+
+    inv_feeds = 1.0 / feeds
+    wear_feeds = feeds ** ctx.feed_exponent[i]
+    best_value = math.inf
+    best_v = best_f = 0.0
+    for start in range(0, speeds.size, _CHUNK_ROWS):
+        v = speeds[start : start + _CHUNK_ROWS, None]
+        values = (
+            weight * ctx.k1[i] * (1.0 / v) * inv_feeds[None, :]
+            + ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * wear_feeds[None, :]
+            + weight * change_time
+        )
+        ok = feed_ok[None, :] & (ctx.c5[i] * v * feeds_pow[None, :] <= 1.0)
+        if not ok.any():
+            continue
+        values = np.where(ok, values, math.inf)
+        flat = int(np.argmin(values))
+        value = float(values.flat[flat])
+        if value < best_value:
+            best_value = value
+            row, col = divmod(flat, feeds.size)
+            best_v = float(speeds[start + row])
+            best_f = float(feeds[col])
+    if best_value == math.inf:
+        return None
+    return best_v, best_f, best_value
+
+
+def scan_both(plan, ctx, op_index, lam, resolution):
+    """per_op_grid_min, asserted equal (floats with ==) to the full-grid scan."""
+    grid = GridSpec(resolution=resolution)
+    got = per_op_grid_min(op_index, lam, plan, ctx, grid)
+    assert got == reference_grid_min(op_index, lam, plan, ctx, grid)
+    return got
+
+
+@pytest.fixture(scope="module")
+def compiled_random_plans():
+    rng = np.random.default_rng(20)
+    plans = [random_plan(rng) for _ in range(300)]
+    return [(plan, compile_context(plan, derive_coefficients(plan))) for plan in plans]
+
+
+class TestStaircaseMatchesFullGrid:
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 50, 301])
+    def test_random_plans(self, compiled_random_plans, resolution):
+        # the last multiplier makes rate + lam = -1: the weight of an
+        # unprofitable plan's time, under which speed stops paying
+        found = 0
+        for plan, ctx in compiled_random_plans:
+            for lam in (0.0, 0.7, 3.3, -(ctx.rate + 1.0)):
+                for i in range(plan.m):
+                    found += scan_both(plan, ctx, i, lam, resolution) is not None
+        assert found > 0
+
+    def test_builtin_case_at_its_lambda_trace(self, builtin_plan):
+        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        for lam in (0.0, 1.3347188500502423, 1.3754333401782102, 1.3754610610670144):
+            for i in range(builtin_plan.m):
+                assert scan_both(builtin_plan, ctx, i, lam, 833) is not None
+
+
+def pinned_face_plan(**bounds):
+    """single_face_plan with its speed and/or feed box replaced."""
+    plan = single_face_plan()
+    op = dataclasses.replace(plan.operations[0], **bounds)
+    return dataclasses.replace(plan, operations=(op,))
+
+
+def edge_context(plan=None, **entries):
+    """single_face_plan (or plan, one operation) compiled, with the named
+    per-operation context entries replaced."""
+    plan = plan or single_face_plan()
+    ctx = compile_context(plan, derive_coefficients(plan))
+    return plan, dataclasses.replace(ctx, **{k: np.array([v]) for k, v in entries.items()})
+
+
+def grid_axes(plan, resolution):
+    """The speed and feed axes of operation 0, as the scan builds them."""
+    op = plan.operations[0]
+    return np.linspace(*op.speed_bounds, resolution), np.linspace(*op.feed_bounds, resolution)
+
+
+# Without tool wear (tool_cost_coef 0) the value falls in both speed and
+# feed, and with a negligible power coefficient only the feed cap binds: the
+# minimum sits at the top speed and the highest feed the cap admits.
+UNBOUND = {"tool_cost_coef": 0.0, "c5": 1e-9}
+
+
+class TestStaircaseEdges:
+    def test_single_point_speed_box(self):
+        plan = pinned_face_plan(speed_bounds=(75.0, 75.0))
+        ctx = compile_context(plan, derive_coefficients(plan))
+        for resolution in (2, 9, 301):
+            got = scan_both(plan, ctx, 0, 2.0, resolution)
+            assert got is not None and got[0] == 75.0
+
+    def test_single_point_feed_box(self):
+        plan = pinned_face_plan(feed_bounds=(0.2, 0.2))
+        ctx = compile_context(plan, derive_coefficients(plan))
+        for resolution in (2, 9, 301):
+            got = scan_both(plan, ctx, 0, 2.0, resolution)
+            assert got is not None and got[1] == 0.2
+
+    @pytest.mark.parametrize("k", [0, 1, 150, 299, 300])
+    def test_cap_on_a_grid_feed_admits_it(self, k):
+        speeds, feeds = grid_axes(single_face_plan(), 301)
+        plan, ctx = edge_context(**UNBOUND, feed_cap=feeds[k])
+        got = scan_both(plan, ctx, 0, 0.0, 301)
+        # k = 0 leaves a single column
+        assert got[:2] == (speeds[-1], feeds[k])
+
+    @pytest.mark.parametrize("k", [0, 1, 150, 300])
+    def test_cap_one_ulp_below_a_grid_feed_drops_it(self, k):
+        speeds, feeds = grid_axes(single_face_plan(), 301)
+        plan, ctx = edge_context(**UNBOUND, feed_cap=math.nextafter(feeds[k], 0.0))
+        got = scan_both(plan, ctx, 0, 0.0, 301)
+        if k == 0:
+            # a cap below the lowest feed leaves no column
+            assert got is None
+        else:
+            assert got[:2] == (speeds[-1], feeds[k - 1])
+
+    def test_power_failing_at_lowest_corner_gives_none(self):
+        speeds, feeds = grid_axes(single_face_plan(), 7)
+        v, f_pow = speeds[0], (feeds**0.8)[0]
+        c5 = 1.0 / (v * f_pow)
+        while c5 * v * f_pow <= 1.0:
+            c5 = math.nextafter(c5, math.inf)
+        plan, ctx = edge_context(c5=c5)
+        assert scan_both(plan, ctx, 0, 1.0, 7) is None
+        plan, ctx = edge_context(c5=math.nextafter(c5, 0.0))
+        assert scan_both(plan, ctx, 0, 1.0, 7)[:2] == (speeds[0], feeds[0])
+
+    def test_power_boundary_is_the_rounded_product(self):
+        # One speed, value falling in feed: the scan returns the highest
+        # feed whose product (c5 * v) * f**0.8 rounds to <= 1.  Around each
+        # feed's boundary some c5 make that product exactly 1, and some make
+        # it pass while f**0.8 exceeds the rounded 1 / (c5 * v).
+        base = pinned_face_plan(speed_bounds=(75.0, 75.0))
+        _, feeds = grid_axes(base, 50)
+        feeds_pow = feeds**0.8
+        exact = reciprocal_short = 0
+        for j in range(feeds.size):
+            c5 = 1.0 / (75.0 * feeds_pow[j])
+            for _ in range(4):
+                c5 = math.nextafter(c5, 0.0)
+            for _ in range(9):
+                power = c5 * 75.0
+                passing = int(np.count_nonzero(power * feeds_pow <= 1.0))
+                exact += power * feeds_pow[j] == 1.0
+                reciprocal_short += np.searchsorted(feeds_pow, 1.0 / power, "right") < passing
+                plan, edge = edge_context(base, tool_cost_coef=0.0, c5=c5)
+                got = scan_both(plan, edge, 0, 0.0, 50)
+                if passing:
+                    assert got[1] == feeds[passing - 1]
+                else:
+                    assert got is None
+                c5 = math.nextafter(c5, math.inf)
+        assert exact > 0 and reciprocal_short > 0
+
+    def test_feasible_rows_not_a_multiple_of_block_rows(self):
+        plan, ctx = edge_context(**UNBOUND)
+        block_rows = oracle._BLOCK_ELEMENTS // 301
+        assert 301 % block_rows != 0
+        speeds, feeds = grid_axes(plan, 301)
+        assert scan_both(plan, ctx, 0, 0.0, 301)[:2] == (speeds[-1], feeds[-1])
+        # the unmodified plan, where power trims the rows into a staircase
+        plan = single_face_plan()
+        ctx = compile_context(plan, derive_coefficients(plan))
+        for lam in (0.0, 3.0):
+            assert scan_both(plan, ctx, 0, lam, 301) is not None
+
+    def test_all_ties_keep_the_first_point_across_blocks(self):
+        # k1 and tool_cost_coef 0 make every value weight * change_time; the
+        # 301 x 301 grid spans three blocks
+        plan, ctx = edge_context(**UNBOUND, k1=0.0)
+        speeds, feeds = grid_axes(plan, 301)
+        tie = (ctx.rate + 2.0) * plan.tools[0].change_time
+        assert scan_both(plan, ctx, 0, 2.0, 301) == (speeds[0], feeds[0], tie)
+
+
 class TestToySingleOpExactly:
     """3x3 grid small enough to check every cell by hand."""
 
@@ -287,6 +487,32 @@ class TestBuiltinCaseOracle:
         assert result.best.feeds == pytest.approx(
             (0.0780561122244489, 0.3250501002004008, 0.3250501002004008, 0.5, 0.3881763527054108),
             rel=1e-12,
+        )
+
+    def test_frozen_res_500_result_to_the_last_bit(self, builtin_oracle_500):
+        assert builtin_oracle_500 == OracleResult(
+            feasible=True,
+            best=DecisionVector(
+                speeds=(91.14228456913827, 40.0, 40.0, 30.0, 31.282565130260522),
+                feeds=(
+                    0.0780561122244489,
+                    0.3250501002004008,
+                    0.3250501002004008,
+                    0.5,
+                    0.3881763527054108,
+                ),
+            ),
+            profit_rate=1.3780329565036475,
+            unit_cost=15.949808552444335,
+            unit_time=6.567470977267379,
+            iterations=4,
+            lambda_trace=(
+                0.0,
+                1.3373335706423528,
+                1.3780170125345577,
+                1.3780329565036475,
+                1.3780329565036475,
+            ),
         )
 
     def test_best_point_saturates_binding_constraints(self, builtin_plan, builtin_oracle_500):
