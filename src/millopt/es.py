@@ -17,7 +17,7 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -263,7 +263,12 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
             stall_counter=0,
         )
     else:
-        record = replace(record, stall_counter=record.stall_counter + 1)
+        record = BestRecord(
+            genome=record.genome,
+            sigmas=record.sigmas,
+            fitness=record.fitness,
+            stall_counter=record.stall_counter + 1,
+        )
 
     return EsState(
         genomes=genomes[order],

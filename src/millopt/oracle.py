@@ -1,4 +1,4 @@
-"""Brute-force verification oracle for the milling profit-rate problem.
+"""Grid verification oracle for the milling profit-rate problem.
 
 The profit rate (sale_price - unit_cost) / unit_time is a ratio of two
 sums that separate by operation: for a fixed multiplier lam, minimizing
@@ -9,13 +9,17 @@ optimum over a finite speed/feed grid in a handful of iterations, without
 any evolutionary machinery.  The result is a certified lower bound on
 the continuous optimum and the yardstick the strategy is tested against.
 
-Each per-operation scan is exhaustive over the feasible grid points but
-evaluates no other.  Every constraint margin is nondecreasing in speed and
-feed, so the feasible points of a grid form a staircase: a prefix of the
-feeds in every row, no longer in a faster row.  Skipping the rest is
-exact, not a heuristic: the prefix widths come from the same rounded
-products the constraint test computes, and the kept values from the same
-float operations as a full-grid evaluation, so the scan returns the very
+Each per-operation scan is exact over the feasible grid points, but it
+evaluates only the few that can hold the minimum.  Every constraint margin
+is nondecreasing in speed and feed, so the feasible points of a grid form
+a staircase: a prefix of the feeds in every row, no longer in a faster
+row.  The scan cuts each row of the staircase into bands of feeds, bounds
+every band from below with the same float expression as the values, and
+evaluates only the bands whose bound does not exceed a value already
+found.  Both cuts are exact, not heuristics: the prefix widths come from
+the same rounded products the constraint test computes, the bounds rest
+only on rounding being monotone, and the kept values come from the same
+float operations as a full-grid evaluation.  So the scan returns the very
 point, bit for bit, that masking every infeasible point would.
 """
 
@@ -48,9 +52,12 @@ __all__ = [
     "dinkelbach_solve",
 ]
 
-# Elements per block of the grid scan: its two float64 buffers (256 KiB
+# Elements per chunk of the grid scan: its two float64 buffers (256 KiB
 # each) stay in a per-core L2 cache.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Feed columns per band: the scan bounds each row's band as one tile.
+_BAND = 64
 
 
 class OracleError(RuntimeError):
@@ -106,22 +113,42 @@ def per_op_grid_min(
 ) -> tuple[float, float, float] | None:
     """Feasible grid point of one operation minimizing cost + lam * time.
 
-    Exhaustive over the feasible points of the speed/feed grid; ties
-    resolve to the lowest speed index, then the lowest feed index.
-    Returns (speed, feed, value) or None when no grid point satisfies the
+    Exact over the feasible points of the speed/feed grid; ties resolve
+    to the lowest speed index, then the lowest feed index.  Returns
+    (speed, feed, value) or None when no grid point satisfies the
     constraints.
 
-    The feasible points form a staircase, and only they are evaluated.
-    The feeds ascend, so the test feeds <= feed_cap keeps a prefix of the
-    columns.  In each row the power test (c5 * v) * feeds**0.8 <= 1 scales
-    an ascending vector by one positive number, and rounding a product is
-    monotone, so it keeps a prefix too; a faster row keeps no more.  Each
-    row's prefix width is counted with the very product the test computes,
-    so the points skipped are exactly the ones the test rejects.  Each
-    value comes from the same float operations, in the same order, as
-    when every grid point was evaluated and the infeasible ones masked,
-    and blocks are compared with strict <, so the first minimum in
-    row-major order still wins.
+    The feasible points form a staircase.  The feeds ascend, so the test
+    feeds <= feed_cap keeps a prefix of the columns.  In each row the
+    power test (c5 * v) * feeds**0.8 <= 1 scales an ascending vector by
+    one positive number, and rounding a product is monotone, so it keeps
+    a prefix too; a faster row keeps no more.  Each row's prefix width is
+    counted with the very product the test computes.
+
+    A point's value is ((weight * k1) * (1 / v)) * (1 / f), plus
+    (tool_cost_coef * v**a) * f**b, plus weight * change_time.  A tile is
+    one row of the staircase times one band of _BAND consecutive feeds.
+    Its lower bound is the same expression with 1 / f and f**b replaced by
+    their smallest computed values over the band's columns, or by their
+    largest where the row factor they multiply is negative (the time term
+    under weight < 0).  The extremes are read from the computed arrays,
+    not from the band's ends, because pow need not be monotone in floating
+    point.  The bound needs no convexity, only that rounding is monotone:
+    fl(c * x) is monotone in x for a fixed-sign c, and fl(x + y) is
+    nondecreasing in each argument, so no point of a tile lies below its
+    bound.  Bands at or past a row's width hold no feasible point; inside
+    a kept band, the columns at or past it are masked with inf.
+
+    U, the value of the best feasible point in the tile with the lowest
+    bound, is at least the minimum.  A tile whose bound exceeds U holds
+    only points strictly above the minimum, so skipping it is exact, and
+    keeping every tile with bound <= U (not < U) keeps every point equal
+    to the minimum.  The kept tiles are evaluated in row-major order,
+    which is their points' row-major order, with the same float
+    operations in the same order as when every grid point was evaluated
+    and the infeasible ones masked, and chunks of them are compared with
+    strict <.  So the first minimum in row-major order still wins, bit
+    for bit.
 
     The formulas come from the compiled context batch_evaluate reads.  The
     tool-change addend alone comes from the plan: it is part of every
@@ -140,38 +167,65 @@ def per_op_grid_min(
     nrow = int(np.count_nonzero(widths))
     if nrow == 0:
         return None
+    widths = widths[:nrow]
 
-    inv_feeds = 1.0 / feeds
-    wear_feeds = feeds ** ctx.feed_exponent[i]
-    time_rows = weight * ctx.k1[i] * (1.0 / speeds[:nrow])
+    time_coef = weight * ctx.k1[i]
+    inv_feeds = (1.0 / feeds)[:ncol]
+    wear_feeds = (feeds ** ctx.feed_exponent[i])[:ncol]
+    time_rows = time_coef * (1.0 / speeds[:nrow])
     wear_rows = ctx.tool_cost_coef[i] * speeds[:nrow] ** ctx.speed_exponent[i]
     change_value = weight * change_time
-    columns = np.arange(ncol)
 
-    size = max(_BLOCK_ELEMENTS, int(widths[0]))
-    values_buf, wear_buf = np.empty(size), np.empty(size)
+    # Lower bound of every (row, band) tile.  Widths never grow with the
+    # row, so the rows with bands at or past their width, which hold no
+    # feasible point, are a suffix.
+    starts = np.arange(0, ncol, _BAND)
+    nband = starts.size
+    time_extreme = np.minimum if time_coef >= 0.0 else np.maximum
+    wear_extreme = np.minimum if ctx.tool_cost_coef[i] >= 0.0 else np.maximum
+    bounds = time_rows[:, None] * time_extreme.reduceat(inv_feeds, starts)
+    bounds += wear_rows[:, None] * wear_extreme.reduceat(wear_feeds, starts)
+    bounds += change_value
+    narrow = int(np.count_nonzero(widths > starts[-1]))
+    np.copyto(bounds[narrow:], math.inf, where=starts >= widths[narrow:, None])
+
+    # U, from the tile with the lowest bound; only tiles bounded by U stay.
+    row, band = divmod(int(np.argmin(bounds)), nband)
+    probe = slice(band * _BAND, min((band + 1) * _BAND, int(widths[row])))
+    upper = np.min(
+        time_rows[row] * inv_feeds[probe] + wear_rows[row] * wear_feeds[probe] + change_value
+    )
+    rows, bands = np.divmod(np.flatnonzero(bounds <= upper), nband)
+
+    # The feed vectors cut into bands, padded past ncol; the padding lies
+    # past every row's width, so it is always masked.
+    inv_bands, wear_bands = np.ones((2, nband * _BAND))
+    inv_bands[:ncol], wear_bands[:ncol] = inv_feeds, wear_feeds
+    inv_bands, wear_bands = inv_bands.reshape(nband, _BAND), wear_bands.reshape(nband, _BAND)
+    band_columns = np.arange(_BAND)
+
+    tiles = _BLOCK_ELEMENTS // _BAND
+    values_buf, wear_buf = np.empty((2, min(tiles, rows.size), _BAND))
     best_value = math.inf
     best_v = best_f = 0.0
-    start = 0
-    while start < nrow:
-        width = int(widths[start])
-        stop = min(nrow, start + max(1, _BLOCK_ELEMENTS // width))
-        values = values_buf[: (stop - start) * width].reshape(stop - start, width)
-        wear = wear_buf[: values.size].reshape(values.shape)
-        np.multiply(time_rows[start:stop, None], inv_feeds[None, :width], out=values)
-        np.multiply(wear_rows[start:stop, None], wear_feeds[None, :width], out=wear)
+    for start in range(0, rows.size, tiles):
+        chunk_rows, chunk_bands = rows[start : start + tiles], bands[start : start + tiles]
+        values, wear = values_buf[: chunk_rows.size], wear_buf[: chunk_rows.size]
+        inv_bands.take(chunk_bands, axis=0, out=values)
+        np.multiply(values, time_rows[chunk_rows, None], out=values)
+        wear_bands.take(chunk_bands, axis=0, out=wear)
+        np.multiply(wear, wear_rows[chunk_rows, None], out=wear)
         np.add(values, wear, out=values)
         np.add(values, change_value, out=values)
-        if widths[stop - 1] < width:
-            values[columns[None, :width] >= widths[start:stop, None]] = math.inf
+        feasible = widths[chunk_rows] - chunk_bands * _BAND
+        np.copyto(values, math.inf, where=band_columns >= feasible[:, None])
         flat = int(np.argmin(values))
         value = float(values.flat[flat])
         if value < best_value:
             best_value = value
-            row, col = divmod(flat, width)
-            best_v = float(speeds[start + row])
-            best_f = float(feeds[col])
-        start = stop
+            tile, col = divmod(flat, _BAND)
+            best_v = float(speeds[chunk_rows[tile]])
+            best_f = float(feeds[chunk_bands[tile] * _BAND + col])
     if best_value == math.inf:
         return None
     return best_v, best_f, best_value

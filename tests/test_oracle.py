@@ -284,6 +284,33 @@ def grid_axes(plan, resolution):
 UNBOUND = {"tool_cost_coef": 0.0, "c5": 1e-9}
 
 
+def staircase_context(plan, resolution, width, ncol=None, **entries):
+    """plan (one operation) compiled with c5 set so that the fastest row of
+    its resolution x resolution grid keeps exactly `width` feeds, and with
+    the feed cap on feed ncol - 1 when ncol is given; the other named
+    context entries are replaced as in edge_context."""
+    speeds, feeds = grid_axes(plan, resolution)
+    feeds_pow = feeds**0.8
+    c5 = 1.0 / (speeds[-1] * feeds_pow[width - 1])
+    while c5 * speeds[-1] * feeds_pow[width - 1] > 1.0:
+        c5 = math.nextafter(c5, 0.0)
+    if ncol is not None:
+        entries["feed_cap"] = feeds[ncol - 1]
+    plan, ctx = edge_context(plan, c5=c5, **entries)
+    widths = oracle._power_widths(ctx.c5[0] * speeds, feeds_pow[: ncol or resolution])
+    assert widths[-1] == width
+    return plan, ctx, widths
+
+
+# A speed box so narrow that, on a fine grid, every row keeps as many feeds
+# as the fastest one.  Without tool wear the value then falls in speed and
+# feed, so the unique minimum is the fastest row's last feasible point, and
+# its value is U.  When the width is not a multiple of the band, each row's
+# last band is bounded by the cheaper infeasible feeds past the width, below
+# U, so every row keeps exactly that one tile.
+NARROW_SPEEDS = pinned_face_plan(speed_bounds=(75.0, 75.1))
+
+
 class TestStaircaseEdges:
     def test_single_point_speed_box(self):
         plan = pinned_face_plan(speed_bounds=(75.0, 75.0))
@@ -357,11 +384,15 @@ class TestStaircaseEdges:
         assert exact > 0 and reciprocal_short > 0
 
     def test_feasible_rows_not_a_multiple_of_block_rows(self):
-        plan, ctx = edge_context(**UNBOUND)
-        block_rows = oracle._BLOCK_ELEMENTS // 301
-        assert 301 % block_rows != 0
-        speeds, feeds = grid_axes(plan, 301)
-        assert scan_both(plan, ctx, 0, 0.0, 301)[:2] == (speeds[-1], feeds[-1])
+        # Every row keeps one feed, and each row's first band is kept (see
+        # staircase_context): 700 kept tiles, not a multiple of the tiles
+        # per chunk.
+        tiles = oracle._BLOCK_ELEMENTS // oracle._BAND
+        assert 700 > tiles and 700 % tiles != 0
+        plan, ctx, widths = staircase_context(NARROW_SPEEDS, 700, 1, tool_cost_coef=0.0)
+        assert (widths == 1).all()
+        speeds, feeds = grid_axes(plan, 700)
+        assert scan_both(plan, ctx, 0, 2.0, 700)[:2] == (speeds[-1], feeds[0])
         # the unmodified plan, where power trims the rows into a staircase
         plan = single_face_plan()
         ctx = compile_context(plan, derive_coefficients(plan))
@@ -375,6 +406,43 @@ class TestStaircaseEdges:
         speeds, feeds = grid_axes(plan, 301)
         tie = (ctx.rate + 2.0) * plan.tools[0].change_time
         assert scan_both(plan, ctx, 0, 2.0, 301) == (speeds[0], feeds[0], tie)
+
+
+class TestBandEdges:
+    @pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
+    def test_row_widths_at_band_edges(self, width):
+        # The fastest row keeps `width` feeds and slower rows more, up to
+        # the 200 columns (three bands and a part) the feed cap leaves.
+        # Without tool wear the value falls in both axes, so every row's
+        # cheapest point is its last feasible one, and the feeds past it,
+        # in the same band, are cheaper still.
+        for entries in ({}, {"tool_cost_coef": 0.0}):
+            plan, ctx, widths = staircase_context(
+                single_face_plan(), 301, width, ncol=200, **entries
+            )
+            assert widths[0] == 200
+            for lam in (0.0, 2.0, -(ctx.rate + 1.0)):
+                assert scan_both(plan, ctx, 0, lam, 301) is not None
+
+    def test_zero_and_negative_weight_on_builtin_case(self, builtin_plan):
+        # rate + lam exactly 0 drops the time term; at -1 the time term is
+        # negative, so a band's largest 1 / f bounds it
+        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        for lam in (-ctx.rate, -(ctx.rate + 1.0)):
+            assert ctx.rate + lam in (0.0, -1.0)
+            for i in range(builtin_plan.m):
+                assert scan_both(builtin_plan, ctx, i, lam, 833) is not None
+
+    @pytest.mark.parametrize("width", [65, 129])
+    def test_kept_tiles_span_chunks_with_a_unique_minimum_in_the_last(self, width):
+        # one kept tile per row: 1,100 tiles, three chunks, and the minimum
+        # in the last row
+        tiles = oracle._BLOCK_ELEMENTS // oracle._BAND
+        assert 1100 > 2 * tiles
+        plan, ctx, widths = staircase_context(NARROW_SPEEDS, 1100, width, tool_cost_coef=0.0)
+        assert (widths == width).all()
+        speeds, feeds = grid_axes(plan, 1100)
+        assert scan_both(plan, ctx, 0, 2.0, 1100)[:2] == (speeds[-1], feeds[width - 1])
 
 
 class TestToySingleOpExactly:
