@@ -10,7 +10,9 @@ the random plan generator from that checkout's ``perfbench/workloads.py``.
 Every report is JSON, so full precision counts.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
-  * oracle on the bundled case at resolutions 500, 833, ..., 2500;
+  * optimize on the bundled case with --sigma-init 0.3, seeds 0-4 (the
+    runs of the es_builtin benchmark workload);
+  * oracle on the bundled case at resolutions 500, 833, ..., 2500 and 4000;
   * one evaluate on the bundled case;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
     midpoints) on the first 60 random plan documents from rng [7, 3].
@@ -36,7 +38,7 @@ from millopt.cli import main  # noqa: E402
 from workloads import midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
-RESOLUTIONS = (500, 833, 1167, 1500, 1833, 2167, 2500)
+RESOLUTIONS = (500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
 RANDOM_PLANS = 60
 PLAN_RNG = [7, 3]
 PLAN_STALL = "200"
@@ -49,6 +51,11 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     for seed in SEEDS:
         yield f"optimize builtin seed={seed}", ("optimize", *builtin, "--seed", str(seed))
         yield f"compare builtin seed={seed}", ("compare", *builtin, "--seed", str(seed))
+    for seed in SEEDS:
+        yield (
+            f"optimize builtin sigma-init=0.3 seed={seed}",
+            ("optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", str(seed), "--out", "json"),
+        )
     for resolution in RESOLUTIONS:
         yield (
             f"oracle builtin resolution={resolution}",

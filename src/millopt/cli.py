@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -100,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="published rows plus a fresh run and the oracle",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use: parsing leaves it as it was."""
+    return build_parser()
 
 
 def _load_input(args: argparse.Namespace) -> tuple[case_study.LoadedDocument, bool]:
@@ -441,9 +448,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

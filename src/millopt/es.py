@@ -206,13 +206,23 @@ def mutate(
     if length != lower.shape[0]:
         raise ContractError(f"genome length {length} does not match bounds length {lower.shape[0]}")
     tau_g, tau_l = config.resolved_taus(length)
-    # One shared global draw per individual, one local draw per component.
-    global_draw = rng.standard_normal((n, 1))
-    local_draws = rng.standard_normal((n, length))
-    new_sigmas = sigmas * np.exp(tau_g * global_draw + tau_l * local_draws)
-    new_sigmas = np.maximum(new_sigmas, config.sigma_floor)
-    steps = rng.standard_normal((n, length))
-    new_genomes = np.clip(genomes + new_sigmas * steps, lower, upper)
+    # One shared global draw per individual, one local draw per component,
+    # then one perturbation per component, all from one call: the generator
+    # keeps no state between normal draws, so this is the stream three
+    # calls of these shapes would give.
+    draws = rng.standard_normal(n * (1 + 2 * length))
+    global_draw = draws[:n].reshape(n, 1)
+    new_sigmas = draws[n : n * (1 + length)].reshape(n, length)
+    new_genomes = draws[n * (1 + length) :].reshape(n, length)
+    new_sigmas *= tau_l
+    new_sigmas += tau_g * global_draw
+    np.exp(new_sigmas, out=new_sigmas)
+    new_sigmas *= sigmas
+    np.maximum(new_sigmas, config.sigma_floor, out=new_sigmas)
+    new_genomes *= new_sigmas
+    new_genomes += genomes
+    np.maximum(new_genomes, lower, out=new_genomes)
+    np.minimum(new_genomes, upper, out=new_genomes)
     return new_genomes, new_sigmas
 
 

@@ -15,7 +15,7 @@ form  coefficient * quantity <= 1  is satisfied exactly when its margin is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -631,6 +631,8 @@ class EvalContext:
     feed bound into one bound: the largest double f <= f_hi whose scalar
     finish and force margins are both <= 1.  Both margins grow with f, so
     a feed satisfies them exactly when it is <= feed_cap[i].
+    feasible_upper is derived, never passed: the speed half of upper
+    followed by feed_cap, the box a feasible genome lies below.
     """
 
     sale_price: float
@@ -645,6 +647,11 @@ class EvalContext:
     feed_cap: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
+        object.__setattr__(self, "feasible_upper", feasible_upper)
 
     @property
     def m(self) -> int:
@@ -730,22 +737,28 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
     m = ctx.m
     if points.shape[1] != 2 * m:
         raise ContractError(f"expected genomes of length {2 * m}, got {points.shape[1]}")
+    # min and max propagate NaN, so one pair of reductions rejects NaN,
+    # +-inf and nonpositive entries alike; an empty batch has nothing to
+    # reject.
+    if points.size and not (points.min() > 0.0 and points.max() < math.inf):
+        raise DomainError("all speeds and feeds must be finite and > 0")
     v = points[:, :m]
     f = points[:, m:]
-    if not np.all(np.isfinite(points)) or np.any(points <= 0.0):
-        raise DomainError("all speeds and feeds must be finite and > 0")
 
-    t_machining = ctx.k1 / (v * f)
-    time_total = ctx.time_fixed + t_machining.sum(axis=1)
-    cost_total = (
-        ctx.cost_fixed
-        + ctx.rate * t_machining.sum(axis=1)
-        + (ctx.tool_cost_coef * v**ctx.speed_exponent * f**ctx.feed_exponent).sum(axis=1)
-    )
-    ok = ctx.c5 * v * f**0.8 <= 1.0
-    ok &= (v >= ctx.lower[:m]) & (v <= ctx.upper[:m])
-    ok &= (f >= ctx.lower[m:]) & (f <= ctx.feed_cap)
-    feasible = ok.all(axis=1)
+    t_machining = v * f
+    np.divide(ctx.k1, t_machining, out=t_machining)
+    machining = t_machining.sum(axis=1)
+    wear = v**ctx.speed_exponent
+    wear *= ctx.tool_cost_coef
+    wear *= f**ctx.feed_exponent
+    time_total = ctx.time_fixed + machining
+    cost_total = ctx.cost_fixed + ctx.rate * machining + wear.sum(axis=1)
+
+    power = ctx.c5 * v
+    power *= f**0.8
+    box = points >= ctx.lower
+    box &= points <= ctx.feasible_upper
+    feasible = (power <= 1.0).all(axis=1) & box.all(axis=1)
 
     rate_of_profit = (ctx.sale_price - cost_total) / time_total
     return BatchEval(

@@ -16,11 +16,18 @@ a staircase: a prefix of the feeds in every row, no longer in a faster
 row.  The scan cuts each row of the staircase into bands of feeds, bounds
 every band from below with the same float expression as the values, and
 evaluates only the bands whose bound does not exceed a value already
-found.  Both cuts are exact, not heuristics: the prefix widths come from
-the same rounded products the constraint test computes, the bounds rest
-only on rounding being monotone, and the kept values come from the same
-float operations as a full-grid evaluation.  So the scan returns the very
-point, bit for bit, that masking every infeasible point would.
+found.  It bounds blocks of rows the same way first, with each row factor
+replaced by its smallest value over the block, and bounds single rows only
+inside the blocks that can hold the minimum.  The cuts are exact, not
+heuristics: the prefix widths come from the same rounded products the
+constraint test computes, the bounds rest only on rounding being
+monotone, and the kept values come from the same float operations as a
+full-grid evaluation.  So the scan returns the very point, bit for bit,
+that masking every infeasible point would.
+
+Everything about an operation's grid that does not depend on lam (the
+axes, the staircase, the factors of the value and their extremes) is
+prepared once per solve; each multiplier iteration only scans.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "OracleError",
+    "OpGrid",
+    "prepare_op_grid",
     "per_op_grid_min",
     "dinkelbach_solve",
 ]
@@ -56,7 +65,8 @@ __all__ = [
 # each) stay in a per-core L2 cache.
 _BLOCK_ELEMENTS = 1 << 15
 
-# Feed columns per band: the scan bounds each row's band as one tile.
+# Feed columns per band, and rows per block: the scan bounds each block's
+# band, then each row's band inside the blocks it keeps, as one tile.
 _BAND = 64
 
 
@@ -104,19 +114,42 @@ class OracleResult:
     lambda_trace: tuple[float, ...]
 
 
-def per_op_grid_min(
-    op_index: int,
-    lam: float,
-    plan: MillingPlan,
-    ctx: EvalContext,
-    grid: GridSpec,
-) -> tuple[float, float, float] | None:
-    """Feasible grid point of one operation minimizing cost + lam * time.
+@dataclass(frozen=True)
+class OpGrid:
+    """One operation's grid, prepared once per solve and scanned at each lam.
 
-    Exact over the feasible points of the speed/feed grid; ties resolve
-    to the lowest speed index, then the lowest feed index.  Returns
-    (speed, feed, value) or None when no grid point satisfies the
-    constraints.
+    It holds everything the scan needs that does not depend on lam: the
+    axes, the feasible staircase, the row factors 1 / v and
+    tool_cost_coef * v**a, the band factors 1 / f and f**b cut into bands
+    of _BAND feeds, and the extremes of both over every band and block of
+    _BAND rows.  Row arrays are padded to whole blocks, the padded rows
+    with width 0, and band arrays to whole bands with 1.0, which lies past
+    every row's width.
+    """
+
+    speeds: np.ndarray
+    feeds: np.ndarray
+    nrow: int
+    widths: np.ndarray
+    inv_speeds: np.ndarray
+    wear_rows: np.ndarray
+    inv_bands: np.ndarray
+    wear_bands: np.ndarray
+    inv_band_min: np.ndarray
+    inv_band_max: np.ndarray
+    wear_band: np.ndarray
+    wear_block_bounds: np.ndarray
+    block_empty: np.ndarray
+    rate: float
+    k1: float
+    change_time: float
+
+
+def prepare_op_grid(
+    op_index: int, plan: MillingPlan, ctx: EvalContext, grid: GridSpec
+) -> OpGrid | None:
+    """The lam-independent part of one operation's scan, or None when no
+    point of its grid satisfies the constraints.
 
     The feasible points form a staircase.  The feeds ascend, so the test
     feeds <= feed_cap keeps a prefix of the columns.  In each row the
@@ -125,85 +158,141 @@ def per_op_grid_min(
     a prefix too; a faster row keeps no more.  Each row's prefix width is
     counted with the very product the test computes.
 
-    A point's value is ((weight * k1) * (1 / v)) * (1 / f), plus
-    (tool_cost_coef * v**a) * f**b, plus weight * change_time.  A tile is
-    one row of the staircase times one band of _BAND consecutive feeds.
-    Its lower bound is the same expression with 1 / f and f**b replaced by
-    their smallest computed values over the band's columns, or by their
-    largest where the row factor they multiply is negative (the time term
-    under weight < 0).  The extremes are read from the computed arrays,
-    not from the band's ends, because pow need not be monotone in floating
-    point.  The bound needs no convexity, only that rounding is monotone:
-    fl(c * x) is monotone in x for a fixed-sign c, and fl(x + y) is
-    nondecreasing in each argument, so no point of a tile lies below its
-    bound.  Bands at or past a row's width hold no feasible point; inside
-    a kept band, the columns at or past it are masked with inf.
-
-    U, the value of the best feasible point in the tile with the lowest
-    bound, is at least the minimum.  A tile whose bound exceeds U holds
-    only points strictly above the minimum, so skipping it is exact, and
-    keeping every tile with bound <= U (not < U) keeps every point equal
-    to the minimum.  The kept tiles are evaluated in row-major order,
-    which is their points' row-major order, with the same float
-    operations in the same order as when every grid point was evaluated
-    and the infeasible ones masked, and chunks of them are compared with
-    strict <.  So the first minimum in row-major order still wins, bit
-    for bit.
-
     The formulas come from the compiled context batch_evaluate reads.  The
     tool-change addend alone comes from the plan: it is part of every
     compared value, so it fixes their rounding and with it argmin's pick.
     """
     i, m = op_index, ctx.m
-    change_time = plan.tool_for(plan.operations[i]).change_time
-    weight = ctx.rate + lam
-
     speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
     feeds = np.linspace(ctx.lower[m + i], ctx.upper[m + i], grid.resolution)
 
     ncol = int(np.searchsorted(feeds, ctx.feed_cap[i], side="right"))
-    feeds_pow = (feeds**0.8)[:ncol]
-    widths = _power_widths(ctx.c5[i] * speeds, feeds_pow)
+    widths = _power_widths(ctx.c5[i] * speeds, (feeds**0.8)[:ncol])
     nrow = int(np.count_nonzero(widths))
     if nrow == 0:
         return None
-    widths = widths[:nrow]
 
-    time_coef = weight * ctx.k1[i]
-    inv_feeds = (1.0 / feeds)[:ncol]
-    wear_feeds = (feeds ** ctx.feed_exponent[i])[:ncol]
-    time_rows = time_coef * (1.0 / speeds[:nrow])
-    wear_rows = ctx.tool_cost_coef[i] * speeds[:nrow] ** ctx.speed_exponent[i]
-    change_value = weight * change_time
+    # Rows padded to whole blocks, feeds to whole bands.
+    row_starts = np.arange(0, nrow, _BAND)
+    band_starts = np.arange(0, ncol, _BAND)
+    padded_widths = np.zeros(row_starts.size * _BAND, dtype=widths.dtype)
+    padded_widths[:nrow] = widths[:nrow]
+    inv_speeds, wear_rows = np.ones((2, padded_widths.size))
+    inv_speeds[:nrow] = 1.0 / speeds[:nrow]
+    wear_rows[:nrow] = ctx.tool_cost_coef[i] * speeds[:nrow] ** ctx.speed_exponent[i]
+    inv_bands, wear_bands = np.ones((2, band_starts.size * _BAND))
+    inv_bands[:ncol] = (1.0 / feeds)[:ncol]
+    wear_bands[:ncol] = (feeds ** ctx.feed_exponent[i])[:ncol]
 
-    # Lower bound of every (row, band) tile.  Widths never grow with the
-    # row, so the rows with bands at or past their width, which hold no
-    # feasible point, are a suffix.
-    starts = np.arange(0, ncol, _BAND)
-    nband = starts.size
-    time_extreme = np.minimum if time_coef >= 0.0 else np.maximum
+    # Extremes over each band's real columns, read from the computed
+    # values: pow need not be monotone in floating point.
     wear_extreme = np.minimum if ctx.tool_cost_coef[i] >= 0.0 else np.maximum
-    bounds = time_rows[:, None] * time_extreme.reduceat(inv_feeds, starts)
-    bounds += wear_rows[:, None] * wear_extreme.reduceat(wear_feeds, starts)
-    bounds += change_value
-    narrow = int(np.count_nonzero(widths > starts[-1]))
-    np.copyto(bounds[narrow:], math.inf, where=starts >= widths[narrow:, None])
+    wear_band = wear_extreme.reduceat(wear_bands[:ncol], band_starts)
+    wear_block_min = np.minimum.reduceat(wear_rows[:nrow], row_starts)
+    return OpGrid(
+        speeds=speeds,
+        feeds=feeds,
+        nrow=nrow,
+        widths=padded_widths,
+        inv_speeds=inv_speeds,
+        wear_rows=wear_rows,
+        inv_bands=inv_bands.reshape(-1, _BAND),
+        wear_bands=wear_bands.reshape(-1, _BAND),
+        inv_band_min=np.minimum.reduceat(inv_bands[:ncol], band_starts),
+        inv_band_max=np.maximum.reduceat(inv_bands[:ncol], band_starts),
+        wear_band=wear_band,
+        wear_block_bounds=wear_block_min[:, None] * wear_band,
+        # widths never grow with the row, so a block's first row is its widest
+        block_empty=band_starts >= padded_widths[row_starts, None],
+        rate=ctx.rate,
+        k1=float(ctx.k1[i]),
+        change_time=plan.tool_for(plan.operations[i]).change_time,
+    )
 
-    # U, from the tile with the lowest bound; only tiles bounded by U stay.
-    row, band = divmod(int(np.argmin(bounds)), nband)
+
+def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None:
+    """Feasible grid point of one operation minimizing cost + lam * time.
+
+    Exact over the feasible points of the prepared speed/feed grid; ties
+    resolve to the lowest speed index, then the lowest feed index.
+    Returns (speed, feed, value), or None when no feasible value is finite.
+
+    A point's value is ((weight * k1) * (1 / v)) * (1 / f), plus
+    (tool_cost_coef * v**a) * f**b, plus weight * change_time, where
+    weight = rate + lam.  A tile is one row of the staircase times one band
+    of _BAND consecutive feeds.  Its lower bound is the same expression
+    with 1 / f and f**b replaced by their smallest computed values over
+    the band's columns, or by their largest where the row factor they
+    multiply is negative (the time term under weight < 0, the wear term
+    under a negative tool_cost_coef).  The bound needs no convexity, only
+    that rounding is monotone: fl(c * x) is monotone in x for a fixed-sign
+    c, and fl(x + y) is nondecreasing in each argument, so no point of a
+    tile lies below its bound.  Bands at or past a row's width hold no
+    feasible point; inside a kept band, the columns at or past it are
+    masked with inf.
+
+    A block tile, _BAND rows times one band, is bounded first: the same
+    expression again, with each row factor replaced by its smallest
+    computed value over the block's rows.  That is right whatever the
+    factor's sign, because what it multiplies is positive: fl(c * x) is
+    nondecreasing in c for a fixed x > 0, so the block's smallest factor
+    times a band extreme is at most every row's factor times it, and the
+    band extreme is still picked by the sign the block's factors share.
+    Row tiles are bounded only inside the block tiles bounded by U.
+
+    U, the value of the best feasible point in the lowest-bounded row tile
+    of the lowest-bounded block tile, is at least the minimum.  A tile
+    whose bound exceeds U holds only points strictly above the minimum,
+    so skipping it is exact, and keeping every tile with bound <= U (not
+    < U) keeps every point equal to the minimum.  The kept row tiles are
+    evaluated in row-major order, which is their points' row-major order,
+    with the same float operations in the same order as when every grid
+    point was evaluated and the infeasible ones masked, and chunks of them
+    are compared with strict <.  So the first minimum in row-major order
+    still wins, bit for bit.
+    """
+    weight = op.rate + lam
+    time_coef = weight * op.k1
+    change_value = weight * op.change_time
+    time_rows = time_coef * op.inv_speeds
+    time_band = op.inv_band_min if time_coef >= 0.0 else op.inv_band_max
+    wear_rows, wear_band, widths = op.wear_rows, op.wear_band, op.widths
+    nband = wear_band.size
+
+    def row_tile_bounds(rows: np.ndarray, bands: np.ndarray) -> np.ndarray:
+        bounds = time_rows[rows] * time_band[bands]
+        bounds += wear_rows[rows] * wear_band[bands]
+        bounds += change_value
+        np.copyto(bounds, math.inf, where=bands * _BAND >= widths[rows])
+        return bounds
+
+    # Lower bound of every (block, band) tile.
+    time_blocks = np.minimum.reduceat(time_rows[: op.nrow], np.arange(0, op.nrow, _BAND))
+    bounds = time_blocks[:, None] * time_band
+    bounds += op.wear_block_bounds
+    bounds += change_value
+    np.copyto(bounds, math.inf, where=op.block_empty)
+
+    # U, from the lowest-bounded row tile of the lowest-bounded block tile.
+    block, band = divmod(int(np.argmin(bounds)), nband)
+    rows = block * _BAND + np.arange(_BAND)
+    row = int(rows[np.argmin(row_tile_bounds(rows, np.full(_BAND, band)))])
     probe = slice(band * _BAND, min((band + 1) * _BAND, int(widths[row])))
     upper = np.min(
-        time_rows[row] * inv_feeds[probe] + wear_rows[row] * wear_feeds[probe] + change_value
+        time_rows[row] * op.inv_bands.flat[probe]
+        + wear_rows[row] * op.wear_bands.flat[probe]
+        + change_value
     )
-    rows, bands = np.divmod(np.flatnonzero(bounds <= upper), nband)
 
-    # The feed vectors cut into bands, padded past ncol; the padding lies
-    # past every row's width, so it is always masked.
-    inv_bands, wear_bands = np.ones((2, nband * _BAND))
-    inv_bands[:ncol], wear_bands[:ncol] = inv_feeds, wear_feeds
-    inv_bands, wear_bands = inv_bands.reshape(nband, _BAND), wear_bands.reshape(nband, _BAND)
+    # Row tiles of the blocks bounded by U; only those bounded by U stay,
+    # sorted into row-major order.
+    blocks, bands = np.divmod(np.flatnonzero(bounds <= upper), nband)
+    rows = (blocks[:, None] * _BAND + np.arange(_BAND)).ravel()
+    bands = np.repeat(bands, _BAND)
+    kept = np.sort((rows * nband + bands)[row_tile_bounds(rows, bands) <= upper])
+    rows, bands = np.divmod(kept, nband)
+
     band_columns = np.arange(_BAND)
-
     tiles = _BLOCK_ELEMENTS // _BAND
     values_buf, wear_buf = np.empty((2, min(tiles, rows.size), _BAND))
     best_value = math.inf
@@ -211,9 +300,9 @@ def per_op_grid_min(
     for start in range(0, rows.size, tiles):
         chunk_rows, chunk_bands = rows[start : start + tiles], bands[start : start + tiles]
         values, wear = values_buf[: chunk_rows.size], wear_buf[: chunk_rows.size]
-        inv_bands.take(chunk_bands, axis=0, out=values)
+        op.inv_bands.take(chunk_bands, axis=0, out=values)
         np.multiply(values, time_rows[chunk_rows, None], out=values)
-        wear_bands.take(chunk_bands, axis=0, out=wear)
+        op.wear_bands.take(chunk_bands, axis=0, out=wear)
         np.multiply(wear, wear_rows[chunk_rows, None], out=wear)
         np.add(values, wear, out=values)
         np.add(values, change_value, out=values)
@@ -224,8 +313,8 @@ def per_op_grid_min(
         if value < best_value:
             best_value = value
             tile, col = divmod(flat, _BAND)
-            best_v = float(speeds[chunk_rows[tile]])
-            best_f = float(feeds[chunk_bands[tile] * _BAND + col])
+            best_v = float(op.speeds[chunk_rows[tile]])
+            best_f = float(op.feeds[chunk_bands[tile] * _BAND + col])
     if best_value == math.inf:
         return None
     return best_v, best_f, best_value
@@ -289,11 +378,12 @@ def dinkelbach_solve(
             iterations=0,
             lambda_trace=(),
         )
+    ops = [prepare_op_grid(i, plan, ctx, grid) for i in range(plan.m)]
     lam = _midpoint_lambda(plan, coeffs)
     trace: list[float] = [lam]
 
     for iteration in range(1, grid.max_dinkelbach_iterations + 1):
-        points = [per_op_grid_min(i, lam, plan, ctx, grid) for i in range(plan.m)]
+        points = [per_op_grid_min(op, lam) for op in ops]
         x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
         cost = unit_cost(plan, x, coeffs)
         time = unit_time(plan, x, coeffs)

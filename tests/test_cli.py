@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from millopt import cli
 from millopt.case_study import builtin_document_bytes, dump_plan
 from millopt.cli import main
 
@@ -441,3 +442,26 @@ class TestUsageAndErrors:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run_cli(capsys, "polish")[0] == 2
+
+    def test_one_parser_serves_every_run_unchanged(self, capsys, monkeypatch):
+        # A parse error and --help leave the shared parser as it was: each
+        # run, the valid oracle call after them among them, prints what it
+        # prints from a freshly built parser, byte for byte.
+        runs = (
+            ("oracle", "--builtin-case", "--grid-resolution", "bogus"),
+            ("--help",),
+            ("oracle", "--builtin-case", "--grid-resolution", "60", "--out", "json"),
+        )
+        fresh = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli._parser.cache_clear()
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build_parser())
+        shared = [run_cli(capsys, *argv) for argv in runs]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0]
+        assert all(out or err for _, out, err in shared)
+        assert len(built) == 1

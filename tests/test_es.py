@@ -18,21 +18,28 @@ from millopt.oracle import GridSpec, dinkelbach_solve
 
 
 class QueuedNormals:
-    """Stand-in generator whose standard_normal returns scripted arrays."""
+    """Stand-in generator whose standard_normal serves scripted arrays as
+    one stream, in order, whatever the shapes of the calls.
+
+    A numpy Generator keeps no state between normal draws, so the scripted
+    arrays are what draws of their shapes would return, whether they are
+    drawn one by one or all at once."""
 
     def __init__(self, arrays):
-        self._queue = [np.asarray(a, dtype=float) for a in arrays]
+        self._stream = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
+        self._used = 0
 
     def standard_normal(self, size):
-        if not self._queue:
-            raise AssertionError("more standard_normal calls than scripted arrays")
-        out = self._queue.pop(0)
-        assert out.shape == tuple(size), f"draw shape {tuple(size)} != scripted {out.shape}"
+        count = int(np.prod(size))
+        if self._used + count > self._stream.size:
+            raise AssertionError("more standard normals drawn than scripted")
+        out = self._stream[self._used : self._used + count].reshape(size)
+        self._used += count
         return out.copy()
 
     @property
     def exhausted(self) -> bool:
-        return not self._queue
+        return self._used == self._stream.size
 
 
 def toy_config(**overrides) -> EsConfig:
@@ -203,6 +210,27 @@ class TestRecombine:
         )
         assert sigmas[0, 0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
 
+    def test_one_draw_gives_the_stream_of_three(self):
+        # mutate draws a generation's normals in one call; on a real
+        # generator that is the global, local and step draws, in turn
+        n, length = 7, 4
+        genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
+        sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
+        lower, upper = np.full(length, 70.0), np.full(length, 110.0)
+        config = EsConfig()
+        tau_g, tau_l = config.resolved_taus(length)
+        rng = np.random.default_rng(5)
+        global_draw = rng.standard_normal((n, 1))
+        local_draws = rng.standard_normal((n, length))
+        expected_sigmas = np.maximum(
+            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), config.sigma_floor
+        )
+        expected = np.clip(genomes + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
+        mutated = np.random.default_rng(5)
+        child, child_sigmas = mutate(genomes, sigmas, lower, upper, config, mutated)
+        assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
+        assert mutated.standard_normal() == rng.standard_normal()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             recombine(
@@ -278,6 +306,27 @@ class TestMutate:
         child_sigmas[0, 0] = -1.0
         assert genome[0, 0] == 90.0
         assert sigmas[0, 0] == 3.0
+
+    def test_one_draw_gives_the_stream_of_three(self):
+        # mutate draws a generation's normals in one call; on a real
+        # generator that is the global, local and step draws, in turn
+        n, length = 7, 4
+        genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
+        sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
+        lower, upper = np.full(length, 70.0), np.full(length, 110.0)
+        config = EsConfig()
+        tau_g, tau_l = config.resolved_taus(length)
+        rng = np.random.default_rng(5)
+        global_draw = rng.standard_normal((n, 1))
+        local_draws = rng.standard_normal((n, length))
+        expected_sigmas = np.maximum(
+            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), config.sigma_floor
+        )
+        expected = np.clip(genomes + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
+        mutated = np.random.default_rng(5)
+        child, child_sigmas = mutate(genomes, sigmas, lower, upper, config, mutated)
+        assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
+        assert mutated.standard_normal() == rng.standard_normal()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):

@@ -651,6 +651,33 @@ class TestBatchEvaluate:
         with pytest.raises(DomainError):
             batch_evaluate(ctx, bad)
 
+    @pytest.mark.parametrize("entry", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 9])
+    def test_rejects_nonpositive_and_nonfinite_entries(
+        self, builtin_plan, builtin_coeffs, entry, column
+    ):
+        ctx = compile_context(builtin_plan, builtin_coeffs)
+        bad = np.full((3, 10), 0.2)
+        bad[1, column] = entry
+        with pytest.raises(DomainError):
+            batch_evaluate(ctx, bad)
+
+    def test_empty_batch_evaluates_to_empty_arrays(self, builtin_plan, builtin_coeffs):
+        ctx = compile_context(builtin_plan, builtin_coeffs)
+        result = batch_evaluate(ctx, np.empty((0, 10)))
+        for values in (result.fitness, result.unit_cost, result.unit_time, result.feasible):
+            assert values.shape == (0,)
+
+    def test_box_test_follows_a_replaced_feed_cap(self, builtin_plan, builtin_coeffs):
+        # feasible_upper is derived from feed_cap, so replacing feed_cap
+        # moves the feed half of the box test with it
+        ctx = compile_context(builtin_plan, builtin_coeffs)
+        assert np.array_equal(ctx.feasible_upper, np.concatenate((ctx.upper[:5], ctx.feed_cap)))
+        assert batch_evaluate(ctx, ctx.lower).feasible[0]
+        capped = dataclasses.replace(ctx, feed_cap=np.where(np.arange(5) == 2, 0.0, ctx.feed_cap))
+        assert np.array_equal(capped.feasible_upper[5:], capped.feed_cap)
+        assert not batch_evaluate(capped, ctx.lower).feasible[0]
+
 
 class TestWarnings:
     def test_builtin_plan_warnings(self, builtin_plan):

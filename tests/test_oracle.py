@@ -28,7 +28,7 @@ from millopt import (
 )
 from millopt.milling import batch_evaluate, compile_context
 from millopt import oracle
-from millopt.oracle import per_op_grid_min
+from millopt.oracle import per_op_grid_min, prepare_op_grid
 
 from conftest import single_face_plan, two_op_plan
 from test_acceptance import random_plan
@@ -88,9 +88,16 @@ def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
     return best
 
 
+def scan(op_index, lam, plan, ctx, grid):
+    """per_op_grid_min on a freshly prepared grid; None when it has no
+    feasible point."""
+    op = prepare_op_grid(op_index, plan, ctx, grid)
+    return None if op is None else per_op_grid_min(op, lam)
+
+
 def grid_min(plan, coeffs, op_index, lam, resolution):
     ctx = compile_context(plan, coeffs)
-    return per_op_grid_min(op_index, lam, plan, ctx, GridSpec(resolution=resolution))
+    return scan(op_index, lam, plan, ctx, GridSpec(resolution=resolution))
 
 
 def face_plan_variant(name):
@@ -223,12 +230,19 @@ def reference_grid_min(op_index, lam, plan, ctx, grid):
     return best_v, best_f, best_value
 
 
+def scan_prepared_both(plan, ctx, op_index, lams, resolution):
+    """One prepared grid scanned at every lam, each result asserted equal
+    (floats with ==) to the full-grid scan."""
+    grid = GridSpec(resolution=resolution)
+    op = prepare_op_grid(op_index, plan, ctx, grid)
+    got = [None if op is None else per_op_grid_min(op, lam) for lam in lams]
+    assert got == [reference_grid_min(op_index, lam, plan, ctx, grid) for lam in lams]
+    return got
+
+
 def scan_both(plan, ctx, op_index, lam, resolution):
     """per_op_grid_min, asserted equal (floats with ==) to the full-grid scan."""
-    grid = GridSpec(resolution=resolution)
-    got = per_op_grid_min(op_index, lam, plan, ctx, grid)
-    assert got == reference_grid_min(op_index, lam, plan, ctx, grid)
-    return got
+    return scan_prepared_both(plan, ctx, op_index, (lam,), resolution)[0]
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +459,84 @@ class TestBandEdges:
         assert scan_both(plan, ctx, 0, 2.0, 1100)[:2] == (speeds[-1], feeds[width - 1])
 
 
+# Speeds across a 12x ratio: the slow rows keep every feed, the fast ones
+# few, so a staircase of several bands spans the row blocks.
+WIDE_SPEEDS = pinned_face_plan(speed_bounds=(10.0, 120.0))
+
+
+def rows_context(plan, resolution, nrow, **entries):
+    """plan (one operation) compiled with c5 set so that exactly the first
+    nrow rows of its resolution x resolution grid keep a feed; the other
+    named context entries are replaced as in edge_context."""
+    speeds, feeds = grid_axes(plan, resolution)
+    first_pow = (feeds**0.8)[0]
+    c5 = 1.0 / (speeds[nrow - 1] * first_pow)
+    while c5 * speeds[nrow - 1] * first_pow > 1.0:
+        c5 = math.nextafter(c5, 0.0)
+    plan, ctx = edge_context(plan, c5=c5, **entries)
+    op = prepare_op_grid(0, plan, ctx, GridSpec(resolution=resolution))
+    assert op.nrow == nrow
+    return plan, ctx, op
+
+
+class TestRowBlockEdges:
+    @pytest.mark.parametrize("nrow", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("wear", ["plain", "no_wear", "negative_wear"])
+    def test_feasible_row_counts_at_block_edges(self, nrow, wear):
+        # A negative tool_cost_coef puts the minimum in the last feasible
+        # row: the last of a full block (64, 128), alone in a block (65,
+        # 129), or next to the padding (63, 127).
+        entries = {}
+        if wear == "no_wear":
+            entries["tool_cost_coef"] = 0.0
+        elif wear == "negative_wear":
+            entries["tool_cost_coef"] = -0.5
+        plan, ctx, op = rows_context(WIDE_SPEEDS, 301, nrow, **entries)
+        assert op.wear_band.size > 1
+        for lam in (0.0, 2.0, -(ctx.rate + 1.0)):
+            assert scan_both(plan, ctx, 0, lam, 301) is not None
+        if wear == "negative_wear":
+            speeds, _ = grid_axes(plan, 301)
+            assert scan_both(plan, ctx, 0, 2.0, 301)[0] == speeds[nrow - 1]
+
+    def test_tie_in_a_later_row_of_an_earlier_band_loses(self):
+        # Integer axes 1..128, value c / (v * f) with c = (rate + lam) * k1:
+        # rows v = 1 and 2 of one block tie, exactly, at v * f = 128, which
+        # nothing feasible exceeds.  Row-major order reaches (1, 128), in
+        # band 1, before (2, 64), in band 0.
+        plan = pinned_face_plan(speed_bounds=(1.0, 128.0), feed_bounds=(1.0, 128.0))
+        speeds, feeds = grid_axes(plan, 128)
+        c5 = 1.0 / (2.0 * 64.0**0.8)
+        while c5 * 2.0 * 64.0**0.8 > 1.0:
+            c5 = math.nextafter(c5, 0.0)
+        plan, ctx = edge_context(plan, k1=1.0, tool_cost_coef=0.0, c5=c5, feed_cap=128.0)
+        op = prepare_op_grid(0, plan, ctx, GridSpec(resolution=128))
+        assert op.widths[:2].tolist() == [128, 64] and op.nrow <= oracle._BAND
+        assert (speeds[:op.nrow] * feeds[op.widths[: op.nrow] - 1] <= 128.0).all()
+        assert scan_both(plan, ctx, 0, 2.0, 128)[:2] == (1.0, 128.0)
+
+    def test_negative_wear_and_weight_on_builtin_case(self, builtin_plan):
+        # a negative tool_cost_coef makes every block's smallest wear row
+        # factor its most negative one, and weight -1 does the same to the
+        # time factors; 833 rows make 14 blocks
+        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        ctx = dataclasses.replace(ctx, tool_cost_coef=-ctx.tool_cost_coef)
+        for i in range(builtin_plan.m):
+            scan_prepared_both(builtin_plan, ctx, i, (-(ctx.rate + 1.0), 0.0), 833)
+
+    def test_one_prepared_grid_at_weights_of_both_signs(self, builtin_plan, compiled_random_plans):
+        # weight = rate + lam changes sign between the scans of one
+        # preparation, so the band extremes of 1 / f must swap with it
+        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        lams = (1.3754333401782102, -(ctx.rate + 1.0), 0.0, -ctx.rate, -(ctx.rate + 0.25), 3.0)
+        for i in range(builtin_plan.m):
+            assert None not in scan_prepared_both(builtin_plan, ctx, i, lams, 833)
+        for plan, ctx in compiled_random_plans[:60]:
+            lams = (0.7, -(ctx.rate + 1.0), 3.3, -(ctx.rate + 0.5))
+            for i in range(plan.m):
+                scan_prepared_both(plan, ctx, i, lams, 129)
+
+
 class TestToySingleOpExactly:
     """3x3 grid small enough to check every cell by hand."""
 
@@ -631,7 +723,7 @@ class TestFailureModes:
             ctx = compile_context(plan, coeffs)
             corner = bool(batch_evaluate(ctx, ctx.lower).feasible[0])
             on_grid = all(
-                per_op_grid_min(i, 0.0, plan, ctx, grid) is not None for i in range(plan.m)
+                prepare_op_grid(i, plan, ctx, grid) is not None for i in range(plan.m)
             )
             scalar = all(
                 m.satisfied
