@@ -15,7 +15,13 @@ Every report is JSON, so full precision counts.  The set:
   * oracle on the bundled case at resolutions 500, 833, ..., 2500 and 4000;
   * one evaluate on the bundled case;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
-    midpoints) on the first 60 random plan documents from rng [7, 3].
+    midpoints) on the first 60 random plan documents from rng [7, 3];
+  * optimize, oracle, compare and evaluate on the bundled document with
+    tool wear that overflows (every life_exponent 0.004, every k3_override
+    1.0).
+
+A run whose main raises is printed as exit=raised:<ExceptionType>, next to
+the digests of what it wrote before that; its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import io
 import json
 import sys
 import tempfile
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Iterator
@@ -34,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+from millopt.case_study import builtin_document_bytes  # noqa: E402
 from millopt.cli import main  # noqa: E402
 from workloads import midpoint_args, random_plan_document  # noqa: E402
 
@@ -80,6 +88,21 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         yield f"oracle plan={k}", ("oracle", *plan, "--grid-resolution", PLAN_RESOLUTION)
         yield f"evaluate plan={k}", ("evaluate", *plan, *point)
 
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    for tool in document["tools"]:
+        tool["life_exponent"] = 0.004
+    for operation in document["operations"]:
+        operation["k3_override"] = 1.0
+    path = workdir / "overflow.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    overflow = ("--config", str(path), "--out", "json")
+    for command in ("optimize", "oracle", "compare"):
+        yield f"{command} overflow", (command, *overflow)
+    yield "evaluate overflow", (
+        "evaluate", *overflow,
+        "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
+    )
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -89,8 +112,12 @@ def main_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv in runs(Path(tmp)):
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(list(argv))
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(list(argv))
+            except Exception as exc:
+                code = f"raised:{type(exc).__name__}"
+                traceback.print_exc()
             print(f"{label}\texit={code}\tstdout={digest(out.getvalue())}\tstderr={digest(err.getvalue())}")
 
 

@@ -11,7 +11,7 @@ PATH):
 
 Reports carry no timestamps, so a repeated run with the same seed writes
 byte-identical output.  Exit codes: 0 success, 1 oracle iteration
-failure, 2 usage or document error, 3 no feasible solution.
+failure, 2 usage, document or overflow error, 3 no feasible solution.
 """
 
 from __future__ import annotations
@@ -163,6 +163,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 def _solution_report(command: str, plan: milling.MillingPlan, **fields: Any) -> dict[str, Any]:
     report: dict[str, Any] = {"command": command, "operations": [op.number for op in plan.operations]}
     report.update(fields)
+    report["warnings"] = list(milling.plan_warnings(plan))
     return report
 
 
@@ -290,7 +291,6 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
             "max_generations": config.max_generations,
             "sigma_floor": config.sigma_floor,
         },
-        warnings=list(result.warnings),
     )
     return _render_keyed(report, args.out), 0 if result.feasible else 3
 
@@ -311,7 +311,6 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
         grid_resolution=grid.resolution,
         iterations=result.iterations,
         lambda_trace=list(result.lambda_trace),
-        warnings=list(milling.plan_warnings(loaded.plan)),
     )
     return _render_keyed(report, args.out), 0 if result.feasible else 3
 
@@ -361,7 +360,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
             }
             for m in margins
         ],
-        warnings=list(milling.plan_warnings(plan)),
     )
     return _render_keyed(report, args.out), 0
 
@@ -433,7 +431,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         "grid_resolution": grid.resolution,
         "generations": run_result.generations,
         "evaluations": run_result.evaluations,
-        "warnings": list(run_result.warnings),
+        "warnings": list(milling.plan_warnings(plan)),
     }
     feasible = run_result.feasible and oracle_result.feasible
     return _render_compare(report, args.out), 0 if feasible else 3
@@ -457,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = _COMMANDS[args.command](args)
     except (milling.ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__} while pricing the plan: {exc}", file=sys.stderr)
         return 2
     except oracle.OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,8 +30,8 @@ from .milling import (
     batch_evaluate,
     compile_context,
     constraint_margins,
+    corner_rate,
     derive_coefficients,
-    plan_warnings,
 )
 
 __all__ = [
@@ -151,7 +151,6 @@ class RunResult:
     generations: int
     evaluations: int
     seed: int
-    warnings: tuple[str, ...]
 
 
 def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
@@ -295,19 +294,21 @@ def run(
     config: EsConfig | None = None,
     observer: Callable[[EsState], None] | None = None,
 ) -> RunResult:
-    """Optimize a plan; deterministic for a fixed (plan, config, seed)."""
+    """Optimize a plan; deterministic for a fixed (plan, config, seed).
+
+    Raises DomainError as corner_rate does.
+    """
     config = config or EsConfig()
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     state = initial_state(ctx, config)
     # No point of the box is feasible unless its lowest corner is.
-    max_generations = config.max_generations if batch_evaluate(ctx, ctx.lower).feasible[0] else 0
+    max_generations = config.max_generations if corner_rate(ctx) is not None else 0
     while state.record.stall_counter < config.stall_limit and state.generation < max_generations:
         state = step(state, ctx, config)
         if observer is not None:
             observer(state)
 
-    warnings = plan_warnings(plan)
     record = state.record
     if record.genome is None:
         return RunResult(
@@ -320,7 +321,6 @@ def run(
             generations=state.generation,
             evaluations=state.evaluations,
             seed=config.seed,
-            warnings=warnings,
         )
 
     best = DecisionVector.from_genome(record.genome)
@@ -338,5 +338,4 @@ def run(
         generations=state.generation,
         evaluations=state.evaluations,
         seed=config.seed,
-        warnings=warnings,
     )

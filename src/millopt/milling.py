@@ -53,6 +53,7 @@ __all__ = [
     "compile_context",
     "BatchEval",
     "batch_evaluate",
+    "corner_rate",
 ]
 
 
@@ -633,6 +634,7 @@ class EvalContext:
     a feed satisfies them exactly when it is <= feed_cap[i].
     feasible_upper is derived, never passed: the speed half of upper
     followed by feed_cap, the box a feasible genome lies below.
+    change_time[i] is operation i's tool change time; the fixed terms hold their sum.
     """
 
     sale_price: float
@@ -640,6 +642,7 @@ class EvalContext:
     cost_fixed: float
     time_fixed: float
     k1: np.ndarray
+    change_time: np.ndarray
     tool_cost_coef: np.ndarray
     speed_exponent: np.ndarray
     feed_exponent: np.ndarray
@@ -693,7 +696,8 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
     machine = plan.machine
     rate = eco.minute_rate
     tools = [plan.tool_for(op) for op in plan.operations]
-    change_total = sum(tool.change_time for tool in tools)
+    change_time = np.array([tool.change_time for tool in tools])
+    change_total = sum(change_time.tolist())
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
 
     lower, upper = decision_bounds(plan)
@@ -703,6 +707,7 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
         cost_fixed=eco.material_cost + rate * (eco.setup_time + change_total),
         time_fixed=eco.setup_time + change_total,
         k1=np.array([c.k1 for c in coeffs]),
+        change_time=change_time,
         tool_cost_coef=np.array([tools[i].price * coeffs[i].k3 for i in range(plan.m)]),
         speed_exponent=np.array([1.0 / tool.life_exponent - 1.0 for tool in tools]),
         feed_exponent=np.array(
@@ -730,8 +735,7 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
 
     Matches the scalar functions exactly: same formulas, same inclusive
     margin comparisons (finish and force through feed_cap), same death
-    penalty.  Every margin is nondecreasing in v and f, so a plan has a
-    feasible point iff its all-lowest genome ctx.lower is feasible here.
+    penalty.
     """
     points = np.atleast_2d(np.asarray(genomes, dtype=float))
     m = ctx.m
@@ -767,3 +771,16 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
         unit_time=time_total,
         feasible=feasible,
     )
+
+
+def corner_rate(ctx: EvalContext) -> float | None:
+    """Profit rate at the all-lowest genome ctx.lower, or None when it is
+    infeasible, and with it, as every margin is nondecreasing in v and f,
+    every point.  Raises DomainError when the rate is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner = batch_evaluate(ctx, ctx.lower)
+    if not corner.feasible[0]:
+        return None
+    if not math.isfinite(corner.fitness[0]):
+        raise DomainError(f"unit cost {corner.unit_cost[0]} at the lowest speeds and feeds: the plan overflows")
+    return float(corner.fitness[0])

@@ -6,8 +6,11 @@ cost_i + lam * time_i independently per operation maximizes the whole
 numerator-minus-lam-times-denominator.  Iterating lam as the ratio at the
 current minimizers (Dinkelbach's scheme) therefore finds the exact
 optimum over a finite speed/feed grid in a handful of iterations, without
-any evolutionary machinery.  The result is a certified lower bound on
-the continuous optimum and the yardstick the strategy is tested against.
+any evolutionary machinery.  It converges from the ratio of any feasible
+point, and starts from the lowest corner of the box, whose feasibility
+decides whether the plan has a feasible point at all.  The result is a
+certified lower bound on the continuous optimum and the yardstick the
+strategy is tested against.
 
 Each per-operation scan is exact over the feasible grid points, but it
 evaluates only the few that can hold the minimum.  Every constraint margin
@@ -27,7 +30,8 @@ that masking every infeasible point would.
 
 Everything about an operation's grid that does not depend on lam (the
 axes, the staircase, the factors of the value and their extremes) is
-prepared once per solve; each multiplier iteration only scans.
+prepared once per solve, from the compiled model alone; each multiplier
+iteration only scans.
 """
 
 from __future__ import annotations
@@ -39,14 +43,11 @@ import numpy as np
 
 from .milling import (
     DecisionVector,
-    DerivedCoefficients,
     EvalContext,
     MillingPlan,
-    batch_evaluate,
     compile_context,
-    constraint_margins,
+    corner_rate,
     derive_coefficients,
-    profit_rate,
     unit_cost,
     unit_time,
 )
@@ -121,10 +122,10 @@ class OpGrid:
     It holds everything the scan needs that does not depend on lam: the
     axes, the feasible staircase, the row factors 1 / v and
     tool_cost_coef * v**a, the band factors 1 / f and f**b cut into bands
-    of _BAND feeds, and the extremes of both over every band and block of
-    _BAND rows.  Row arrays are padded to whole blocks, the padded rows
-    with width 0, and band arrays to whole bands with 1.0, which lies past
-    every row's width.
+    of _BAND feeds, the extremes of the band factors over every band, and
+    the smallest wear row factor of every block of _BAND rows.  Row arrays
+    are padded to whole blocks, the padded rows with width 0, and band
+    arrays to whole bands with 1.0, which lies past every row's width.
     """
 
     speeds: np.ndarray
@@ -138,16 +139,13 @@ class OpGrid:
     inv_band_min: np.ndarray
     inv_band_max: np.ndarray
     wear_band: np.ndarray
-    wear_block_bounds: np.ndarray
-    block_empty: np.ndarray
+    wear_blocks: np.ndarray
     rate: float
     k1: float
     change_time: float
 
 
-def prepare_op_grid(
-    op_index: int, plan: MillingPlan, ctx: EvalContext, grid: GridSpec
-) -> OpGrid | None:
+def prepare_op_grid(op_index: int, ctx: EvalContext, grid: GridSpec) -> OpGrid | None:
     """The lam-independent part of one operation's scan, or None when no
     point of its grid satisfies the constraints.
 
@@ -158,9 +156,7 @@ def prepare_op_grid(
     a prefix too; a faster row keeps no more.  Each row's prefix width is
     counted with the very product the test computes.
 
-    The formulas come from the compiled context batch_evaluate reads.  The
-    tool-change addend alone comes from the plan: it is part of every
-    compared value, so it fixes their rounding and with it argmin's pick.
+    Every factor comes from the compiled context batch_evaluate reads.
     """
     i, m = op_index, ctx.m
     speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
@@ -187,8 +183,6 @@ def prepare_op_grid(
     # Extremes over each band's real columns, read from the computed
     # values: pow need not be monotone in floating point.
     wear_extreme = np.minimum if ctx.tool_cost_coef[i] >= 0.0 else np.maximum
-    wear_band = wear_extreme.reduceat(wear_bands[:ncol], band_starts)
-    wear_block_min = np.minimum.reduceat(wear_rows[:nrow], row_starts)
     return OpGrid(
         speeds=speeds,
         feeds=feeds,
@@ -200,13 +194,11 @@ def prepare_op_grid(
         wear_bands=wear_bands.reshape(-1, _BAND),
         inv_band_min=np.minimum.reduceat(inv_bands[:ncol], band_starts),
         inv_band_max=np.maximum.reduceat(inv_bands[:ncol], band_starts),
-        wear_band=wear_band,
-        wear_block_bounds=wear_block_min[:, None] * wear_band,
-        # widths never grow with the row, so a block's first row is its widest
-        block_empty=band_starts >= padded_widths[row_starts, None],
+        wear_band=wear_extreme.reduceat(wear_bands[:ncol], band_starts),
+        wear_blocks=np.minimum.reduceat(wear_rows[:nrow], row_starts),
         rate=ctx.rate,
         k1=float(ctx.k1[i]),
-        change_time=plan.tool_for(plan.operations[i]).change_time,
+        change_time=float(ctx.change_time[i]),
     )
 
 
@@ -231,13 +223,14 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     feasible point; inside a kept band, the columns at or past it are
     masked with inf.
 
-    A block tile, _BAND rows times one band, is bounded first: the same
-    expression again, with each row factor replaced by its smallest
-    computed value over the block's rows.  That is right whatever the
-    factor's sign, because what it multiplies is positive: fl(c * x) is
-    nondecreasing in c for a fixed x > 0, so the block's smallest factor
-    times a band extreme is at most every row's factor times it, and the
-    band extreme is still picked by the sign the block's factors share.
+    A block tile, _BAND rows times one band, is bounded first by the same
+    routine, with each row factor replaced by its smallest computed value
+    over the block's rows and the width by its first row's, the widest.
+    That is right whatever the factor's sign, because what it multiplies
+    is positive: fl(c * x) is nondecreasing in c for a fixed x > 0, so the
+    block's smallest factor times a band extreme is at most every row's
+    factor times it, and the band extreme is still picked by the sign the
+    block's factors share.
     Row tiles are bounded only inside the block tiles bounded by U.
 
     U, the value of the best feasible point in the lowest-bounded row tile
@@ -259,24 +252,27 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     wear_rows, wear_band, widths = op.wear_rows, op.wear_band, op.widths
     nband = wear_band.size
 
-    def row_tile_bounds(rows: np.ndarray, bands: np.ndarray) -> np.ndarray:
-        bounds = time_rows[rows] * time_band[bands]
-        bounds += wear_rows[rows] * wear_band[bands]
+    def tile_bounds(
+        time_f: np.ndarray, wear_f: np.ndarray, width: np.ndarray, bands: np.ndarray
+    ) -> np.ndarray:
+        bounds = time_f * time_band[bands]
+        bounds += wear_f * wear_band[bands]
         bounds += change_value
-        np.copyto(bounds, math.inf, where=bands * _BAND >= widths[rows])
+        np.copyto(bounds, math.inf, where=bands * _BAND >= width)
         return bounds
 
-    # Lower bound of every (block, band) tile.
+    # Lower bound of every (block, band) tile; widths never grow with the
+    # row, so a block's first row is its widest.
     time_blocks = np.minimum.reduceat(time_rows[: op.nrow], np.arange(0, op.nrow, _BAND))
-    bounds = time_blocks[:, None] * time_band
-    bounds += op.wear_block_bounds
-    bounds += change_value
-    np.copyto(bounds, math.inf, where=op.block_empty)
+    bounds = tile_bounds(
+        time_blocks[:, None], op.wear_blocks[:, None], widths[::_BAND, None], np.arange(nband)
+    )
 
     # U, from the lowest-bounded row tile of the lowest-bounded block tile.
     block, band = divmod(int(np.argmin(bounds)), nband)
     rows = block * _BAND + np.arange(_BAND)
-    row = int(rows[np.argmin(row_tile_bounds(rows, np.full(_BAND, band)))])
+    row_bounds = tile_bounds(time_rows[rows], wear_rows[rows], widths[rows], np.full(_BAND, band))
+    row = int(rows[np.argmin(row_bounds)])
     probe = slice(band * _BAND, min((band + 1) * _BAND, int(widths[row])))
     upper = np.min(
         time_rows[row] * op.inv_bands.flat[probe]
@@ -289,7 +285,8 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     blocks, bands = np.divmod(np.flatnonzero(bounds <= upper), nband)
     rows = (blocks[:, None] * _BAND + np.arange(_BAND)).ravel()
     bands = np.repeat(bands, _BAND)
-    kept = np.sort((rows * nband + bands)[row_tile_bounds(rows, bands) <= upper])
+    row_bounds = tile_bounds(time_rows[rows], wear_rows[rows], widths[rows], bands)
+    kept = np.sort((rows * nband + bands)[row_bounds <= upper])
     rows, bands = np.divmod(kept, nband)
 
     band_columns = np.arange(_BAND)
@@ -339,36 +336,22 @@ def _power_widths(power: np.ndarray, feeds_pow: np.ndarray) -> np.ndarray:
         widths[grow] = np.searchsorted(feeds_pow, feeds_pow[widths[grow]], side="right")
 
 
-def _midpoint_lambda(
-    plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]
-) -> float:
-    """Ratio at the all-midpoints assignment if feasible, else 0."""
-    mid = DecisionVector(
-        speeds=tuple((op.speed_bounds[0] + op.speed_bounds[1]) / 2.0 for op in plan.operations),
-        feeds=tuple((op.feed_bounds[0] + op.feed_bounds[1]) / 2.0 for op in plan.operations),
-    )
-    if all(m.satisfied for m in constraint_margins(plan, mid, coeffs)):
-        return profit_rate(plan, mid, coeffs)
-    return 0.0
-
-
-def dinkelbach_solve(
-    plan: MillingPlan,
-    coeffs: tuple[DerivedCoefficients, ...] | None = None,
-    grid: GridSpec | None = None,
-) -> OracleResult:
+def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleResult:
     """Exact profit-rate optimum over the product grid.
 
-    Raises OracleError with the multiplier trace if the iteration does
-    not settle within max_dinkelbach_iterations; returns an infeasible
-    result, before any iteration, when the plan has no feasible point.
+    The multiplier starts at the profit rate of the box's lowest corner.
+    Returns an infeasible result, before any iteration, when that corner
+    is infeasible; raises DomainError as corner_rate does, and OracleError
+    with the multiplier trace if the iteration does not settle within
+    max_dinkelbach_iterations.
     """
-    coeffs = coeffs if coeffs is not None else derive_coefficients(plan)
+    coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     grid = grid or GridSpec()
-    # No point of the box is feasible unless its lowest corner is; when it
-    # is, that corner is a grid point, so every per-operation scan finds one.
-    if not batch_evaluate(ctx, ctx.lower).feasible[0]:
+    # The lowest corner is a grid point, so when it is feasible with a
+    # finite value every per-operation scan finds a finite feasible point.
+    lam = corner_rate(ctx)
+    if lam is None:
         return OracleResult(
             feasible=False,
             best=None,
@@ -378,8 +361,7 @@ def dinkelbach_solve(
             iterations=0,
             lambda_trace=(),
         )
-    ops = [prepare_op_grid(i, plan, ctx, grid) for i in range(plan.m)]
-    lam = _midpoint_lambda(plan, coeffs)
+    ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
     trace: list[float] = [lam]
 
     for iteration in range(1, grid.max_dinkelbach_iterations + 1):

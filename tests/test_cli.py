@@ -404,6 +404,38 @@ class TestDocumentOverrides:
         assert "mu" in err
 
 
+@pytest.fixture()
+def overflow_config_path(tmp_path):
+    """The bundled document with tool wear that overflows: life exponent
+    0.004 raises speed to the 249th power.  The loader accepts it."""
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    for tool in document["tools"]:
+        tool["life_exponent"] = 0.004
+    for operation in document["operations"]:
+        operation["k3_override"] = 1.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+class TestOverflowingDocument:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize",),
+            ("oracle",),
+            ("compare",),
+            ("evaluate", "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388"),
+        ],
+        ids=["optimize", "oracle", "compare", "evaluate"],
+    )
+    def test_exits_two_with_one_error_line(self, capsys, overflow_config_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--config", overflow_config_path)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestUsageAndErrors:
     def test_missing_plan_source_exits_two(self, capsys):
         assert run_cli(capsys, "optimize")[0] == 2

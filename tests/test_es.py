@@ -13,7 +13,13 @@ import pytest
 import millopt
 from millopt import ContractError
 from millopt.es import EsConfig, initial_state, mutate, recombine, run, select, step
-from millopt.milling import batch_evaluate, compile_context, decision_bounds, derive_coefficients
+from millopt.milling import (
+    batch_evaluate,
+    compile_context,
+    decision_bounds,
+    derive_coefficients,
+    plan_warnings,
+)
 from millopt.oracle import GridSpec, dinkelbach_solve
 
 
@@ -487,7 +493,7 @@ class TestRun:
         assert result.profit_rate is None
         assert result.generations == 0
         assert result.evaluations == 0
-        assert any("force constraint skipped" in w for w in result.warnings)
+        assert any("force constraint skipped" in w for w in plan_warnings(toy_infeasible_plan))
 
     def test_max_generations_caps_run_length(self, toy_single_plan):
         result = run(toy_single_plan, EsConfig(seed=0, max_generations=4, stall_limit=1000))

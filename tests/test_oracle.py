@@ -91,7 +91,7 @@ def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
 def scan(op_index, lam, plan, ctx, grid):
     """per_op_grid_min on a freshly prepared grid; None when it has no
     feasible point."""
-    op = prepare_op_grid(op_index, plan, ctx, grid)
+    op = prepare_op_grid(op_index, ctx, grid)
     return None if op is None else per_op_grid_min(op, lam)
 
 
@@ -234,7 +234,7 @@ def scan_prepared_both(plan, ctx, op_index, lams, resolution):
     """One prepared grid scanned at every lam, each result asserted equal
     (floats with ==) to the full-grid scan."""
     grid = GridSpec(resolution=resolution)
-    op = prepare_op_grid(op_index, plan, ctx, grid)
+    op = prepare_op_grid(op_index, ctx, grid)
     got = [None if op is None else per_op_grid_min(op, lam) for lam in lams]
     assert got == [reference_grid_min(op_index, lam, plan, ctx, grid) for lam in lams]
     return got
@@ -474,7 +474,7 @@ def rows_context(plan, resolution, nrow, **entries):
     while c5 * speeds[nrow - 1] * first_pow > 1.0:
         c5 = math.nextafter(c5, 0.0)
     plan, ctx = edge_context(plan, c5=c5, **entries)
-    op = prepare_op_grid(0, plan, ctx, GridSpec(resolution=resolution))
+    op = prepare_op_grid(0, ctx, GridSpec(resolution=resolution))
     assert op.nrow == nrow
     return plan, ctx, op
 
@@ -510,7 +510,7 @@ class TestRowBlockEdges:
         while c5 * 2.0 * 64.0**0.8 > 1.0:
             c5 = math.nextafter(c5, 0.0)
         plan, ctx = edge_context(plan, k1=1.0, tool_cost_coef=0.0, c5=c5, feed_cap=128.0)
-        op = prepare_op_grid(0, plan, ctx, GridSpec(resolution=128))
+        op = prepare_op_grid(0, ctx, GridSpec(resolution=128))
         assert op.widths[:2].tolist() == [128, 64] and op.nrow <= oracle._BAND
         assert (speeds[:op.nrow] * feeds[op.widths[: op.nrow] - 1] <= 128.0).all()
         assert scan_both(plan, ctx, 0, 2.0, 128)[:2] == (1.0, 128.0)
@@ -563,16 +563,13 @@ class TestToySingleOpExactly:
         assert result.profit_rate == pytest.approx(6.838161238413391, rel=1e-12)
         assert result.iterations == 2
 
-    def test_multiplier_trace_starts_at_midpoint_ratio_and_climbs(self, toy_single_plan):
-        coeffs = derive_coefficients(toy_single_plan)
-        mid = DecisionVector((90.0,), (0.225,))
-        mid_rate = profit_rate(toy_single_plan, mid, coeffs)
+    def test_multiplier_trace_starts_at_corner_rate_and_never_falls(self, toy_single_plan):
+        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
         result = dinkelbach_solve(toy_single_plan, grid=GridSpec(resolution=3))
         trace = result.lambda_trace
-        assert trace[0] == pytest.approx(mid_rate, rel=1e-12)
-        assert trace[0] == pytest.approx(6.426441377608507, rel=1e-12)
-        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == pytest.approx(result.profit_rate, rel=1e-12)
+        assert trace[0] == batch_evaluate(ctx, ctx.lower).fitness[0]
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == result.profit_rate
 
 
 class TestToyTwoOpJoint:
@@ -667,9 +664,9 @@ class TestBuiltinCaseOracle:
             unit_time=6.567470977267379,
             iterations=4,
             lambda_trace=(
-                0.0,
-                1.3373335706423528,
-                1.3780170125345577,
+                0.20579121144566853,
+                1.3504893430595666,
+                1.3780174099309268,
                 1.3780329565036475,
                 1.3780329565036475,
             ),
@@ -698,6 +695,62 @@ class TestBuiltinCaseOracle:
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def dinkelbach_from(plan, lam, resolution):
+    """Dinkelbach's iteration over the grid, run here from the multiplier
+    lam: (best, profit_rate, unit_cost, unit_time) where it settles."""
+    coeffs = derive_coefficients(plan)
+    ctx = compile_context(plan, coeffs)
+    grid = GridSpec(resolution=resolution)
+    ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+    for _ in range(grid.max_dinkelbach_iterations):
+        points = [per_op_grid_min(op, lam) for op in ops]
+        x = DecisionVector(tuple(p[0] for p in points), tuple(p[1] for p in points))
+        cost, time = unit_cost(plan, x, coeffs), unit_time(plan, x, coeffs)
+        lam_next = (plan.economics.sale_price - cost) / time
+        if abs(lam_next - lam) < grid.dinkelbach_tolerance:
+            return x, lam_next, cost, time
+        lam = lam_next
+    raise AssertionError(f"no convergence from {lam}")
+
+
+def midpoint_rate(plan):
+    """Profit rate at the box midpoints, feasible or not."""
+    mid = DecisionVector(
+        tuple((op.speed_bounds[0] + op.speed_bounds[1]) / 2.0 for op in plan.operations),
+        tuple((op.feed_bounds[0] + op.feed_bounds[1]) / 2.0 for op in plan.operations),
+    )
+    return profit_rate(plan, mid, derive_coefficients(plan))
+
+
+class TestDinkelbachStart:
+    """Dinkelbach's iteration converges from any multiplier: started at 0
+    or at the box-midpoint ratio, it settles on the very answer that
+    dinkelbach_solve, started at the lowest corner's rate, returns."""
+
+    @staticmethod
+    def start_free(plan, resolution):
+        """False for a plan with no feasible point; else asserts that both
+        starts settle on dinkelbach_solve's answer."""
+        result = dinkelbach_solve(plan, grid=GridSpec(resolution=resolution))
+        if not result.feasible:
+            return False
+        expected = (result.best, result.profit_rate, result.unit_cost, result.unit_time)
+        for start in (0.0, midpoint_rate(plan)):
+            assert dinkelbach_from(plan, start, resolution) == expected
+        return True
+
+    @pytest.mark.parametrize("resolution", [2, 7, 50, 500, 833])
+    def test_builtin_case(self, builtin_plan, resolution):
+        assert self.start_free(builtin_plan, resolution)
+
+    @pytest.mark.parametrize("resolution", [7, 50])
+    def test_random_plans(self, resolution):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 100:
+            checked += self.start_free(random_plan(rng), resolution)
+
+
 class TestFailureModes:
     def test_infeasible_instance_reports_not_raises(self, toy_infeasible_plan):
         result = dinkelbach_solve(toy_infeasible_plan, grid=GridSpec(resolution=20))
@@ -723,7 +776,7 @@ class TestFailureModes:
             ctx = compile_context(plan, coeffs)
             corner = bool(batch_evaluate(ctx, ctx.lower).feasible[0])
             on_grid = all(
-                prepare_op_grid(i, plan, ctx, grid) is not None for i in range(plan.m)
+                prepare_op_grid(i, ctx, grid) is not None for i in range(plan.m)
             )
             scalar = all(
                 m.satisfied
