@@ -12,13 +12,19 @@ Every report is JSON, so full precision counts.  The set:
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-4 (the
     runs of the es_builtin benchmark workload);
-  * oracle on the bundled case at resolutions 500, 833, ..., 2500 and 4000;
+  * oracle on the bundled case at resolutions 2, 3 and 7, where the
+    multiplier iteration's minimizer repeats early, and at 500, 833, ...,
+    2500 and 4000;
   * one evaluate on the bundled case;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
     midpoints) on the first 60 random plan documents from rng [7, 3];
   * optimize, oracle, compare and evaluate on the bundled document with
     tool wear that overflows (every life_exponent 0.004, every k3_override
-    1.0).
+    1.0);
+  * one run per retired solver setting, on the bundled document with that
+    key set to a once-valid value: optimize --stall 50 for the es keys,
+    oracle for the oracle keys.  Documents with these keys are rejected
+    as unknown keys.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -46,11 +52,19 @@ from millopt.cli import main  # noqa: E402
 from workloads import midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
-RESOLUTIONS = (500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
+RESOLUTIONS = (2, 3, 7, 500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
 RANDOM_PLANS = 60
 PLAN_RNG = [7, 3]
 PLAN_STALL = "200"
 PLAN_RESOLUTION = "300"
+RETIRED_KEYS = (
+    ("es", "tau_global", 0.2),
+    ("es", "tau_local", 0.4),
+    ("es", "sigma_floor", 1e-6),
+    ("es", "max_generations", 5000),
+    ("oracle", "dinkelbach_tolerance", 1e-9),
+    ("oracle", "max_dinkelbach_iterations", 100),
+)
 
 
 def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
@@ -102,6 +116,17 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         "evaluate", *overflow,
         "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
     )
+
+    for section, key, value in RETIRED_KEYS:
+        document = json.loads(builtin_document_bytes().decode("utf-8"))
+        document[section] = {key: value}
+        path = workdir / f"retired_{key}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        retired = ("--config", str(path), "--out", "json")
+        if section == "es":
+            yield f"optimize {section}.{key}", ("optimize", *retired, "--stall", "50")
+        else:
+            yield f"oracle {section}.{key}", ("oracle", *retired)
 
 
 def digest(text: str) -> str:

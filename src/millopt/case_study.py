@@ -118,22 +118,11 @@ OPERATION_OPTIONAL_KEYS = (
     "feed_bounds",
     "k3_override",
 )
-ES_OVERRIDE_KEYS = (
-    "mu",
-    "eta",
-    "sigma_init",
-    "alpha",
-    "tau_global",
-    "tau_local",
-    "stall_limit",
-    "max_generations",
-    "seed",
-    "sigma_floor",
-)
-ORACLE_OVERRIDE_KEYS = ("resolution", "dinkelbach_tolerance", "max_dinkelbach_iterations")
+ES_OVERRIDE_KEYS = ("mu", "eta", "sigma_init", "alpha", "stall_limit", "seed")
+ORACLE_OVERRIDE_KEYS = ("resolution",)
 
-_ES_INT_KEYS = frozenset({"mu", "eta", "stall_limit", "max_generations", "seed"})
-_ORACLE_INT_KEYS = frozenset({"resolution", "max_dinkelbach_iterations"})
+_ES_INT_KEYS = frozenset({"mu", "eta", "stall_limit", "seed"})
+_ORACLE_INT_KEYS = frozenset({"resolution"})
 
 
 def _expect_mapping(value: Any, where: str) -> Mapping[str, Any]:

@@ -10,8 +10,8 @@ PATH):
   compare    published rows next to a fresh strategy run and the oracle
 
 Reports carry no timestamps, so a repeated run with the same seed writes
-byte-identical output.  Exit codes: 0 success, 1 oracle iteration
-failure, 2 usage, document or overflow error, 3 no feasible solution.
+byte-identical output.  Exit codes: 0 success, 1 oracle iteration guard
+reached, 2 usage, document or overflow error, 3 no feasible solution.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
             "sigma_init": config.sigma_init,
             "alpha": config.alpha,
             "stall_limit": config.stall_limit,
-            "max_generations": config.max_generations,
-            "sigma_floor": config.sigma_floor,
+            "max_generations": es.MAX_GENERATIONS,
+            "sigma_floor": es.SIGMA_FLOOR,
         },
     )
     return _render_keyed(report, args.out), 0 if result.feasible else 3

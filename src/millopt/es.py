@@ -35,7 +35,10 @@ from .milling import (
 )
 
 __all__ = [
+    "SIGMA_FLOOR",
+    "MAX_GENERATIONS",
     "EsConfig",
+    "learning_rates",
     "BestRecord",
     "EsState",
     "RunResult",
@@ -48,28 +51,29 @@ __all__ = [
 ]
 
 
+# Step sizes never fall below this floor, so they cannot collapse to zero.
+SIGMA_FLOOR = 1e-8
+
+# A run stops after this many generations even if it is still improving.
+MAX_GENERATIONS = 100_000
+
+
 @dataclass(frozen=True)
 class EsConfig:
     """Strategy settings.
 
-    tau_global scales one shared log-normal draw per individual and
-    tau_local one independent draw per component; both default to the
-    standard schedule 1/sqrt(2*l) and 1/sqrt(2*sqrt(l)) for genome length
-    l when left as None.  sigma_floor keeps step sizes from collapsing to
-    zero.  The run stops after stall_limit generations without strict
-    improvement, or at max_generations as a hard cap.
+    mu parents breed eta children per generation; every step size starts
+    at sigma_init, and alpha weights the first parent's step sizes in
+    recombination.  The run stops after stall_limit generations without
+    strict improvement, or at MAX_GENERATIONS.  seed fixes every draw.
     """
 
     mu: int = 15
     eta: int = 105
     sigma_init: float = 3.0
     alpha: float = 0.5
-    tau_global: float | None = None
-    tau_local: float | None = None
     stall_limit: int = 1000
-    max_generations: int = 100_000
     seed: int = 0
-    sigma_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (isinstance(self.mu, int) and self.mu >= 1):
@@ -80,30 +84,19 @@ class EsConfig:
             raise ValueError("sigma_init must be > 0")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be strictly between 0 and 1")
-        for name in ("tau_global", "tau_local"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be > 0 when given")
         if not (isinstance(self.stall_limit, int) and self.stall_limit >= 1):
             raise ValueError("stall_limit must be an integer >= 1")
-        if not (isinstance(self.max_generations, int) and self.max_generations >= 1):
-            raise ValueError("max_generations must be an integer >= 1")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0.0):
-            raise ValueError("sigma_floor must be > 0")
 
-    def resolved_taus(self, genome_length: int) -> tuple[float, float]:
-        """(tau_global, tau_local) with defaults filled in for length l."""
-        if genome_length < 1:
-            raise ValueError("genome_length must be >= 1")
-        tau_g = self.tau_global if self.tau_global is not None else 1.0 / math.sqrt(2.0 * genome_length)
-        tau_l = (
-            self.tau_local
-            if self.tau_local is not None
-            else 1.0 / math.sqrt(2.0 * math.sqrt(genome_length))
-        )
-        return tau_g, tau_l
+
+def learning_rates(genome_length: int) -> tuple[float, float]:
+    """(tau_global, tau_local) for genome length l: the standard schedule
+    1/sqrt(2*l) for the shared draw and 1/sqrt(2*sqrt(l)) for the
+    per-component draws."""
+    if genome_length < 1:
+        raise ValueError("genome_length must be >= 1")
+    return 1.0 / math.sqrt(2.0 * genome_length), 1.0 / math.sqrt(2.0 * math.sqrt(genome_length))
 
 
 @dataclass
@@ -194,17 +187,19 @@ def mutate(
     sigmas: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    config: EsConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Self-adapt the step sizes, perturb the genomes, clip to the box.
 
-    Returns new arrays; the inputs are left unchanged.
+    Each child's step sizes are scaled by exp(tau_global * g + tau_local *
+    e_j), with one draw g per child and one e_j per component, at the
+    learning rates for the genome length, and kept at or above
+    SIGMA_FLOOR.  Returns new arrays; the inputs are left unchanged.
     """
     n, length = genomes.shape
     if length != lower.shape[0]:
         raise ContractError(f"genome length {length} does not match bounds length {lower.shape[0]}")
-    tau_g, tau_l = config.resolved_taus(length)
+    tau_g, tau_l = learning_rates(length)
     # One shared global draw per individual, one local draw per component,
     # then one perturbation per component, all from one call: the generator
     # keeps no state between normal draws, so this is the stream three
@@ -217,7 +212,7 @@ def mutate(
     new_sigmas += tau_g * global_draw
     np.exp(new_sigmas, out=new_sigmas)
     new_sigmas *= sigmas
-    np.maximum(new_sigmas, config.sigma_floor, out=new_sigmas)
+    np.maximum(new_sigmas, SIGMA_FLOOR, out=new_sigmas)
     new_genomes *= new_sigmas
     new_genomes += genomes
     np.maximum(new_genomes, lower, out=new_genomes)
@@ -257,7 +252,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         config.alpha,
         rng,
     )
-    genomes, sigmas = mutate(genomes, sigmas, ctx.lower, ctx.upper, config, rng)
+    genomes, sigmas = mutate(genomes, sigmas, ctx.lower, ctx.upper, rng)
 
     fitnesses = batch_evaluate(ctx, genomes).fitness
     order = select(fitnesses, mu)
@@ -303,7 +298,7 @@ def run(
     ctx = compile_context(plan, coeffs)
     state = initial_state(ctx, config)
     # No point of the box is feasible unless its lowest corner is.
-    max_generations = config.max_generations if corner_rate(ctx) is not None else 0
+    max_generations = MAX_GENERATIONS if corner_rate(ctx) is not None else 0
     while state.record.stall_counter < config.stall_limit and state.generation < max_generations:
         state = step(state, ctx, config)
         if observer is not None:

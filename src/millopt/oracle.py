@@ -8,7 +8,9 @@ current minimizers (Dinkelbach's scheme) therefore finds the exact
 optimum over a finite speed/feed grid in a handful of iterations, without
 any evolutionary machinery.  It converges from the ratio of any feasible
 point, and starts from the lowest corner of the box, whose feasibility
-decides whether the plan has a feasible point at all.  The result is a
+decides whether the plan has a feasible point at all.  From a point's
+ratio lam rises strictly until the minimizer repeats, so the iteration
+stops there, on a fixed point, and needs no tolerance.  The result is a
 certified lower bound on the continuous optimum and the yardstick the
 strategy is tested against.
 
@@ -53,6 +55,7 @@ from .milling import (
 )
 
 __all__ = [
+    "MAX_DINKELBACH_ITERATIONS",
     "GridSpec",
     "OracleResult",
     "OracleError",
@@ -71,35 +74,25 @@ _BLOCK_ELEMENTS = 1 << 15
 _BAND = 64
 
 
+# Guard on the multiplier iteration.  On the bundled case and on random
+# plans it stops within 5 iterations; reaching the guard is a fault.
+MAX_DINKELBACH_ITERATIONS = 100
+
+
 class OracleError(RuntimeError):
-    """The multiplier iteration failed to converge."""
+    """The multiplier iteration did not settle within the guard."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid density and convergence settings for the oracle.
-
-    resolution is the number of points per axis per operation, endpoints
-    included.  The multiplier iteration stops when consecutive lam values
-    differ by less than dinkelbach_tolerance.
-    """
+    """Grid density for the oracle: resolution is the number of points per
+    axis per operation, endpoints included."""
 
     resolution: int = 500
-    dinkelbach_tolerance: float = 1e-9
-    max_dinkelbach_iterations: int = 100
 
     def __post_init__(self) -> None:
         if not (isinstance(self.resolution, int) and self.resolution >= 2):
             raise ValueError("resolution must be an integer >= 2")
-        if not (
-            math.isfinite(self.dinkelbach_tolerance) and self.dinkelbach_tolerance > 0.0
-        ):
-            raise ValueError("dinkelbach_tolerance must be > 0")
-        if not (
-            isinstance(self.max_dinkelbach_iterations, int)
-            and self.max_dinkelbach_iterations >= 1
-        ):
-            raise ValueError("max_dinkelbach_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -339,11 +332,19 @@ def _power_widths(power: np.ndarray, feeds_pow: np.ndarray) -> np.ndarray:
 def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleResult:
     """Exact profit-rate optimum over the product grid.
 
-    The multiplier starts at the profit rate of the box's lowest corner.
-    Returns an infeasible result, before any iteration, when that corner
-    is infeasible; raises DomainError as corner_rate does, and OracleError
-    with the multiplier trace if the iteration does not settle within
-    max_dinkelbach_iterations.
+    The multiplier lam starts at the profit rate of the box's lowest
+    corner.  Each iteration takes, per operation, the grid point
+    minimizing cost + lam * time, and the whole point's rate as the next
+    lam.  It stops at the first point that equals the previous one (the
+    corner, before the first iteration) or whose rate is not above lam:
+    that point is a fixed point of the iteration and the grid optimum.
+    While it goes on, lam rises strictly, so no point recurs and the
+    iteration ends on a finite grid without a tolerance.
+
+    Returns an infeasible result, before any iteration, when the corner is
+    infeasible; raises DomainError as corner_rate does, and OracleError
+    with the multiplier trace if the iteration does not stop within
+    MAX_DINKELBACH_ITERATIONS.
     """
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
@@ -362,16 +363,17 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
             lambda_trace=(),
         )
     ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+    previous = DecisionVector.from_genome(ctx.lower)
     trace: list[float] = [lam]
 
-    for iteration in range(1, grid.max_dinkelbach_iterations + 1):
+    for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
         points = [per_op_grid_min(op, lam) for op in ops]
         x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
         cost = unit_cost(plan, x, coeffs)
         time = unit_time(plan, x, coeffs)
         lam_next = (plan.economics.sale_price - cost) / time
         trace.append(lam_next)
-        if abs(lam_next - lam) < grid.dinkelbach_tolerance:
+        if x == previous or lam_next <= lam:
             return OracleResult(
                 feasible=True,
                 best=x,
@@ -381,9 +383,9 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
                 iterations=iteration,
                 lambda_trace=tuple(trace),
             )
-        lam = lam_next
+        lam, previous = lam_next, x
 
     raise OracleError(
         "multiplier iteration did not converge within "
-        f"{grid.max_dinkelbach_iterations} iterations; trace: {trace}"
+        f"{MAX_DINKELBACH_ITERATIONS} iterations; trace: {trace}"
     )

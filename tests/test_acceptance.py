@@ -41,7 +41,8 @@ from millopt import (
 )
 from millopt.case_study import REFERENCE_ROWS, consistency_gap
 from millopt.cli import main
-from millopt.es import mutate
+from millopt import es
+from millopt.es import SIGMA_FLOOR, learning_rates, mutate
 
 
 SALE_PRICE = 25.0
@@ -367,9 +368,8 @@ def test_objective_is_zero_exactly_when_infeasible(builtin_plan, builtin_coeffs)
 
 def test_mutation_step_size_statistics(builtin_plan):
     started = time.monotonic()
-    config = EsConfig()
     length = 2 * builtin_plan.m
-    tau_g, tau_l = config.resolved_taus(length)
+    tau_g, tau_l = learning_rates(length)
     a, b = tau_g**2, tau_l**2
 
     lower = np.full(length, 1e-12)
@@ -380,7 +380,7 @@ def test_mutation_step_size_statistics(builtin_plan):
     n = 100_000
     log_ratios = np.empty((n, length))
     for i in range(n):
-        _, child_sigmas = mutate(base_genome, base_sigmas, lower, upper, config, rng)
+        _, child_sigmas = mutate(base_genome, base_sigmas, lower, upper, rng)
         log_ratios[i] = np.log(child_sigmas[0] / base_sigmas[0])
 
     sample_mean = float(log_ratios.mean())
@@ -407,12 +407,13 @@ def test_mutation_step_size_statistics(builtin_plan):
 # ---------------------------------------------------------------------------
 
 
-def test_long_run_invariants_hold_every_generation(builtin_plan):
+def test_long_run_invariants_hold_every_generation(builtin_plan, monkeypatch):
     started = time.monotonic()
     from millopt.milling import decision_bounds
 
     lower, upper = decision_bounds(builtin_plan)
-    config = EsConfig(seed=0, max_generations=2000, stall_limit=2000)
+    monkeypatch.setattr(es, "MAX_GENERATIONS", 2000)
+    config = EsConfig(seed=0, stall_limit=2000)
     best_so_far = [0.0]
     generations_seen = [0]
 
@@ -422,7 +423,7 @@ def test_long_run_invariants_hold_every_generation(builtin_plan):
         best_so_far[0] = state.record.fitness
         assert np.all(state.genomes >= lower - 1e-12)
         assert np.all(state.genomes <= upper + 1e-12)
-        assert np.all(state.sigmas >= config.sigma_floor)
+        assert np.all(state.sigmas >= SIGMA_FLOOR)
 
     result = run(builtin_plan, config, observer=check)
     assert generations_seen[0] == result.generations == 2000

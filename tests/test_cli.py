@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from millopt import cli
-from millopt.case_study import builtin_document_bytes, dump_plan
+from millopt import EsConfig, GridSpec, PlanError, cli, oracle
+from millopt.case_study import builtin_document_bytes, dump_plan, load_document
 from millopt.cli import main
 
 from conftest import (
@@ -203,12 +203,11 @@ class TestOracleCommand:
         assert report["feasible"] is False
         assert report["iterations"] == 0 and report["lambda_trace"] == []
 
-    def test_unconverged_iteration_exits_one(self, capsys, tmp_path):
-        document = json.loads(builtin_document_bytes())
-        document["oracle"] = {"max_dinkelbach_iterations": 1, "resolution": 50}
-        path = tmp_path / "one_iteration.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        code, out, err = run_cli(capsys, "oracle", "--config", str(path))
+    def test_unconverged_iteration_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DINKELBACH_ITERATIONS", 1)
+        code, out, err = run_cli(
+            capsys, "oracle", "--builtin-case", "--grid-resolution", "50"
+        )
         assert code == 1
         assert out == ""
         assert "error:" in err and "did not converge" in err
@@ -402,6 +401,31 @@ class TestDocumentOverrides:
         code, _, err = run_cli(capsys, "optimize", "--config", path)
         assert code == 2
         assert "mu" in err
+
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        [
+            ("es", "tau_global", 0.2),
+            ("es", "tau_local", 0.4),
+            ("es", "sigma_floor", 1e-6),
+            ("es", "max_generations", 5000),
+            ("oracle", "dinkelbach_tolerance", 1e-9),
+            ("oracle", "max_dinkelbach_iterations", 100),
+        ],
+    )
+    def test_retired_setting_is_an_unknown_key(self, capsys, tmp_path, section, key, value):
+        document = dump_plan(single_face_plan())
+        document[section] = {key: value}
+        with pytest.raises(PlanError, match=f"unknown key '{key}' in section '{section}'"):
+            load_document(document)
+        command = "optimize" if section == "es" else "oracle"
+        code, out, err = run_cli(capsys, command, "--config", self.write(tmp_path, document))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err
+        settings = EsConfig if section == "es" else GridSpec
+        with pytest.raises(TypeError):
+            settings(**{key: value})
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ whole-run behavior including determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,18 @@ import pytest
 
 import millopt
 from millopt import ContractError
-from millopt.es import EsConfig, initial_state, mutate, recombine, run, select, step
+from millopt import es
+from millopt.es import (
+    SIGMA_FLOOR,
+    EsConfig,
+    initial_state,
+    learning_rates,
+    mutate,
+    recombine,
+    run,
+    select,
+    step,
+)
 from millopt.milling import (
     batch_evaluate,
     compile_context,
@@ -61,9 +73,12 @@ class TestEsConfig:
         assert cfg.sigma_init == 3.0
         assert cfg.alpha == 0.5
         assert cfg.stall_limit == 1000
-        assert cfg.max_generations == 100_000
         assert cfg.seed == 0
-        assert cfg.sigma_floor == 1e-8
+        assert es.MAX_GENERATIONS == 100_000
+        assert SIGMA_FLOOR == 1e-8
+        assert [f.name for f in dataclasses.fields(EsConfig)] == [
+            "mu", "eta", "sigma_init", "alpha", "stall_limit", "seed",
+        ]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -78,13 +93,10 @@ class TestEsConfig:
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"alpha": -0.2},
-            {"tau_global": 0.0},
-            {"tau_local": -0.1},
-            {"stall_limit": 0},
-            {"max_generations": 0},
-            {"seed": -1},
-            {"seed": 2**64},
-            {"sigma_floor": 0.0},
+            # explicit ids keep these cases' ids stable when the list changes
+            pytest.param({"stall_limit": 0}, id="overrides12"),
+            pytest.param({"seed": -1}, id="overrides14"),
+            pytest.param({"seed": 2**64}, id="overrides15"),
         ],
     )
     def test_rejects_bad_settings(self, overrides):
@@ -92,19 +104,15 @@ class TestEsConfig:
             EsConfig(**overrides)
 
     def test_resolved_taus_for_length_ten(self):
-        tau_g, tau_l = EsConfig().resolved_taus(10)
+        tau_g, tau_l = learning_rates(10)
         assert tau_g == pytest.approx(1.0 / math.sqrt(20.0), rel=1e-15)
         assert tau_l == pytest.approx(1.0 / math.sqrt(2.0 * math.sqrt(10.0)), rel=1e-15)
         assert tau_g == pytest.approx(0.22361, abs=5e-6)
         assert tau_l == pytest.approx(0.39764, abs=5e-6)
 
-    def test_explicit_taus_pass_through(self):
-        cfg = EsConfig(tau_global=0.1, tau_local=0.2)
-        assert cfg.resolved_taus(10) == (0.1, 0.2)
-
     def test_resolved_taus_rejects_empty_genome(self):
         with pytest.raises(ValueError):
-            EsConfig().resolved_taus(0)
+            learning_rates(0)
 
 
 def zero_draws(length: int) -> QueuedNormals:
@@ -115,7 +123,7 @@ def zero_draws(length: int) -> QueuedNormals:
 def clip(genome, lower, upper):
     """One mutation with zero draws, so only the box projection acts."""
     clipped, _ = mutate(
-        genome[None, :], np.ones((1, lower.size)), lower, upper, EsConfig(), zero_draws(lower.size)
+        genome[None, :], np.ones((1, lower.size)), lower, upper, zero_draws(lower.size)
     )
     return clipped[0]
 
@@ -144,7 +152,7 @@ class TestClipToBox:
     def test_length_mismatch_rejected(self, builtin_plan):
         lower, upper = decision_bounds(builtin_plan)
         with pytest.raises(ContractError):
-            mutate(np.ones((1, 3)), np.ones((1, 3)), lower, upper, EsConfig(), np.random.default_rng(0))
+            mutate(np.ones((1, 3)), np.ones((1, 3)), lower, upper, np.random.default_rng(0))
 
 
 class TestInitPopulation:
@@ -223,17 +231,16 @@ class TestRecombine:
         genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
         sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
         lower, upper = np.full(length, 70.0), np.full(length, 110.0)
-        config = EsConfig()
-        tau_g, tau_l = config.resolved_taus(length)
+        tau_g, tau_l = learning_rates(length)
         rng = np.random.default_rng(5)
         global_draw = rng.standard_normal((n, 1))
         local_draws = rng.standard_normal((n, length))
         expected_sigmas = np.maximum(
-            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), config.sigma_floor
+            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), SIGMA_FLOOR
         )
         expected = np.clip(genomes + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
         mutated = np.random.default_rng(5)
-        child, child_sigmas = mutate(genomes, sigmas, lower, upper, config, mutated)
+        child, child_sigmas = mutate(genomes, sigmas, lower, upper, mutated)
         assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
         assert mutated.standard_normal() == rng.standard_normal()
 
@@ -256,7 +263,7 @@ class TestMutate:
     def test_zero_draws_leave_individual_unchanged(self):
         genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = zero_draws(2)
-        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
         assert np.array_equal(child, genome)
         assert np.array_equal(child_sigmas, sigmas)
         assert rng.exhausted
@@ -264,7 +271,7 @@ class TestMutate:
     def test_unit_draws_scale_sigma_by_exp_of_tau_sum(self):
         genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = QueuedNormals([np.ones((1, 1)), np.ones((1, 2)), np.zeros((1, 2))])
-        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
         tau_g = 1.0 / math.sqrt(2.0 * 2.0)
         tau_l = 1.0 / math.sqrt(2.0 * math.sqrt(2.0))
         expected = 3.0 * math.exp(tau_g + tau_l)
@@ -276,7 +283,7 @@ class TestMutate:
         lower = np.full(10, 0.01)
         upper = np.full(10, 200.0)
         rng = QueuedNormals([np.ones((1, 1)), np.ones((1, 10)), np.zeros((1, 10))])
-        _, child_sigmas = mutate(genome, sigmas, lower, upper, EsConfig(), rng)
+        _, child_sigmas = mutate(genome, sigmas, lower, upper, rng)
         expected = 3.0 * math.exp(1.0 / math.sqrt(20.0) + 1.0 / math.sqrt(2.0 * math.sqrt(10.0)))
         assert expected == pytest.approx(5.5837, abs=5e-5)
         assert child_sigmas[0] == pytest.approx(np.full(10, expected), rel=1e-15)
@@ -284,7 +291,7 @@ class TestMutate:
     def test_genome_step_uses_new_sigma_then_clips(self):
         genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 0.01]])
         rng = QueuedNormals([np.zeros((1, 1)), np.zeros((1, 2)), np.array([[2.0, -1.0]])])
-        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
         assert child[0, 0] == pytest.approx(90.0 + 3.0 * 2.0, rel=1e-15)
         assert child[0, 1] == pytest.approx(0.2 - 0.01, rel=1e-15)
 
@@ -293,7 +300,7 @@ class TestMutate:
         rng = QueuedNormals(
             [np.zeros((1, 1)), np.zeros((1, 2)), np.array([[1000.0, -1000.0]])]
         )
-        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, _ = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
         assert np.array_equal(child[0], np.array([120.0, 0.05]))
 
     def test_sigma_floor_applies(self):
@@ -301,13 +308,13 @@ class TestMutate:
         rng = QueuedNormals(
             [np.full((1, 1), -100.0), np.zeros((1, 2)), np.zeros((1, 2))]
         )
-        _, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
-        assert np.all(child_sigmas == EsConfig().sigma_floor)
+        _, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
+        assert np.all(child_sigmas == SIGMA_FLOOR)
 
     def test_mutated_individual_is_new_object(self):
         genome, sigmas = np.array([[90.0, 0.2]]), np.array([[3.0, 3.0]])
         rng = zero_draws(2)
-        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, EsConfig(), rng)
+        child, child_sigmas = mutate(genome, sigmas, self.LOWER, self.UPPER, rng)
         child[0, 0] = -1.0
         child_sigmas[0, 0] = -1.0
         assert genome[0, 0] == 90.0
@@ -320,24 +327,23 @@ class TestMutate:
         genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
         sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
         lower, upper = np.full(length, 70.0), np.full(length, 110.0)
-        config = EsConfig()
-        tau_g, tau_l = config.resolved_taus(length)
+        tau_g, tau_l = learning_rates(length)
         rng = np.random.default_rng(5)
         global_draw = rng.standard_normal((n, 1))
         local_draws = rng.standard_normal((n, length))
         expected_sigmas = np.maximum(
-            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), config.sigma_floor
+            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), SIGMA_FLOOR
         )
         expected = np.clip(genomes + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
         mutated = np.random.default_rng(5)
-        child, child_sigmas = mutate(genomes, sigmas, lower, upper, config, mutated)
+        child, child_sigmas = mutate(genomes, sigmas, lower, upper, mutated)
         assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
         assert mutated.standard_normal() == rng.standard_normal()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             mutate(
-                np.ones((1, 3)), np.ones((1, 3)), self.LOWER, self.UPPER, EsConfig(), np.random.default_rng(0)
+                np.ones((1, 3)), np.ones((1, 3)), self.LOWER, self.UPPER, np.random.default_rng(0)
             )
 
 
@@ -394,7 +400,7 @@ class TestStep:
             assert state.generation == expected_gen
             assert state.evaluations == expected_gen * cfg.eta
             assert state.genomes.shape == (cfg.mu, 2)
-            assert np.all(state.sigmas >= cfg.sigma_floor)
+            assert np.all(state.sigmas >= SIGMA_FLOOR)
             lower, upper = decision_bounds(toy_single_plan)
             assert np.all(state.genomes >= lower) and np.all(state.genomes <= upper)
 
@@ -495,8 +501,9 @@ class TestRun:
         assert result.evaluations == 0
         assert any("force constraint skipped" in w for w in plan_warnings(toy_infeasible_plan))
 
-    def test_max_generations_caps_run_length(self, toy_single_plan):
-        result = run(toy_single_plan, EsConfig(seed=0, max_generations=4, stall_limit=1000))
+    def test_max_generations_caps_run_length(self, toy_single_plan, monkeypatch):
+        monkeypatch.setattr(es, "MAX_GENERATIONS", 4)
+        result = run(toy_single_plan, EsConfig(seed=0, stall_limit=1000))
         assert result.generations == 4
 
     def test_single_op_matches_grid_oracle_across_seeds(self, toy_single_plan):

@@ -6,6 +6,7 @@ nested grids, and failure modes."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.milling import batch_evaluate, compile_context
+from millopt.milling import batch_evaluate, compile_context, corner_rate
 from millopt import oracle
 from millopt.oracle import per_op_grid_min, prepare_op_grid
 
@@ -38,8 +39,8 @@ class TestGridSpec:
     def test_defaults(self):
         spec = GridSpec()
         assert spec.resolution == 500
-        assert spec.dinkelbach_tolerance == 1e-9
-        assert spec.max_dinkelbach_iterations == 100
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["resolution"]
+        assert oracle.MAX_DINKELBACH_ITERATIONS == 100
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,9 +48,6 @@ class TestGridSpec:
             {"resolution": 1},
             {"resolution": 0},
             {"resolution": 2.5},
-            {"dinkelbach_tolerance": 0.0},
-            {"dinkelbach_tolerance": -1e-9},
-            {"max_dinkelbach_iterations": 0},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -695,21 +693,34 @@ class TestBuiltinCaseOracle:
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
-def dinkelbach_from(plan, lam, resolution):
-    """Dinkelbach's iteration over the grid, run here from the multiplier
-    lam: (best, profit_rate, unit_cost, unit_time) where it settles."""
+def grid_step(plan, coeffs, ops, lam):
+    """One multiplier iteration: the per-operation grid minimizers at lam
+    and (point, rate, unit_cost, unit_time) priced by the scalar model."""
+    points = [per_op_grid_min(op, lam) for op in ops]
+    x = DecisionVector(tuple(p[0] for p in points), tuple(p[1] for p in points))
+    cost, time = unit_cost(plan, x, coeffs), unit_time(plan, x, coeffs)
+    return x, (plan.economics.sale_price - cost) / time, cost, time
+
+
+def prepared(plan, resolution):
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     grid = GridSpec(resolution=resolution)
-    ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
-    for _ in range(grid.max_dinkelbach_iterations):
-        points = [per_op_grid_min(op, lam) for op in ops]
-        x = DecisionVector(tuple(p[0] for p in points), tuple(p[1] for p in points))
-        cost, time = unit_cost(plan, x, coeffs), unit_time(plan, x, coeffs)
-        lam_next = (plan.economics.sale_price - cost) / time
-        if abs(lam_next - lam) < grid.dinkelbach_tolerance:
+    return coeffs, ctx, [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+
+
+def dinkelbach_from(plan, lam, resolution):
+    """Dinkelbach's iteration over the grid, run here from the multiplier
+    lam: (best, profit_rate, unit_cost, unit_time) where it settles.  Once
+    lam is the rate of a grid point, it stops as dinkelbach_solve does: at
+    a point equal to the previous one or a rate not above lam."""
+    coeffs, _, ops = prepared(plan, resolution)
+    previous = None
+    for _ in range(oracle.MAX_DINKELBACH_ITERATIONS):
+        x, lam_next, cost, time = grid_step(plan, coeffs, ops, lam)
+        if previous is not None and (x == previous or lam_next <= lam):
             return x, lam_next, cost, time
-        lam = lam_next
+        lam, previous = lam_next, x
     raise AssertionError(f"no convergence from {lam}")
 
 
@@ -751,6 +762,67 @@ class TestDinkelbachStart:
             checked += self.start_free(random_plan(rng), resolution)
 
 
+def tolerance_solve(plan, resolution):
+    """Reference multiplier iteration with a tolerance: from the lowest
+    corner's rate, stop once consecutive multipliers differ by less than
+    1e-9, within 100 iterations."""
+    coeffs, ctx, ops = prepared(plan, resolution)
+    lam = corner_rate(ctx)
+    if lam is None:
+        return OracleResult(False, None, None, None, None, 0, ())
+    trace = [lam]
+    for iteration in range(1, 101):
+        x, lam_next, cost, time = grid_step(plan, coeffs, ops, lam)
+        trace.append(lam_next)
+        if abs(lam_next - lam) < 1e-9:
+            return OracleResult(True, x, lam_next, cost, time, iteration, tuple(trace))
+        lam = lam_next
+    raise AssertionError(f"no convergence within 100 iterations: {trace}")
+
+
+class TestStopRule:
+    """dinkelbach_solve stops at a repeated point or a rate not above the
+    multiplier.  It returns the whole result a tolerance of 1e-9 gives,
+    and the point it returns is a fixed point of the iteration."""
+
+    @staticmethod
+    def check(plan, resolution):
+        """False for a plan with no feasible point; else asserts both."""
+        result = dinkelbach_solve(plan, grid=GridSpec(resolution=resolution))
+        assert result == tolerance_solve(plan, resolution)
+        if not result.feasible:
+            return False
+        coeffs, _, ops = prepared(plan, resolution)
+        _, rate, _, _ = grid_step(plan, coeffs, ops, result.profit_rate)
+        assert rate <= result.profit_rate
+        return True
+
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 50, 500])
+    def test_builtin_case(self, builtin_plan, resolution):
+        assert self.check(builtin_plan, resolution)
+
+    def test_stops_when_the_rate_does_not_rise(self, toy_single_plan, monkeypatch):
+        # A scan alternating between the grid optimum and the lowest corner
+        # never repeats its previous point; the falling rate stops it.
+        grid = GridSpec(resolution=5)
+        best = dinkelbach_solve(toy_single_plan, grid=grid).best
+        _, ctx, _ = prepared(toy_single_plan, 5)
+        corner = DecisionVector.from_genome(ctx.lower)
+        assert best != corner
+        points = itertools.cycle([(best.speeds[0], best.feeds[0], 0.0), (*ctx.lower, 0.0)])
+        monkeypatch.setattr(oracle, "per_op_grid_min", lambda op, lam: next(points))
+        result = dinkelbach_solve(toy_single_plan, grid=grid)
+        assert result.iterations == 2 and result.best == corner
+        assert result.lambda_trace[2] < result.lambda_trace[1]
+
+    @pytest.mark.parametrize("resolution", [7, 50])
+    def test_random_plans(self, resolution):
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 100:
+            checked += self.check(random_plan(rng), resolution)
+
+
 class TestFailureModes:
     def test_infeasible_instance_reports_not_raises(self, toy_infeasible_plan):
         result = dinkelbach_solve(toy_infeasible_plan, grid=GridSpec(resolution=20))
@@ -786,21 +858,16 @@ class TestFailureModes:
             verdicts.add(corner)
         assert verdicts == {True, False}
 
-    def test_iteration_budget_exhaustion_raises_with_trace(self, toy_two_op_plan):
+    def test_iteration_budget_exhaustion_raises_with_trace(self, toy_two_op_plan, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DINKELBACH_ITERATIONS", 1)
         with pytest.raises(OracleError) as excinfo:
-            dinkelbach_solve(
-                toy_two_op_plan,
-                grid=GridSpec(resolution=10, max_dinkelbach_iterations=1),
-            )
+            dinkelbach_solve(toy_two_op_plan, grid=GridSpec(resolution=10))
         message = str(excinfo.value)
         assert "1 iteration" in message
         assert "trace" in message
 
     def test_tight_tolerance_still_converges_on_finite_grid(self, toy_single_plan):
-        # on a finite grid the iteration lands exactly, so even an extreme
-        # tolerance converges once the argmin repeats
-        result = dinkelbach_solve(
-            toy_single_plan,
-            grid=GridSpec(resolution=5, dinkelbach_tolerance=1e-15),
-        )
+        # on a finite grid the iteration stops once the argmin repeats,
+        # with no tolerance to set
+        result = dinkelbach_solve(toy_single_plan, grid=GridSpec(resolution=5))
         assert result.feasible
