@@ -12,6 +12,9 @@ Every report is JSON, so full precision counts.  The set:
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-4 (the
     runs of the es_builtin benchmark workload);
+  * optimize --sigma-init 0.3 --stall 200, seeds 0-1, on the bundled
+    document with its operations listed twice (m = 10), where numpy sums
+    a genome's ten terms through partial sums;
   * oracle on the bundled case at resolutions 2, 3 and 7, where the
     multiplier iteration's minimizer repeats early, and at 500, 833, ...,
     2500 and 4000;
@@ -20,7 +23,8 @@ Every report is JSON, so full precision counts.  The set:
     midpoints) on the first 60 random plan documents from rng [7, 3];
   * optimize, oracle, compare and evaluate on the bundled document with
     tool wear that overflows (every life_exponent 0.004, every k3_override
-    1.0);
+    1.0), and on one that overflows only above the lowest corner (every
+    life_exponent 1/151, every k3_override 1.0);
   * one run per retired solver setting, on the bundled document with that
     key set to a once-valid value: optimize --stall 50 for the es keys,
     oracle for the oracle keys.  Documents with these keys are rejected
@@ -52,6 +56,7 @@ from millopt.cli import main  # noqa: E402
 from workloads import midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
+REPEATED_SEEDS = range(2)
 RESOLUTIONS = (2, 3, 7, 500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
 RANDOM_PLANS = 60
 PLAN_RNG = [7, 3]
@@ -78,6 +83,19 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             f"optimize builtin sigma-init=0.3 seed={seed}",
             ("optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", str(seed), "--out", "json"),
         )
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    operations = document["operations"]
+    document["operations"] = operations + [
+        {**op, "number": op["number"] + len(operations)} for op in operations
+    ]
+    path = workdir / "repeated.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for seed in REPEATED_SEEDS:
+        yield (
+            f"optimize repeated sigma-init=0.3 seed={seed}",
+            ("optimize", "--config", str(path), "--sigma-init", "0.3", "--stall", "200",
+             "--seed", str(seed), "--out", "json"),
+        )
     for resolution in RESOLUTIONS:
         yield (
             f"oracle builtin resolution={resolution}",
@@ -102,20 +120,21 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         yield f"oracle plan={k}", ("oracle", *plan, "--grid-resolution", PLAN_RESOLUTION)
         yield f"evaluate plan={k}", ("evaluate", *plan, *point)
 
-    document = json.loads(builtin_document_bytes().decode("utf-8"))
-    for tool in document["tools"]:
-        tool["life_exponent"] = 0.004
-    for operation in document["operations"]:
-        operation["k3_override"] = 1.0
-    path = workdir / "overflow.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    overflow = ("--config", str(path), "--out", "json")
-    for command in ("optimize", "oracle", "compare"):
-        yield f"{command} overflow", (command, *overflow)
-    yield "evaluate overflow", (
-        "evaluate", *overflow,
-        "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
-    )
+    for name, life_exponent in (("overflow", 0.004), ("overflow above corner", 1 / 151)):
+        document = json.loads(builtin_document_bytes().decode("utf-8"))
+        for tool in document["tools"]:
+            tool["life_exponent"] = life_exponent
+        for operation in document["operations"]:
+            operation["k3_override"] = 1.0
+        path = workdir / f"{name.replace(' ', '_')}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        overflow = ("--config", str(path), "--out", "json")
+        for command in ("optimize", "oracle", "compare"):
+            yield f"{command} {name}", (command, *overflow)
+        yield f"evaluate {name}", (
+            "evaluate", *overflow,
+            "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
+        )
 
     for section, key, value in RETIRED_KEYS:
         document = json.loads(builtin_document_bytes().decode("utf-8"))

@@ -361,6 +361,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
             for m in margins
         ],
     )
+    # Rejects, as the solvers do, a plan whose prices overflow anywhere in
+    # its box, even where the point itself priced finitely.
+    milling.compile_context(plan, coeffs)
     return _render_keyed(report, args.out), 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,10 +91,11 @@ class EsConfig:
             raise ValueError("seed must be an integer in [0, 2**64)")
 
 
+@lru_cache(maxsize=None)
 def learning_rates(genome_length: int) -> tuple[float, float]:
     """(tau_global, tau_local) for genome length l: the standard schedule
     1/sqrt(2*l) for the shared draw and 1/sqrt(2*sqrt(l)) for the
-    per-component draws."""
+    per-component draws.  Cached: a run asks for them once per generation."""
     if genome_length < 1:
         raise ValueError("genome_length must be >= 1")
     return 1.0 / math.sqrt(2.0 * genome_length), 1.0 / math.sqrt(2.0 * math.sqrt(genome_length))
@@ -178,7 +180,8 @@ def recombine(
         raise ContractError(f"parent genome shapes differ: {genomes_a.shape} and {genomes_b.shape}")
     take_a = rng.integers(0, 2, size=genomes_a.shape).astype(bool)
     genomes = np.where(take_a, genomes_a, genomes_b)
-    sigmas = alpha * sigmas_a + (1.0 - alpha) * sigmas_b
+    sigmas = sigmas_a * alpha
+    sigmas += (1.0 - alpha) * sigmas_b
     return genomes, sigmas
 
 
@@ -241,14 +244,16 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     mu, eta = config.mu, config.eta
     # Two distinct parents per child, uniform over the population.
     first = rng.integers(0, mu, size=eta)
-    second = rng.integers(0, mu - 1, size=eta) if mu > 1 else np.zeros(eta, dtype=int)
     if mu > 1:
-        second = second + (second >= first)
+        second = rng.integers(0, mu - 1, size=eta)
+        second += second >= first
+    else:
+        second = np.zeros(eta, dtype=int)
     genomes, sigmas = recombine(
-        state.genomes[first],
-        state.genomes[second],
-        state.sigmas[first],
-        state.sigmas[second],
+        state.genomes.take(first, axis=0),
+        state.genomes.take(second, axis=0),
+        state.sigmas.take(first, axis=0),
+        state.sigmas.take(second, axis=0),
         config.alpha,
         rng,
     )
@@ -275,8 +280,8 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         )
 
     return EsState(
-        genomes=genomes[order],
-        sigmas=sigmas[order],
+        genomes=genomes.take(order, axis=0),
+        sigmas=sigmas.take(order, axis=0),
         record=record,
         generation=state.generation + 1,
         evaluations=state.evaluations + eta,
@@ -291,7 +296,7 @@ def run(
 ) -> RunResult:
     """Optimize a plan; deterministic for a fixed (plan, config, seed).
 
-    Raises DomainError as corner_rate does.
+    Raises DomainError as compile_context does.
     """
     config = config or EsConfig()
     coeffs = derive_coefficients(plan)

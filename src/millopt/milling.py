@@ -624,6 +624,9 @@ def plan_warnings(plan: MillingPlan) -> tuple[str, ...]:
     return tuple(notes)
 
 
+_COLUMN_FIELDS = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """Plan constants packed into arrays for batch evaluation.
@@ -635,6 +638,9 @@ class EvalContext:
     feasible_upper is derived, never passed: the speed half of upper
     followed by feed_cap, the box a feasible genome lies below.
     change_time[i] is operation i's tool change time; the fixed terms hold their sum.
+    The *_col fields are derived too: the per-operation constants, and the
+    box, as columns that broadcast over batch_evaluate's operation-major
+    blocks.
     """
 
     sale_price: float
@@ -651,10 +657,19 @@ class EvalContext:
     lower: np.ndarray
     upper: np.ndarray
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
+    k1_col: np.ndarray = field(init=False, repr=False, compare=False)
+    tool_cost_coef_col: np.ndarray = field(init=False, repr=False, compare=False)
+    speed_exponent_col: np.ndarray = field(init=False, repr=False, compare=False)
+    feed_exponent_col: np.ndarray = field(init=False, repr=False, compare=False)
+    c5_col: np.ndarray = field(init=False, repr=False, compare=False)
+    lower_col: np.ndarray = field(init=False, repr=False, compare=False)
+    feasible_upper_col: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
         object.__setattr__(self, "feasible_upper", feasible_upper)
+        for name in _COLUMN_FIELDS:
+            object.__setattr__(self, f"{name}_col", getattr(self, name)[:, None])
 
     @property
     def m(self) -> int:
@@ -689,7 +704,10 @@ def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float
 
 
 def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) -> EvalContext:
-    """Flatten a plan into the arrays batch_evaluate needs."""
+    """Flatten a plan into the arrays batch_evaluate needs.
+
+    Raises DomainError when a price inside the speed and feed box
+    overflows (see _check_box_prices)."""
     if len(coeffs) != plan.m:
         raise ContractError(f"plan has {plan.m} operations but got {len(coeffs)} coefficient sets")
     eco = plan.economics
@@ -701,7 +719,7 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
 
     lower, upper = decision_bounds(plan)
-    return EvalContext(
+    ctx = EvalContext(
         sale_price=eco.sale_price,
         rate=rate,
         cost_fixed=eco.material_cost + rate * (eco.setup_time + change_total),
@@ -718,6 +736,36 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
         lower=lower,
         upper=upper,
     )
+    _check_box_prices(ctx)
+    return ctx
+
+
+def _check_box_prices(ctx: EvalContext) -> None:
+    """Raise DomainError unless batch_evaluate prices every genome in the
+    box [lower, upper] with finite values.
+
+    The lowest corner is checked first, by batch_evaluate itself.  Over
+    the box, each machining time is largest at the lowest corner and
+    smallest at the highest.  v**a, f**b and the wear term are products of
+    positive monotone powers, largest at the corners the signs of a and b
+    pick.  Summed, these bound every unit cost, and with the smallest time
+    every profit rate, so no search in the box can overflow.  A factor
+    that overflows makes the bound inf or NaN.
+    """
+    m = ctx.m
+    v_lo, v_hi = ctx.lower[:m], ctx.upper[:m]
+    f_lo, f_hi = ctx.lower[m:], ctx.upper[m:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner_cost = batch_evaluate(ctx, ctx.lower).unit_cost[0]
+        if not math.isfinite(corner_cost):
+            raise DomainError(f"unit cost {corner_cost} at the lowest speeds and feeds: the plan overflows")
+        speed_factor = np.where(ctx.speed_exponent >= 0.0, v_hi, v_lo) ** ctx.speed_exponent
+        feed_factor = np.where(ctx.feed_exponent >= 0.0, f_hi, f_lo) ** ctx.feed_exponent
+        wear = speed_factor * ctx.tool_cost_coef * feed_factor
+        cost = ctx.cost_fixed + ctx.rate * (ctx.k1 / (v_lo * f_lo)).sum() + wear.sum()
+        rate = max(ctx.sale_price, cost) / (ctx.time_fixed + (ctx.k1 / (v_hi * f_hi)).sum())
+    if not (math.isfinite(cost) and math.isfinite(rate)):
+        raise DomainError(f"unit cost up to {cost} inside the speed and feed bounds: the plan overflows")
 
 
 @dataclass(frozen=True)
@@ -746,23 +794,33 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
     # reject.
     if points.size and not (points.min() > 0.0 and points.max() < math.inf):
         raise DomainError("all speeds and feeds must be finite and > 0")
-    v = points[:, :m]
-    f = points[:, m:]
+    # Operation-major copy: v and f are contiguous (m, n) blocks, so every
+    # ufunc below runs one inner loop per operation, not one per genome.
+    columns = points.T.copy()
+    v = columns[:m]
+    f = columns[m:]
 
-    t_machining = v * f
-    np.divide(ctx.k1, t_machining, out=t_machining)
-    machining = t_machining.sum(axis=1)
-    wear = v**ctx.speed_exponent
-    wear *= ctx.tool_cost_coef
-    wear *= f**ctx.feed_exponent
+    # Machining times in the first m rows, wear costs in the last m.
+    terms = np.empty_like(columns)
+    t_machining = np.multiply(v, f, out=terms[:m])
+    np.divide(ctx.k1_col, t_machining, out=t_machining)
+    wear = np.power(v, ctx.speed_exponent_col, out=terms[m:])
+    wear *= ctx.tool_cost_coef_col
+    wear *= f**ctx.feed_exponent_col
+    # Each genome's m terms are summed as one contiguous row, as in a
+    # genome-major layout: numpy sums eight or more elements through
+    # partial sums, so summing down the columns would change the bits
+    # once m >= 8.
+    machining, wear_total = terms.T.copy().reshape(points.shape[0], 2, m).sum(axis=2).T
     time_total = ctx.time_fixed + machining
-    cost_total = ctx.cost_fixed + ctx.rate * machining + wear.sum(axis=1)
+    cost_total = ctx.cost_fixed + ctx.rate * machining + wear_total
 
-    power = ctx.c5 * v
+    box = columns >= ctx.lower_col
+    box &= columns <= ctx.feasible_upper_col
+    power = ctx.c5_col * v
     power *= f**0.8
-    box = points >= ctx.lower
-    box &= points <= ctx.feasible_upper
-    feasible = (power <= 1.0).all(axis=1) & box.all(axis=1)
+    box[:m] &= power <= 1.0
+    feasible = box.all(axis=0)
 
     rate_of_profit = (ctx.sale_price - cost_total) / time_total
     return BatchEval(
@@ -776,11 +834,8 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
 def corner_rate(ctx: EvalContext) -> float | None:
     """Profit rate at the all-lowest genome ctx.lower, or None when it is
     infeasible, and with it, as every margin is nondecreasing in v and f,
-    every point.  Raises DomainError when the rate is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        corner = batch_evaluate(ctx, ctx.lower)
+    every point.  compile_context has checked that the rate is finite."""
+    corner = batch_evaluate(ctx, ctx.lower)
     if not corner.feasible[0]:
         return None
-    if not math.isfinite(corner.fitness[0]):
-        raise DomainError(f"unit cost {corner.unit_cost[0]} at the lowest speeds and feeds: the plan overflows")
     return float(corner.fitness[0])

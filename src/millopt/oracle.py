@@ -342,7 +342,7 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     iteration ends on a finite grid without a tolerance.
 
     Returns an infeasible result, before any iteration, when the corner is
-    infeasible; raises DomainError as corner_rate does, and OracleError
+    infeasible; raises DomainError as compile_context does, and OracleError
     with the multiplier trace if the iteration does not stop within
     MAX_DINKELBACH_ITERATIONS.
     """

@@ -5,6 +5,7 @@ and stderr logging."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -458,6 +459,44 @@ class TestOverflowingDocument:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.fixture()
+def overflow_above_corner_config_path(tmp_path):
+    """The bundled document with tool wear that stays finite at the lowest
+    corner (unit cost about 1.4e186) but overflows at faster speeds: life
+    exponent 1/151 raises speed to the 150th power."""
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    for tool in document["tools"]:
+        tool["life_exponent"] = 1 / 151
+    for operation in document["operations"]:
+        operation["k3_override"] = 1.0
+    path = tmp_path / "overflow_above_corner.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+class TestOverflowAboveTheCorner:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize",),
+            ("oracle", "--grid-resolution", "100"),
+            ("compare", "--grid-resolution", "100"),
+            ("evaluate", "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388"),
+        ],
+        ids=["optimize", "oracle", "compare", "evaluate"],
+    )
+    def test_exits_two_with_one_error_line_and_no_warning(
+        self, capsys, overflow_above_corner_config_path, argv
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--config", overflow_above_corner_config_path)
+        assert [w.message for w in caught] == []
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
 
 
 class TestUsageAndErrors:

@@ -679,6 +679,157 @@ class TestBatchEvaluate:
         assert not batch_evaluate(capped, ctx.lower).feasible[0]
 
 
+def reference_batch_evaluate(ctx, genomes):
+    """Genome-major form of batch_evaluate: v and f are column slices of
+    the (n, 2m) batch and every constant broadcasts as a row.
+    batch_evaluate must return exactly what this returns."""
+    points = np.atleast_2d(np.asarray(genomes, dtype=float))
+    m = ctx.m
+    v = points[:, :m]
+    f = points[:, m:]
+    t_machining = v * f
+    np.divide(ctx.k1, t_machining, out=t_machining)
+    machining = t_machining.sum(axis=1)
+    wear = v**ctx.speed_exponent
+    wear *= ctx.tool_cost_coef
+    wear *= f**ctx.feed_exponent
+    time_total = ctx.time_fixed + machining
+    cost_total = ctx.cost_fixed + ctx.rate * machining + wear.sum(axis=1)
+    power = ctx.c5 * v
+    power *= f**0.8
+    box = points >= ctx.lower
+    box &= points <= ctx.feasible_upper
+    feasible = (power <= 1.0).all(axis=1) & box.all(axis=1)
+    rate_of_profit = (ctx.sale_price - cost_total) / time_total
+    return np.where(feasible, rate_of_profit, 0.0), cost_total, time_total, feasible
+
+
+def assert_matches_reference(ctx, genomes) -> None:
+    got = batch_evaluate(ctx, genomes)
+    want = reference_batch_evaluate(ctx, genomes)
+    for name, expected in zip(("fitness", "unit_cost", "unit_time", "feasible"), want):
+        assert np.array_equal(getattr(got, name), expected), name
+
+
+def repeated_plan(plan: MillingPlan, times: int) -> MillingPlan:
+    """plan with its operations listed `times` times, renumbered."""
+    ops = plan.operations
+    return dataclasses.replace(
+        plan,
+        operations=tuple(
+            dataclasses.replace(op, number=op.number + k * len(ops)) for k in range(times) for op in ops
+        ),
+    )
+
+
+def boundary_rows(ctx, rng) -> np.ndarray:
+    """Rows from a random in-box base with one operation's feed exactly at
+    its cap, or its speed at the largest double that batch_evaluate's
+    power test accepts at that feed, and one ulp above each."""
+    m = ctx.m
+    base = rng.uniform(ctx.lower, ctx.upper)
+    rows = []
+    for i in range(m):
+        for f in (ctx.feed_cap[i], math.nextafter(ctx.feed_cap[i], math.inf)):
+            row = base.copy()
+            row[m + i] = f
+            rows.append(row)
+        # f**0.8 through the array loop batch_evaluate uses
+        feed_factor = float(np.power(base[m + i : m + i + 1], 0.8)[0])
+        v = 1.0 / (ctx.c5[i] * feed_factor)
+        while ctx.c5[i] * v * feed_factor > 1.0:
+            v = math.nextafter(v, 0.0)
+        while ctx.c5[i] * math.nextafter(v, math.inf) * feed_factor <= 1.0:
+            v = math.nextafter(v, math.inf)
+        for speed in (v, math.nextafter(v, math.inf)):
+            row = base.copy()
+            row[i] = speed
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestOperationMajorLayout:
+    BATCH_SIZES = (0, 1, 2, 105, 333)
+
+    def check_plan(self, plan, rng) -> None:
+        ctx = compile_context(plan, derive_coefficients(plan))
+        for n in self.BATCH_SIZES:
+            assert_matches_reference(ctx, rng.uniform(0.9 * ctx.lower, 1.2 * ctx.upper, size=(n, 2 * ctx.m)))
+        edges = boundary_rows(ctx, rng)
+        assert_matches_reference(ctx, edges)
+        # one ulp above the power boundary is infeasible
+        assert not batch_evaluate(ctx, edges[3::4]).feasible.any()
+
+    def test_bit_identical_to_genome_major_on_random_plans(self):
+        rng = np.random.default_rng(1405)
+        for _ in range(300):
+            self.check_plan(random_plan(rng), rng)
+
+    @pytest.mark.parametrize("times", [2, 3, 4])
+    def test_bit_identical_to_genome_major_with_eight_or_more_operations(self, builtin_plan, times):
+        # from m = 8 numpy sums a row through partial sums
+        self.check_plan(repeated_plan(builtin_plan, times), np.random.default_rng(times))
+
+    def test_one_dimensional_genome_is_one_row(self, builtin_plan, builtin_coeffs):
+        ctx = compile_context(builtin_plan, builtin_coeffs)
+        genome = np.random.default_rng(3).uniform(ctx.lower, ctx.upper)
+        assert_matches_reference(ctx, genome)
+        assert batch_evaluate(ctx, genome).fitness.shape == (1,)
+
+    def test_replace_rebuilds_derived_columns(self, builtin_plan, builtin_coeffs):
+        ctx = compile_context(builtin_plan, builtin_coeffs)
+        changed = dataclasses.replace(
+            ctx,
+            feed_cap=ctx.feed_cap * 0.5,
+            k1=ctx.k1 * 2.0,
+            c5=ctx.c5 * 3.0,
+            tool_cost_coef=ctx.tool_cost_coef * 5.0,
+            speed_exponent=ctx.speed_exponent + 0.25,
+            feed_exponent=ctx.feed_exponent - 0.25,
+            lower=ctx.lower * 0.5,
+        )
+        columns = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
+        for name in columns:
+            assert np.array_equal(getattr(changed, f"{name}_col"), getattr(changed, name)[:, None]), name
+        genomes = np.random.default_rng(4).uniform(changed.lower, changed.upper, size=(64, 10))
+        assert_matches_reference(changed, genomes)
+        assert not np.array_equal(batch_evaluate(changed, genomes).unit_cost, batch_evaluate(ctx, genomes).unit_cost)
+
+
+def with_wear(plan: MillingPlan, life_exponent: float) -> MillingPlan:
+    """plan with every tool's life exponent set and every k3 overridden to 1."""
+    return dataclasses.replace(
+        plan,
+        tools=tuple(dataclasses.replace(t, life_exponent=life_exponent) for t in plan.tools),
+        operations=tuple(dataclasses.replace(op, k3_override=1.0) for op in plan.operations),
+    )
+
+
+class TestBoxPriceCheck:
+    def test_overflow_at_the_lowest_corner(self, builtin_plan):
+        plan = with_wear(builtin_plan, 0.004)
+        with pytest.raises(DomainError, match="at the lowest speeds and feeds"):
+            compile_context(plan, derive_coefficients(plan))
+
+    def test_overflow_only_above_the_lowest_corner(self, builtin_plan):
+        plan = with_wear(builtin_plan, 1 / 151)
+        coeffs = derive_coefficients(plan)
+        lower, _ = decision_bounds(plan)
+        # the corner prices finitely; the fastest speeds do not
+        assert math.isfinite(unit_cost(plan, DecisionVector.from_genome(lower), coeffs))
+        with pytest.raises(DomainError, match="inside the speed and feed bounds"):
+            compile_context(plan, coeffs)
+
+    @pytest.mark.parametrize("life_exponent", [0.1, 0.5, 1.0, 1.5, 2.0])
+    def test_finite_plans_compile_and_price_without_warnings(self, builtin_plan, life_exponent):
+        # a = 1/n - 1 takes both signs here, so both speed corners are read
+        plan = with_wear(builtin_plan, life_exponent)
+        with np.errstate(all="raise"):
+            ctx = compile_context(plan, derive_coefficients(plan))
+            batch = batch_evaluate(ctx, np.random.default_rng(5).uniform(ctx.lower, ctx.upper, size=(64, 10)))
+        assert np.isfinite(batch.unit_cost).all()
+
+
 class TestWarnings:
     def test_builtin_plan_warnings(self, builtin_plan):
         notes = plan_warnings(builtin_plan)
