@@ -11,7 +11,8 @@ Every report is JSON, so full precision counts.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-4 (the
-    runs of the es_builtin benchmark workload);
+    runs of the es_builtin benchmark workload), and seed 0 once more with
+    --verbose, so the improvement log on stderr is hashed;
   * optimize --sigma-init 0.3 --stall 200, seeds 0-1, on the bundled
     document with its operations listed twice (m = 10), where numpy sums
     a genome's ten terms through partial sums;
@@ -83,6 +84,9 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             f"optimize builtin sigma-init=0.3 seed={seed}",
             ("optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", str(seed), "--out", "json"),
         )
+    yield "optimize builtin sigma-init=0.3 seed=0 verbose", (
+        "optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", "0", "--verbose", "--out", "json",
+    )
     document = json.loads(builtin_document_bytes().decode("utf-8"))
     operations = document["operations"]
     document["operations"] = operations + [

@@ -67,7 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", type=int, default=None, dest="eta", help="children per generation"
     )
     es_parent.add_argument(
-        "--stall", type=int, default=None, help="generations without improvement before stopping"
+        "--stall",
+        type=int,
+        default=None,
+        help="generations without a relative rise of the best above 1e-6 before stopping",
     )
     es_parent.add_argument(
         "--alpha", type=float, default=None, help="step-size recombination mixing weight"
@@ -139,8 +142,14 @@ def _grid_spec(args: argparse.Namespace, overrides: dict[str, Any]) -> oracle.Gr
 
 
 def _improvement_logger(stream) -> Any:
+    """Observer that prints one line per rise of the best fitness, however
+    small; the stall counter resets only on larger rises."""
+    last = 0.0
+
     def observe(state: es.EsState) -> None:
-        if state.record.stall_counter == 0 and state.record.genome is not None:
+        nonlocal last
+        if state.record.fitness > last:
+            last = state.record.fitness
             print(
                 f"generation {state.generation}: best {state.record.fitness:.6f}",
                 file=stream,

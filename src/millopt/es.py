@@ -38,6 +38,7 @@ from .milling import (
 __all__ = [
     "SIGMA_FLOOR",
     "MAX_GENERATIONS",
+    "STALL_GAIN",
     "EsConfig",
     "learning_rates",
     "BestRecord",
@@ -58,6 +59,16 @@ SIGMA_FLOOR = 1e-8
 # A run stops after this many generations even if it is still improving.
 MAX_GENERATIONS = 100_000
 
+# A generation counts as progress, and resets the stall counter, only when
+# the best fitness rises above the last reset's fitness by more than this
+# relative gain.  Smaller rises still update the record.
+STALL_GAIN = 1e-6
+
+
+def _is_integer(value: object) -> bool:
+    """An int that is not a bool: True and False are not settings."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class EsConfig:
@@ -65,8 +76,9 @@ class EsConfig:
 
     mu parents breed eta children per generation; every step size starts
     at sigma_init, and alpha weights the first parent's step sizes in
-    recombination.  The run stops after stall_limit generations without
-    strict improvement, or at MAX_GENERATIONS.  seed fixes every draw.
+    recombination.  The run stops after stall_limit generations in a row
+    without a relative rise of the best fitness above STALL_GAIN, or at
+    MAX_GENERATIONS.  seed fixes every draw.
     """
 
     mu: int = 15
@@ -77,17 +89,17 @@ class EsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.mu, int) and self.mu >= 1):
+        if not (_is_integer(self.mu) and self.mu >= 1):
             raise ValueError("mu must be an integer >= 1")
-        if not (isinstance(self.eta, int) and self.eta > self.mu):
+        if not (_is_integer(self.eta) and self.eta > self.mu):
             raise ValueError("eta must be an integer > mu")
         if not (math.isfinite(self.sigma_init) and self.sigma_init > 0.0):
             raise ValueError("sigma_init must be > 0")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be strictly between 0 and 1")
-        if not (isinstance(self.stall_limit, int) and self.stall_limit >= 1):
+        if not (_is_integer(self.stall_limit) and self.stall_limit >= 1):
             raise ValueError("stall_limit must be an integer >= 1")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an integer in [0, 2**64)")
 
 
@@ -108,13 +120,17 @@ class BestRecord:
 
     fitness starts at 0.0, the death-penalty value, so only genuinely
     profitable feasible individuals are ever recorded; genome and sigmas
-    stay None until one is.
+    stay None until one is.  Every strict rise updates the record.
+    stall_fitness is the fitness when stall_counter last reset: the
+    counter resets only on a rise above stall_fitness * (1 + STALL_GAIN),
+    and counts every other generation.
     """
 
     genome: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     fitness: float = 0.0
     stall_counter: int = 0
+    stall_fitness: float = 0.0
 
 
 @dataclass
@@ -264,19 +280,26 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
 
     best_idx = int(order[0])
     record = state.record
-    if fitnesses[best_idx] > record.fitness:
+    best = float(fitnesses[best_idx])
+    if best > record.stall_fitness * (1.0 + STALL_GAIN):
+        stall_counter, stall_fitness = 0, best
+    else:
+        stall_counter, stall_fitness = record.stall_counter + 1, record.stall_fitness
+    if best > record.fitness:
         record = BestRecord(
             genome=genomes[best_idx].copy(),
             sigmas=sigmas[best_idx].copy(),
-            fitness=float(fitnesses[best_idx]),
-            stall_counter=0,
+            fitness=best,
+            stall_counter=stall_counter,
+            stall_fitness=stall_fitness,
         )
     else:
         record = BestRecord(
             genome=record.genome,
             sigmas=record.sigmas,
             fitness=record.fitness,
-            stall_counter=record.stall_counter + 1,
+            stall_counter=stall_counter,
+            stall_fitness=stall_fitness,
         )
 
     return EsState(

@@ -4,12 +4,13 @@ and stderr logging."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
 import pytest
 
-from millopt import EsConfig, GridSpec, PlanError, cli, oracle
+from millopt import EsConfig, GridSpec, PlanError, cli, es, oracle
 from millopt.case_study import builtin_document_bytes, dump_plan, load_document
 from millopt.cli import main
 
@@ -163,6 +164,38 @@ class TestOptimizeCommand:
         assert code == 0
         assert "generation" in err
         json.loads(out)  # stdout still carries only the report
+
+    VERBOSE_BUILTIN = (
+        "optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", "0",
+        "--verbose", "--out", "json",
+    )
+
+    def test_verbose_log_under_a_zero_stall_gain_is_frozen(self, capsys, monkeypatch):
+        # With no gain required, the logger prints the lines it printed when
+        # it logged every generation that reset the stall counter.
+        monkeypatch.setattr(es, "STALL_GAIN", 0.0)
+        code, _, err = run_cli(capsys, *self.VERBOSE_BUILTIN)
+        assert code == 0
+        assert len(err.splitlines()) == 103
+        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == (
+            "9469615c6a239c95c12ef48f382b7a3c1a8b7fc54403130bcb2d4b49d5df06b7"
+        )
+
+    def test_verbose_logs_one_line_per_rise_of_the_best(self, capsys, builtin_plan):
+        rises = []
+        last = [0.0]
+
+        def observe(state):
+            if state.record.fitness > last[0]:
+                last[0] = state.record.fitness
+                rises.append((state.generation, state.record.fitness, state.record.stall_counter))
+
+        es.run(builtin_plan, EsConfig(sigma_init=0.3, seed=0), observer=observe)
+        code, _, err = run_cli(capsys, *self.VERBOSE_BUILTIN)
+        assert code == 0
+        assert err.splitlines() == [f"generation {g}: best {f:.6f}" for g, f, _ in rises]
+        # some rises are too small to reset the stall counter, and still logged
+        assert any(counter > 0 for _, _, counter in rises)
 
 
 class TestOracleCommand:

@@ -10,6 +10,7 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from millopt.milling import (
     plan_warnings,
 )
 from millopt.oracle import GridSpec, dinkelbach_solve
+
+from test_acceptance import random_plan
 
 
 class QueuedNormals:
@@ -79,6 +82,7 @@ class TestEsConfig:
         assert cfg.seed == 0
         assert es.MAX_GENERATIONS == 100_000
         assert SIGMA_FLOOR == 1e-8
+        assert es.STALL_GAIN == 1e-6
         assert [f.name for f in dataclasses.fields(EsConfig)] == [
             "mu", "eta", "sigma_init", "alpha", "stall_limit", "seed",
         ]
@@ -100,6 +104,9 @@ class TestEsConfig:
             pytest.param({"stall_limit": 0}, id="overrides12"),
             pytest.param({"seed": -1}, id="overrides14"),
             pytest.param({"seed": 2**64}, id="overrides15"),
+            pytest.param({"mu": True, "eta": 2}, id="mu_bool"),
+            pytest.param({"stall_limit": True}, id="stall_limit_bool"),
+            pytest.param({"seed": False}, id="seed_bool"),
         ],
     )
     def test_rejects_bad_settings(self, overrides):
@@ -420,7 +427,9 @@ class TestStep:
             assert state.record.fitness >= pop_fitness.max() - 1e-15
             previous = state.record.fitness
 
-    def test_stall_counter_resets_on_strict_improvement(self, toy_single_plan):
+    def test_stall_counter_resets_on_strict_improvement(self, toy_single_plan, monkeypatch):
+        # With no gain required, every strict rise is progress.
+        monkeypatch.setattr(es, "STALL_GAIN", 0.0)
         cfg = toy_config(mu=4, eta=12)
         coeffs = derive_coefficients(toy_single_plan)
         ctx = compile_context(toy_single_plan, coeffs)
@@ -434,6 +443,43 @@ class TestStep:
             else:
                 assert state.record.stall_counter == before + 1
             last_fitness = state.record.fitness
+
+    def test_stall_counter_resets_only_on_a_rise_above_the_gain(
+        self, toy_single_plan, monkeypatch
+    ):
+        cfg = toy_config(mu=2, eta=6)
+        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        state = initial_state(ctx, cfg)
+        base = 2.0
+        cap = base * (1.0 + es.STALL_GAIN)  # the threshold as step computes it
+        # (best child of the generation, record fitness, stall counter, stall_fitness)
+        script = [
+            (base, base, 0, base),  # first profitable child: reset
+            (math.nextafter(base, 3.0), math.nextafter(base, 3.0), 1, base),  # tiny rise
+            (cap, cap, 2, base),  # a rise of exactly the gain is not progress
+            (1.0, cap, 3, base),  # no rise
+            (math.nextafter(cap, 3.0), math.nextafter(cap, 3.0), 0, math.nextafter(cap, 3.0)),
+            (math.nextafter(cap, 3.0), math.nextafter(cap, 3.0), 1, math.nextafter(cap, 3.0)),
+        ]
+        served = iter(best for best, *_ in script)
+
+        def scripted(_ctx, genomes):
+            fitness = np.full(genomes.shape[0], 0.5)
+            fitness[genomes.shape[0] // 2] = next(served)
+            return SimpleNamespace(fitness=fitness)
+
+        monkeypatch.setattr(es, "batch_evaluate", scripted)
+        for best, fitness, counter, stall_fitness in script:
+            before = state.record
+            state = step(state, ctx, cfg)
+            record = state.record
+            assert (record.fitness, record.stall_counter, record.stall_fitness) == (
+                fitness, counter, stall_fitness
+            )
+            if best > before.fitness:  # every strict rise takes the child
+                assert record.genome is not before.genome
+            else:
+                assert record.genome is before.genome and record.sigmas is before.sigmas
 
     def test_all_infeasible_leaves_record_empty(self, toy_infeasible_plan):
         cfg = toy_config(mu=3, eta=9)
@@ -588,7 +634,96 @@ WHOLE_RUNS = {
 
 
 @pytest.mark.parametrize("seed", sorted(WHOLE_RUNS))
-def test_whole_builtin_run_is_pinned_bit_for_bit(builtin_plan, seed):
+def test_whole_builtin_run_is_pinned_bit_for_bit(builtin_plan, seed, monkeypatch):
+    # The reference file's rates come from runs whose stall counter reset on
+    # every strict rise; a STALL_GAIN of 0 is exactly that rule.
+    monkeypatch.setattr(es, "STALL_GAIN", 0.0)
     result = run(builtin_plan, EsConfig(sigma_init=0.3, seed=seed))
     assert result.profit_rate == _reference_rates()[seed]
     assert (result.generations, result.evaluations, result.sigmas_final) == WHOLE_RUNS[seed]
+
+
+# Frozen from whole runs under the default STALL_GAIN:
+# (profit_rate, generations, evaluations, sigmas_final).  Seed 0's last
+# rise of more than STALL_GAIN is at generation 206 and its last rise of
+# any size at 315, so it stops at 1206 with the record it ends with under a
+# STALL_GAIN of 0; seed 16 stops 1,102 generations earlier and gives up
+# rises worth 5.3e-9 relative.
+DEFAULT_RULE_RUNS = {
+    0: (
+        1.3791069731852572,
+        1206,
+        126630,
+        WHOLE_RUNS[0][2],
+    ),
+    16: (
+        1.379106980723789,
+        1173,
+        123165,
+        (
+            0.001720625616525347,
+            1.8990413214986608e-06,
+            3.4150950646715646e-07,
+            4.4511119365813615e-05,
+            0.0015562074019933936,
+            1e-08,
+            1.0279069152512288e-05,
+            3.577285772399347e-05,
+            4.042945400693297e-07,
+            1.927255880196256e-08,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_RULE_RUNS))
+def test_whole_builtin_run_under_the_default_stop_rule_is_pinned(builtin_plan, seed):
+    result = run(builtin_plan, EsConfig(sigma_init=0.3, seed=seed))
+    assert (
+        result.profit_rate, result.generations, result.evaluations, result.sigmas_final
+    ) == DEFAULT_RULE_RUNS[seed]
+
+
+def _replayed_stop(records: list[es.BestRecord], stall_limit: int) -> int:
+    """The generation at which the default rule stops, replayed on the
+    records of a run under a STALL_GAIN of 0.  A child above the last
+    reset's fitness times (1 + STALL_GAIN) always raises the record, so the
+    records alone decide every reset."""
+    counter, stall_fitness = 0, 0.0
+    for generation, record in enumerate(records, start=1):
+        if record.fitness > stall_fitness * (1.0 + es.STALL_GAIN):
+            counter, stall_fitness = 0, record.fitness
+        else:
+            counter += 1
+        if counter >= stall_limit:
+            return generation
+    raise AssertionError("the run under a STALL_GAIN of 0 stopped first")
+
+
+def test_default_run_is_a_prefix_of_the_strict_rise_run(builtin_plan, monkeypatch):
+    """Under the default STALL_GAIN a run stops where the replayed counter
+    first reaches stall_limit, and reports exactly what a run with a
+    STALL_GAIN of 0 reported after that many generations."""
+    rng = np.random.default_rng(20261019)
+    builtin = [(builtin_plan, EsConfig(sigma_init=0.3, seed=seed)) for seed in (0, 1, 2, 3, 4, 16)]
+    plans = [(random_plan(rng), EsConfig(stall_limit=200, seed=k)) for k in range(30)]
+    cases = builtin + plans
+    stopped_earlier = 0
+    for plan, config in cases:
+        records: list[es.BestRecord] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "STALL_GAIN", 0.0)
+            strict = run(plan, config, observer=lambda s: records.append(s.record))
+        assert len(records) == strict.generations
+        if not records:  # infeasible at the corner: no generation runs
+            assert run(plan, config) == strict
+            continue
+        stop = _replayed_stop(records, config.stall_limit)
+        result = run(plan, config)
+        assert result.generations == stop <= strict.generations
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "STALL_GAIN", 0.0)
+            patch.setattr(es, "MAX_GENERATIONS", stop)
+            assert run(plan, config) == result
+        stopped_earlier += stop < strict.generations
+    assert stopped_earlier >= len(builtin)
