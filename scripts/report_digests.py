@@ -14,14 +14,17 @@ Every report is JSON, so full precision counts.  The set:
     runs of the es_builtin benchmark workload), and seed 0 once more with
     --verbose, so the improvement log on stderr is hashed;
   * optimize --sigma-init 0.3 --stall 200, seeds 0-1, on the bundled
-    document with its operations listed twice (m = 10), where numpy sums
-    a genome's ten terms through partial sums;
+    document with its operations listed twice (m = 10) and its sale price
+    doubled to 50, so that a profitable point is found and reported, where
+    numpy sums a genome's ten terms through partial sums;
   * oracle on the bundled case at resolutions 2, 3 and 7, where the
     multiplier iteration's minimizer repeats early, and at 500, 833, ...,
     2500 and 4000;
   * one evaluate on the bundled case;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
     midpoints) on the first 60 random plan documents from rng [7, 3];
+  * optimize --verbose and optimize --stall 5000 on random plan 11, which
+    is feasible at its lowest corner and unprofitable everywhere;
   * optimize, oracle, compare and evaluate on the bundled document with
     tool wear that overflows (every life_exponent 0.004, every k3_override
     1.0), and on one that overflows only above the lowest corner (every
@@ -63,6 +66,7 @@ RANDOM_PLANS = 60
 PLAN_RNG = [7, 3]
 PLAN_STALL = "200"
 PLAN_RESOLUTION = "300"
+UNPROFITABLE_PLAN = 11
 RETIRED_KEYS = (
     ("es", "tau_global", 0.2),
     ("es", "tau_local", 0.4),
@@ -92,11 +96,13 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     document["operations"] = operations + [
         {**op, "number": op["number"] + len(operations)} for op in operations
     ]
+    # At the bundled price of 25 every point of the doubled plan loses money.
+    document["economics"]["sale_price"] = 50.0
     path = workdir / "repeated.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     for seed in REPEATED_SEEDS:
         yield (
-            f"optimize repeated sigma-init=0.3 seed={seed}",
+            f"optimize repeated sale-price=50 sigma-init=0.3 seed={seed}",
             ("optimize", "--config", str(path), "--sigma-init", "0.3", "--stall", "200",
              "--seed", str(seed), "--out", "json"),
         )
@@ -123,6 +129,9 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         yield f"optimize plan={k}", ("optimize", *plan, "--stall", PLAN_STALL)
         yield f"oracle plan={k}", ("oracle", *plan, "--grid-resolution", PLAN_RESOLUTION)
         yield f"evaluate plan={k}", ("evaluate", *plan, *point)
+    plan = ("--config", str(workdir / f"plan_{UNPROFITABLE_PLAN}.json"), "--out", "json")
+    yield f"optimize plan={UNPROFITABLE_PLAN} verbose", ("optimize", *plan, "--stall", PLAN_STALL, "--verbose")
+    yield f"optimize plan={UNPROFITABLE_PLAN} stall=5000", ("optimize", *plan, "--stall", "5000")
 
     for name, life_exponent in (("overflow", 0.004), ("overflow above corner", 1 / 151)):
         document = json.loads(builtin_document_bytes().decode("utf-8"))

@@ -32,6 +32,7 @@ from .milling import (
     compile_context,
     constraint_margins,
     corner_rate,
+    cost_floor,
     derive_coefficients,
 )
 
@@ -319,14 +320,25 @@ def run(
 ) -> RunResult:
     """Optimize a plan; deterministic for a fixed (plan, config, seed).
 
+    The run stops before the first generation, so that generations and
+    evaluations are 0 and the observer sees no generation, when the lowest
+    corner is infeasible, and with it every point, or when the certified
+    cost floor (milling.cost_floor) reaches the sale price, so that no
+    point has a positive profit rate.  Either way the result is the
+    infeasible one that running every generation would report.
+
     Raises DomainError as compile_context does.
     """
     config = config or EsConfig()
     coeffs = derive_coefficients(plan)
     ctx = compile_context(plan, coeffs)
     state = initial_state(ctx, config)
-    # No point of the box is feasible unless its lowest corner is.
-    max_generations = MAX_GENERATIONS if corner_rate(ctx) is not None else 0
+    # No point is feasible unless the lowest corner is, and none is
+    # profitable once the cost floor reaches the price; a positive corner
+    # rate already shows a profit, so only a nonpositive one asks for it.
+    rate = corner_rate(ctx)
+    nothing_to_find = rate is None or (rate <= 0.0 and cost_floor(ctx) >= ctx.sale_price)
+    max_generations = 0 if nothing_to_find else MAX_GENERATIONS
     while state.record.stall_counter < config.stall_limit and state.generation < max_generations:
         state = step(state, ctx, config)
         if observer is not None:

@@ -54,6 +54,7 @@ __all__ = [
     "BatchEval",
     "batch_evaluate",
     "corner_rate",
+    "cost_floor",
 ]
 
 
@@ -766,6 +767,78 @@ def _check_box_prices(ctx: EvalContext) -> None:
         rate = max(ctx.sale_price, cost) / (ctx.time_fixed + (ctx.k1 / (v_hi * f_hi)).sum())
     if not (math.isfinite(cost) and math.isfinite(rate)):
         raise DomainError(f"unit cost up to {cost} inside the speed and feed bounds: the plan overflows")
+
+
+def cost_floor(ctx: EvalContext) -> float:
+    """A lower bound on the unit cost batch_evaluate computes at any genome
+    of the box whose feeds lie at or below feed_cap, the set that holds
+    every feasible genome; the mirror of _check_box_prices' upper bound.
+
+    Dropping the power limit only lowers the minimum.  In x = ln v and
+    y = ln f, operation i's cost phi(x, y) = rate*k1*e^(-x-y) +
+    B*e^(a*x + b*y) is a sum of exponentials of affine functions, so it is
+    convex for any signs of a and b.  Its tangent plane at any point p
+    therefore lies below it, and phi(p) + min over the four corners q of
+    the log box of grad phi(p).(q - p) bounds its minimum over the box.
+
+    p is the minimiser over the box.  For a > 0 the best v at each f is
+    (rate*k1 / (a*B*f**(b+1)))**(1/(a+1)), clipped to the speed box, and
+    for a <= 0 it is v_hi.  The cost at that v is convex in y, and on each
+    piece where the clip holds v at a bound it has one stationary point,
+    while between the two pieces it is monotone.  So its minimum over the
+    feed box lies at one of six feeds: the box ends, the two feeds where
+    the clip starts to bind and the two stationary points, each clipped to
+    the feed box.  p is the cheapest of them.
+
+    The bound is cost_fixed plus the sum of these, less a rounding
+    allowance of 16*(m + 16) machine epsilons times the summed magnitudes
+    of the terms.  It rests on two premises: convexity, and that the
+    rounding of this computation and of batch_evaluate's cost stays within
+    that allowance.  A non-finite intermediate makes the bound -inf or
+    NaN, which no price reaches.
+    """
+    m = ctx.m
+    v_lo, v_hi = ctx.lower[:m], ctx.upper[:m]
+    f_lo, f_hi = ctx.lower[m:], ctx.feed_cap
+    a, b = ctx.speed_exponent, ctx.feed_exponent
+    x_bounds = np.log(np.array([v_lo, v_hi]))
+    y_lo, y_hi = np.log(f_lo), np.log(f_hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A zero price gives a log of -inf and a term of 0; a log of a
+        # nonpositive product is discarded by the where beside it.
+        log_time = np.log(ctx.rate * ctx.k1)
+        log_wear = np.log(ctx.tool_cost_coef)
+        # Best x at y: c0 - slope*y, clipped to [x_lo, x_hi].  a <= 0 gives
+        # c0 = inf, so x_hi; fmax and fmin map the NaN of two zero prices,
+        # where every point costs the same, into the box.
+        slope = (b + 1.0) / (a + 1.0)
+        c0 = np.where(a > 0.0, (log_time - np.log(a * ctx.tool_cost_coef)) / (a + 1.0), math.inf)
+        bends = (c0 - x_bounds) / slope
+        # With x held at a bound, the cost falls in y up to this point and
+        # rises after it; b <= 0 makes it fall all the way.
+        stationary = np.where(
+            b > 0.0, (log_time - np.log(b * ctx.tool_cost_coef) - (a + 1.0) * x_bounds) / (b + 1.0), math.inf
+        )
+        candidates = np.fmin(np.fmax(np.vstack((y_lo, y_hi, bends, stationary)), y_lo), y_hi)
+        x = np.fmin(np.fmax(c0 - slope * candidates, x_bounds[0]), x_bounds[1])
+        cost = np.exp(log_time - x - candidates) + np.exp(log_wear + a * x + b * candidates)
+        cheapest = cost.argmin(axis=0), np.arange(m)
+
+        # The tangent plane at p, priced as batch_evaluate prices.
+        v = np.exp(x[cheapest])
+        f = np.exp(candidates[cheapest])
+        time_cost = ctx.k1 / (v * f) * ctx.rate
+        wear = v**a * ctx.tool_cost_coef * f**b
+        grad_x = a * wear - time_cost
+        grad_y = b * wear - time_cost
+        dx = np.log(np.array([v_lo / v, v_hi / v]))
+        dy = np.log(np.array([f_lo / f, f_hi / f]))
+        floor = time_cost + wear + (grad_x * dx).min(axis=0) + (grad_y * dy).min(axis=0)
+        magnitude = time_cost + wear
+        magnitude += (time_cost + abs(a) * wear) * (1.0 + abs(dx).sum(axis=0))
+        magnitude += (time_cost + abs(b) * wear) * (1.0 + abs(dy).sum(axis=0))
+        allowance = 16 * (m + 16) * np.finfo(float).eps * (ctx.cost_fixed + magnitude.sum())
+        return float(ctx.cost_fixed + floor.sum() - allowance)
 
 
 @dataclass(frozen=True)

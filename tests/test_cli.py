@@ -21,6 +21,7 @@ from conftest import (
     single_face_plan,
     two_op_plan,
 )
+from test_es import digest_plan
 
 
 @pytest.fixture()
@@ -153,6 +154,17 @@ class TestOptimizeCommand:
         code, report = run_json(capsys, "optimize", "--config", plan_path(tmp_path, make_plan()))
         assert code == 3
         assert report["feasible"] is False
+        assert report["generations"] == 0 and report["evaluations"] == 0
+
+    def test_plan_proven_unprofitable_exits_three_before_any_generation(self, capsys, tmp_path):
+        # digest plan 11's cost floor is 1.14 times its sale price
+        code, out, err = run_cli(
+            capsys, "optimize", "--config", plan_path(tmp_path, digest_plan(11)), "--verbose", "--out", "json"
+        )
+        report = json.loads(out)
+        assert code == 3
+        assert err == ""
+        assert report["feasible"] is False and report["profit_rate"] is None
         assert report["generations"] == 0 and report["evaluations"] == 0
 
     def test_verbose_logs_improvements_to_stderr(self, capsys, toy_config_path):

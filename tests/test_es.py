@@ -32,6 +32,7 @@ from millopt.es import (
 from millopt.milling import (
     batch_evaluate,
     compile_context,
+    cost_floor,
     decision_bounds,
     derive_coefficients,
     plan_warnings,
@@ -727,3 +728,52 @@ def test_default_run_is_a_prefix_of_the_strict_rise_run(builtin_plan, monkeypatc
             assert run(plan, config) == result
         stopped_earlier += stop < strict.generations
     assert stopped_earlier >= len(builtin)
+
+
+# Plans 11, 52 and 59 of scripts/report_digests.py: feasible at the lowest
+# corner and unprofitable everywhere, with cost floors 1.14, 2.21 and 2.15
+# times the sale price.
+UNPROFITABLE_DIGEST_PLANS = {11: 1.14, 52: 2.21, 59: 2.15}
+
+
+def digest_plan(index: int):
+    """Random plan number index of scripts/report_digests.py, which draws
+    its documents from rng [7, 3] with the same draws as random_plan."""
+    rng = np.random.default_rng([7, 3])
+    for _ in range(index):
+        random_plan(rng)
+    return random_plan(rng)
+
+
+@pytest.mark.parametrize("index", sorted(UNPROFITABLE_DIGEST_PLANS))
+def test_plan_whose_floor_reaches_the_price_stops_before_the_first_generation(index, monkeypatch):
+    plan = digest_plan(index)
+    ctx = compile_context(plan, derive_coefficients(plan))
+    assert cost_floor(ctx) / ctx.sale_price == pytest.approx(UNPROFITABLE_DIGEST_PLANS[index], abs=5e-3)
+    assert dinkelbach_solve(plan, grid=GridSpec(resolution=300)).profit_rate < 0.0
+
+    config = EsConfig(stall_limit=200)
+    state = initial_state(ctx, config)
+    while state.record.stall_counter < config.stall_limit:
+        state = step(state, ctx, config)
+        assert state.record.genome is None
+    stepped = es.RunResult(
+        feasible=False,
+        best=None,
+        sigmas_final=None,
+        unit_cost=None,
+        unit_time=None,
+        profit_rate=None,
+        generations=state.generation,
+        evaluations=state.evaluations,
+        seed=config.seed,
+    )
+    assert (stepped.generations, stepped.evaluations) == (200, 200 * config.eta)
+
+    generations = []
+    result = run(plan, config, observer=lambda s: generations.append(s.generation))
+    assert result == dataclasses.replace(stepped, generations=0, evaluations=0)
+    assert generations == []
+    # without the floor, the run is the stepped one
+    monkeypatch.setattr(es, "cost_floor", lambda ctx: -math.inf)
+    assert run(plan, config) == stepped

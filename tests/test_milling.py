@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from millopt import (
     ContractError,
@@ -38,13 +39,17 @@ from millopt import (
     unit_cost,
     unit_time,
 )
+from millopt.es import EsConfig, initial_state, step
 from millopt.milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
     batch_evaluate,
     compile_context,
+    corner_rate,
+    cost_floor,
     plan_warnings,
 )
+from millopt.oracle import GridSpec, dinkelbach_solve
 
 from conftest import (
     CARBIDE_FACE_MILL,
@@ -828,6 +833,90 @@ class TestBoxPriceCheck:
             ctx = compile_context(plan, derive_coefficients(plan))
             batch = batch_evaluate(ctx, np.random.default_rng(5).uniform(ctx.lower, ctx.upper, size=(64, 10)))
         assert np.isfinite(batch.unit_cost).all()
+
+
+def strict_cost_floor(ctx) -> float:
+    """cost_floor with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cost_floor(ctx)
+
+
+def grid_cost_min(ctx, resolution: int) -> float:
+    """cost_fixed plus each operation's least cost on a log-spaced grid of
+    its speed box by [f_lo, feed_cap], the power limit dropped."""
+    m = ctx.m
+    total = ctx.cost_fixed
+    for i in range(m):
+        v = np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None]
+        f = np.geomspace(ctx.lower[m + i], ctx.feed_cap[i], resolution)[None, :]
+        wear = ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * f ** ctx.feed_exponent[i]
+        total += float((ctx.rate * ctx.k1[i] / (v * f) + wear).min())
+    return total
+
+
+class TestCostFloor:
+    """cost_floor bounds from below every unit cost batch_evaluate prices at
+    a genome of the box whose feeds meet their caps, and no point of a plan
+    whose floor reaches the sale price has a positive profit rate."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_floor_is_sound_on_random_plans(self, seed):
+        rng = np.random.default_rng(seed)
+        plan = random_plan(rng)
+        ctx = compile_context(plan, derive_coefficients(plan))
+        assume(corner_rate(ctx) is not None)
+        floor = strict_cost_floor(ctx)
+        grid = dinkelbach_solve(plan, grid=GridSpec(resolution=40))
+        genomes = np.vstack(
+            (
+                ctx.lower,
+                rng.uniform(ctx.lower, ctx.feasible_upper, size=(256, 2 * plan.m)),
+                grid.best.speeds + grid.best.feeds,
+            )
+        )
+        assert floor <= batch_evaluate(ctx, genomes).unit_cost.min()
+        # tight, not merely below: the minimiser is exact up to rounding
+        grid_min = grid_cost_min(ctx, 200)
+        assert floor <= grid_min <= floor * (1.0 + 1e-3)
+        if floor >= ctx.sale_price:
+            assert grid.profit_rate <= 0.0
+            config = EsConfig(stall_limit=25, seed=seed)
+            state = initial_state(ctx, config)
+            while state.record.stall_counter < config.stall_limit:
+                state = step(state, ctx, config)
+                assert state.record.genome is None
+
+    @pytest.mark.parametrize(
+        "variant",
+        ["life_0.1", "life_0.5", "life_1.0", "life_2.0", "no_minute_rate", "free_tools", "both", "point_boxes"],
+    )
+    def test_floor_is_finite_and_sound_at_the_edges(self, builtin_plan, variant):
+        # life exponents >= 1 make the speed exponent a <= 0, and those
+        # above the feed exponent base make b <= 0; zero prices zero a term
+        plan = builtin_plan
+        if variant.startswith("life_"):
+            plan = with_wear(plan, float(variant[5:]))
+        if variant in ("no_minute_rate", "both"):
+            economics = dataclasses.replace(plan.economics, labor_rate=0.0, overhead_rate=0.0)
+            plan = dataclasses.replace(plan, economics=economics)
+        if variant in ("free_tools", "both"):
+            plan = dataclasses.replace(plan, tools=tuple(dataclasses.replace(t, price=0.0) for t in plan.tools))
+        if variant == "point_boxes":
+            operations = tuple(
+                dataclasses.replace(op, speed_bounds=(op.speed_bounds[0],) * 2, feed_bounds=(op.feed_bounds[0],) * 2)
+                for op in plan.operations
+            )
+            plan = dataclasses.replace(plan, operations=operations)
+        ctx = compile_context(plan, derive_coefficients(plan))
+        floor = strict_cost_floor(ctx)
+        assert math.isfinite(floor)
+        genomes = np.vstack(
+            (ctx.lower, np.random.default_rng(11).uniform(ctx.lower, ctx.feasible_upper, size=(256, 2 * plan.m)))
+        )
+        assert floor <= batch_evaluate(ctx, genomes).unit_cost.min()
+        assert floor <= grid_cost_min(ctx, 200) <= floor * (1.0 + 1e-3)
 
 
 class TestWarnings:
