@@ -20,7 +20,8 @@ Every report is JSON, so full precision counts.  The set:
   * oracle on the bundled case at resolutions 2, 3 and 7, where the
     multiplier iteration's minimizer repeats early, and at 500, 833, ...,
     2500 and 4000;
-  * one evaluate on the bundled case;
+  * one evaluate on the bundled case, and one at a first speed of 1e200,
+    where the plan compiles but the scalar pricing of the point overflows;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
     midpoints) on the first 60 random plan documents from rng [7, 3];
   * optimize --verbose and optimize --stall 5000 on random plan 11, which
@@ -114,6 +115,10 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     yield "evaluate builtin", (
         "evaluate", *builtin,
         "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
+    )
+    yield "evaluate builtin speed=1e200", (
+        "evaluate", *builtin,
+        "--speeds", "1e200,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
     )
 
     rng = np.random.default_rng(PLAN_RNG)

@@ -12,9 +12,8 @@ from .case_study import (
     builtin_document_bytes,
     load_document,
     load_document_file,
-    load_plan,
 )
-from .es import EsConfig, mutate, recombine, run, select, step
+from .es import EsConfig, run
 from .milling import (
     ContractError,
     DecisionVector,
@@ -31,11 +30,8 @@ from .milling import (
     ToolQuality,
     ToolSpec,
     constraint_margins,
-    cutting_force,
-    decision_bounds,
     derive_coefficients,
     fitness,
-    machining_time,
     profit_rate,
     unit_cost,
     unit_time,
@@ -50,13 +46,8 @@ __all__ = [
     "builtin_document_bytes",
     "load_document",
     "load_document_file",
-    "load_plan",
     "EsConfig",
-    "mutate",
-    "recombine",
     "run",
-    "select",
-    "step",
     "ContractError",
     "DecisionVector",
     "DerivedCoefficients",
@@ -72,11 +63,8 @@ __all__ = [
     "ToolQuality",
     "ToolSpec",
     "constraint_margins",
-    "cutting_force",
-    "decision_bounds",
     "derive_coefficients",
     "fitness",
-    "machining_time",
     "profit_rate",
     "unit_cost",
     "unit_time",

@@ -35,7 +35,6 @@ __all__ = [
     "ReferenceRow",
     "REFERENCE_ROWS",
     "LoadedDocument",
-    "load_plan",
     "load_document",
     "load_document_file",
     "dump_plan",
@@ -300,11 +299,6 @@ def load_document(document: Mapping[str, Any]) -> LoadedDocument:
     )
 
 
-def load_plan(document: Mapping[str, Any]) -> MillingPlan:
-    """Parse a plan document, discarding any solver override sections."""
-    return load_document(document).plan
-
-
 def load_document_file(path: str | Path) -> LoadedDocument:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -315,7 +309,7 @@ def load_document_file(path: str | Path) -> LoadedDocument:
 
 
 def dump_plan(plan: MillingPlan) -> dict[str, Any]:
-    """Serialize a plan to a document that load_plan reads back unchanged.
+    """Serialize a plan to a document that load_document reads back unchanged.
 
     Bounds are emitted explicitly (resolved, not defaulted) so the dump is
     self-contained.
@@ -373,5 +367,5 @@ def builtin_document_bytes() -> bytes:
 
 def builtin_case() -> tuple[MillingPlan, tuple[ReferenceRow, ...]]:
     """The bundled five-operation part and its published comparison rows."""
-    plan = load_plan(json.loads(builtin_document_bytes().decode("utf-8")))
+    plan = load_document(json.loads(builtin_document_bytes().decode("utf-8"))).plan
     return plan, REFERENCE_ROWS

@@ -343,6 +343,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
         speeds=_parse_values(args.speeds, "speeds", plan.m),
         feeds=_parse_values(args.feeds, "feeds", plan.m),
     )
+    # Rejects, as the solvers do, a plan whose prices overflow anywhere in
+    # its box, even where the point itself would price finitely.
+    milling.compile_context(plan)
     coeffs = milling.derive_coefficients(plan)
     margins = milling.constraint_margins(plan, x, coeffs)
     report = _solution_report(
@@ -370,9 +373,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
             for m in margins
         ],
     )
-    # Rejects, as the solvers do, a plan whose prices overflow anywhere in
-    # its box, even where the point itself priced finitely.
-    milling.compile_context(plan, coeffs)
     return _render_keyed(report, args.out), 0
 
 

@@ -17,7 +17,7 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -30,10 +30,8 @@ from .milling import (
     MillingPlan,
     batch_evaluate,
     compile_context,
-    constraint_margins,
     corner_rate,
     cost_floor,
-    derive_coefficients,
 )
 
 __all__ = [
@@ -283,25 +281,11 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     record = state.record
     best = float(fitnesses[best_idx])
     if best > record.stall_fitness * (1.0 + STALL_GAIN):
-        stall_counter, stall_fitness = 0, best
+        record = replace(record, stall_counter=0, stall_fitness=best)
     else:
-        stall_counter, stall_fitness = record.stall_counter + 1, record.stall_fitness
+        record = replace(record, stall_counter=record.stall_counter + 1)
     if best > record.fitness:
-        record = BestRecord(
-            genome=genomes[best_idx].copy(),
-            sigmas=sigmas[best_idx].copy(),
-            fitness=best,
-            stall_counter=stall_counter,
-            stall_fitness=stall_fitness,
-        )
-    else:
-        record = BestRecord(
-            genome=record.genome,
-            sigmas=record.sigmas,
-            fitness=record.fitness,
-            stall_counter=stall_counter,
-            stall_fitness=stall_fitness,
-        )
+        record = replace(record, genome=genomes[best_idx].copy(), sigmas=sigmas[best_idx].copy(), fitness=best)
 
     return EsState(
         genomes=genomes.take(order, axis=0),
@@ -330,8 +314,7 @@ def run(
     Raises DomainError as compile_context does.
     """
     config = config or EsConfig()
-    coeffs = derive_coefficients(plan)
-    ctx = compile_context(plan, coeffs)
+    ctx = compile_context(plan)
     state = initial_state(ctx, config)
     # No point is feasible unless the lowest corner is, and none is
     # profitable once the cost floor reaches the price; a positive corner
@@ -358,14 +341,14 @@ def run(
             seed=config.seed,
         )
 
-    best = DecisionVector.from_genome(record.genome)
-    margins = constraint_margins(plan, best, coeffs)
+    # Only a feasible genome has a positive fitness, so the record holds
+    # one that batch_evaluate's feasibility test passed.
     evaluation = batch_evaluate(ctx, record.genome[None, :])
     cost = float(evaluation.unit_cost[0])
     time = float(evaluation.unit_time[0])
     return RunResult(
-        feasible=all(m.satisfied for m in margins),
-        best=best,
+        feasible=True,
+        best=DecisionVector.from_genome(record.genome),
         sigmas_final=tuple(float(s) for s in record.sigmas),
         unit_cost=cost,
         unit_time=time,

@@ -40,14 +40,11 @@ __all__ = [
     "SPEED_LIMITS",
     "FEED_LIMITS",
     "derive_coefficients",
-    "machining_time",
     "unit_time",
     "unit_cost",
     "profit_rate",
-    "cutting_force",
     "constraint_margins",
     "fitness",
-    "decision_bounds",
     "plan_warnings",
     "EvalContext",
     "compile_context",
@@ -329,7 +326,7 @@ class DerivedCoefficients:
     c5  power-constraint coefficient: c5 * v * f**0.8 <= 1
     c6  finish coefficient for face mills: c6 * f <= 1 (None if unused)
     c7  finish coefficient for end mills: c7 * f**2 <= 1 (None if unused)
-    c8  force coefficient: c8 * cutting_force <= 1 (None without a limit)
+    c8  force coefficient: c8 * cutting force <= 1 (None without a limit)
     """
 
     k1: float
@@ -434,18 +431,14 @@ def _check_dimensions(plan: MillingPlan, x: DecisionVector, coeffs: tuple[Derive
         )
 
 
-def machining_time(op_index: int, v: float, f: float, coeffs: tuple[DerivedCoefficients, ...]) -> float:
-    """Cutting time of one operation in minutes: k1 / (v * f)."""
-    _check_positive_pair(v, f)
-    return coeffs[op_index].k1 / (v * f)
-
-
 def unit_time(plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoefficients, ...]) -> float:
     """Total time per part: setup, machining of every operation, tool changes."""
     _check_dimensions(plan, x, coeffs)
     total = plan.economics.setup_time
     for i, op in enumerate(plan.operations):
-        total += machining_time(i, x.speeds[i], x.feeds[i], coeffs)
+        v, f = x.speeds[i], x.feeds[i]
+        _check_positive_pair(v, f)
+        total += coeffs[i].k1 / (v * f)
         total += plan.tool_for(op).change_time
     return total
 
@@ -465,8 +458,9 @@ def unit_cost(plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoeffic
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
     for i, op in enumerate(plan.operations):
         v, f = x.speeds[i], x.feeds[i]
+        _check_positive_pair(v, f)
         tool = plan.tool_for(op)
-        total += rate * machining_time(i, v, f, coeffs)
+        total += rate * (coeffs[i].k1 / (v * f))
         life_inv = 1.0 / tool.life_exponent
         total += (
             tool.price
@@ -483,7 +477,7 @@ def profit_rate(plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoeff
     return (plan.economics.sale_price - unit_cost(plan, x, coeffs)) / unit_time(plan, x, coeffs)
 
 
-def cutting_force(op_index: int, f: float, plan: MillingPlan) -> float:
+def _cutting_force(op_index: int, f: float, plan: MillingPlan) -> float:
     """Tangential cutting force in newtons at feed f.
 
     Grows with f**0.8 and with the engaged cross-section; sized so that
@@ -556,7 +550,7 @@ def _finish_and_force(
         finish = c.c7 * f**2
     else:
         finish = None
-    force = None if c.c8 is None else c.c8 * cutting_force(op_index, f, plan)
+    force = None if c.c8 is None else c.c8 * _cutting_force(op_index, f, plan)
     return finish, force
 
 
@@ -592,21 +586,6 @@ def fitness(plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoefficie
     if any(not m.satisfied for m in margins):
         return 0.0
     return profit_rate(plan, x, coeffs)
-
-
-def decision_bounds(plan: MillingPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds of the flat decision vector [v_1..v_m, f_1..f_m]."""
-    lower = np.array(
-        [op.speed_bounds[0] for op in plan.operations]
-        + [op.feed_bounds[0] for op in plan.operations],
-        dtype=float,
-    )
-    upper = np.array(
-        [op.speed_bounds[1] for op in plan.operations]
-        + [op.feed_bounds[1] for op in plan.operations],
-        dtype=float,
-    )
-    return lower, upper
 
 
 def plan_warnings(plan: MillingPlan) -> tuple[str, ...]:
@@ -696,7 +675,7 @@ def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float
     elif c.c7 is not None:
         cap = min(cap, c.c7**-0.5)
     if c.c8 is not None:
-        cap = min(cap, (c.c8 * cutting_force(op_index, 1.0, plan)) ** -1.25)
+        cap = min(cap, (c.c8 * _cutting_force(op_index, 1.0, plan)) ** -1.25)
     while cap < f_hi and accepted(math.nextafter(cap, math.inf)):
         cap = math.nextafter(cap, math.inf)
     while not accepted(cap):
@@ -704,22 +683,23 @@ def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float
     return cap
 
 
-def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) -> EvalContext:
-    """Flatten a plan into the arrays batch_evaluate needs.
+def compile_context(plan: MillingPlan) -> EvalContext:
+    """Flatten a plan and its derived coefficients into the arrays
+    batch_evaluate needs; lower and upper are the box of the flat decision
+    vector [v_1..v_m, f_1..f_m].
 
     Raises DomainError when a price inside the speed and feed box
     overflows (see _check_box_prices)."""
-    if len(coeffs) != plan.m:
-        raise ContractError(f"plan has {plan.m} operations but got {len(coeffs)} coefficient sets")
+    coeffs = derive_coefficients(plan)
+    ops = plan.operations
     eco = plan.economics
     machine = plan.machine
     rate = eco.minute_rate
-    tools = [plan.tool_for(op) for op in plan.operations]
+    tools = [plan.tool_for(op) for op in ops]
     change_time = np.array([tool.change_time for tool in tools])
     change_total = sum(change_time.tolist())
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
 
-    lower, upper = decision_bounds(plan)
     ctx = EvalContext(
         sale_price=eco.sale_price,
         rate=rate,
@@ -734,8 +714,8 @@ def compile_context(plan: MillingPlan, coeffs: tuple[DerivedCoefficients, ...]) 
         ),
         c5=np.array([c.c5 for c in coeffs]),
         feed_cap=np.array([_feed_cap(plan, i, c) for i, c in enumerate(coeffs)]),
-        lower=lower,
-        upper=upper,
+        lower=np.array([op.speed_bounds[0] for op in ops] + [op.feed_bounds[0] for op in ops], dtype=float),
+        upper=np.array([op.speed_bounds[1] for op in ops] + [op.feed_bounds[1] for op in ops], dtype=float),
     )
     _check_box_prices(ctx)
     return ctx

@@ -59,8 +59,6 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "OracleError",
-    "OpGrid",
-    "prepare_op_grid",
     "per_op_grid_min",
     "dinkelbach_solve",
 ]
@@ -346,8 +344,7 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     with the multiplier trace if the iteration does not stop within
     MAX_DINKELBACH_ITERATIONS.
     """
-    coeffs = derive_coefficients(plan)
-    ctx = compile_context(plan, coeffs)
+    ctx = compile_context(plan)
     grid = grid or GridSpec()
     # The lowest corner is a grid point, so when it is feasible with a
     # finite value every per-operation scan finds a finite feasible point.
@@ -363,6 +360,9 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
             lambda_trace=(),
         )
     ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+    # The reports price with the scalar model, which the frozen yardsticks
+    # pin to the last bit.
+    coeffs = derive_coefficients(plan)
     previous = DecisionVector.from_genome(ctx.lower)
     trace: list[float] = [lam]
 

@@ -409,9 +409,10 @@ def test_mutation_step_size_statistics(builtin_plan):
 
 def test_long_run_invariants_hold_every_generation(builtin_plan, monkeypatch):
     started = time.monotonic()
-    from millopt.milling import decision_bounds
+    from millopt.milling import compile_context
 
-    lower, upper = decision_bounds(builtin_plan)
+    ctx = compile_context(builtin_plan)
+    lower, upper = ctx.lower, ctx.upper
     monkeypatch.setattr(es, "MAX_GENERATIONS", 2000)
     config = EsConfig(seed=0, stall_limit=2000)
     best_so_far = [0.0]

@@ -17,7 +17,6 @@ from millopt import (
     builtin_document_bytes,
     load_document,
     load_document_file,
-    load_plan,
 )
 from millopt.case_study import (
     ES_OVERRIDE_KEYS,
@@ -139,14 +138,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("factory", [single_face_plan, two_op_plan])
     def test_toy_plans(self, factory):
         plan = factory()
-        assert load_plan(dump_plan(plan)) == plan
+        assert load_document(dump_plan(plan)).plan == plan
 
     def test_builtin_plan(self, builtin_plan):
-        assert load_plan(dump_plan(builtin_plan)) == builtin_plan
+        assert load_document(dump_plan(builtin_plan)).plan == builtin_plan
 
     def test_dump_is_json_serializable(self, builtin_plan):
         text = json.dumps(dump_plan(builtin_plan))
-        assert load_plan(json.loads(text)) == builtin_plan
+        assert load_document(json.loads(text)).plan == builtin_plan
 
     def test_dump_resolves_default_bounds(self, builtin_plan):
         document = dump_plan(builtin_plan)
@@ -252,7 +251,7 @@ class TestOperationOptions:
     def test_k3_override_honored(self):
         doc = builtin_document()
         doc["operations"][0]["k3_override"] = 2.5e-6
-        plan = load_plan(doc)
+        plan = load_document(doc).plan
         assert plan.operations[0].k3_override == 2.5e-6
         from millopt import derive_coefficients
 
@@ -262,14 +261,14 @@ class TestOperationOptions:
         doc = builtin_document()
         doc["operations"][0]["speed_bounds"] = [70.0, 110.0]
         doc["operations"][0]["feed_bounds"] = [0.1, 0.3]
-        plan = load_plan(doc)
+        plan = load_document(doc).plan
         assert plan.operations[0].speed_bounds == (70.0, 110.0)
         assert plan.operations[0].feed_bounds == (0.1, 0.3)
 
     def test_permitted_force_loaded(self):
         doc = builtin_document()
         doc["tools"][0]["permitted_force"] = 4500.0
-        plan = load_plan(doc)
+        plan = load_document(doc).plan
         assert plan.tools[0].permitted_force == 4500.0
 
 

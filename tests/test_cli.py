@@ -505,6 +505,31 @@ class TestOverflowingDocument:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_every_command_prints_the_same_error(self, capsys, overflow_config_path):
+        point = ("--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388")
+        errors = {
+            run_cli(capsys, command, *extra, "--config", overflow_config_path)[2]
+            for command, extra in (("optimize", ()), ("oracle", ()), ("compare", ()), ("evaluate", point))
+        }
+        assert errors == {"error: unit cost inf at the lowest speeds and feeds: the plan overflows\n"}
+
+
+class TestPointThatOverflows:
+    def test_scalar_overflow_exits_two_with_one_error_line(self, capsys):
+        # The plan compiles; only the scalar pricing of this point overflows.
+        code, out, err = run_cli(
+            capsys,
+            "evaluate",
+            "--builtin-case",
+            "--speeds",
+            "1e200,40,40,30,31.3",
+            "--feeds",
+            "0.078,0.325,0.325,0.5,0.388",
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: OverflowError while pricing the plan")
+
 
 @pytest.fixture()
 def overflow_above_corner_config_path(tmp_path):

@@ -33,7 +33,6 @@ from millopt.milling import (
     batch_evaluate,
     compile_context,
     cost_floor,
-    decision_bounds,
     derive_coefficients,
     plan_warnings,
 )
@@ -139,11 +138,17 @@ def clip(genome, lower, upper):
     return clipped[0]
 
 
+def box(plan):
+    """The (lower, upper) box of plan's flat decision vector."""
+    ctx = compile_context(plan)
+    return ctx.lower, ctx.upper
+
+
 class TestClipToBox:
     """mutate projects every perturbed genome onto the box."""
 
     def test_projects_out_of_box_speed(self, builtin_plan):
-        lower, upper = decision_bounds(builtin_plan)
+        lower, upper = box(builtin_plan)
         genome = (lower + upper) / 2.0
         genome[0] = 130.0  # above the 120 ceiling of the first operation
         clipped = clip(genome, lower, upper)
@@ -151,17 +156,17 @@ class TestClipToBox:
         assert np.array_equal(clipped[1:], genome[1:])
 
     def test_in_box_points_unchanged(self, builtin_plan):
-        lower, upper = decision_bounds(builtin_plan)
+        lower, upper = box(builtin_plan)
         genome = lower * 0.25 + upper * 0.75
         assert np.array_equal(clip(genome, lower, upper), genome)
 
     def test_bounds_are_attainable(self, builtin_plan):
-        lower, upper = decision_bounds(builtin_plan)
+        lower, upper = box(builtin_plan)
         assert np.array_equal(clip(lower - 1.0, lower, upper), lower)
         assert np.array_equal(clip(upper + 1.0, lower, upper), upper)
 
     def test_length_mismatch_rejected(self, builtin_plan):
-        lower, upper = decision_bounds(builtin_plan)
+        lower, upper = box(builtin_plan)
         with pytest.raises(ContractError):
             mutate(np.ones((1, 3)), np.ones((1, 3)), lower, upper, np.random.default_rng(0))
 
@@ -169,10 +174,10 @@ class TestClipToBox:
 class TestInitPopulation:
     def test_population_shape_and_sigmas(self, toy_single_plan):
         cfg = toy_config(mu=5, eta=7, sigma_init=1.25, seed=3)
-        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        ctx = compile_context(toy_single_plan)
         state = initial_state(ctx, cfg)
         assert state.genomes.shape == (5, 2)
-        lower, upper = decision_bounds(toy_single_plan)
+        lower, upper = ctx.lower, ctx.upper
         assert np.all(state.genomes >= lower) and np.all(state.genomes <= upper)
         assert np.all(state.sigmas == 1.25)
         # nothing evaluated yet
@@ -181,12 +186,12 @@ class TestInitPopulation:
 
     def test_same_seed_same_population(self, toy_single_plan):
         cfg = toy_config(seed=11)
-        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        ctx = compile_context(toy_single_plan)
         a = initial_state(ctx, cfg)
         b = initial_state(ctx, cfg)
         assert np.array_equal(a.genomes, b.genomes)
         # one uniform draw of the whole population opens the seed's stream
-        lower, upper = decision_bounds(toy_single_plan)
+        lower, upper = ctx.lower, ctx.upper
         expected = np.random.default_rng(11).uniform(lower, upper, size=(cfg.mu, lower.size))
         assert np.array_equal(a.genomes, expected)
 
@@ -403,8 +408,7 @@ class TestSelect:
 class TestStep:
     def test_bookkeeping_per_generation(self, toy_single_plan):
         cfg = toy_config(mu=4, eta=12)
-        coeffs = derive_coefficients(toy_single_plan)
-        ctx = compile_context(toy_single_plan, coeffs)
+        ctx = compile_context(toy_single_plan)
         state = initial_state(ctx, cfg)
         for expected_gen in (1, 2, 3):
             state = step(state, ctx, cfg)
@@ -412,13 +416,12 @@ class TestStep:
             assert state.evaluations == expected_gen * cfg.eta
             assert state.genomes.shape == (cfg.mu, 2)
             assert np.all(state.sigmas >= SIGMA_FLOOR)
-            lower, upper = decision_bounds(toy_single_plan)
+            lower, upper = ctx.lower, ctx.upper
             assert np.all(state.genomes >= lower) and np.all(state.genomes <= upper)
 
     def test_record_is_monotone_and_covers_population(self, toy_single_plan):
         cfg = toy_config(mu=4, eta=12)
-        coeffs = derive_coefficients(toy_single_plan)
-        ctx = compile_context(toy_single_plan, coeffs)
+        ctx = compile_context(toy_single_plan)
         state = initial_state(ctx, cfg)
         previous = 0.0
         for _ in range(20):
@@ -432,8 +435,7 @@ class TestStep:
         # With no gain required, every strict rise is progress.
         monkeypatch.setattr(es, "STALL_GAIN", 0.0)
         cfg = toy_config(mu=4, eta=12)
-        coeffs = derive_coefficients(toy_single_plan)
-        ctx = compile_context(toy_single_plan, coeffs)
+        ctx = compile_context(toy_single_plan)
         state = initial_state(ctx, cfg)
         last_fitness = 0.0
         for _ in range(15):
@@ -449,7 +451,7 @@ class TestStep:
         self, toy_single_plan, monkeypatch
     ):
         cfg = toy_config(mu=2, eta=6)
-        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        ctx = compile_context(toy_single_plan)
         state = initial_state(ctx, cfg)
         base = 2.0
         cap = base * (1.0 + es.STALL_GAIN)  # the threshold as step computes it
@@ -484,8 +486,7 @@ class TestStep:
 
     def test_all_infeasible_leaves_record_empty(self, toy_infeasible_plan):
         cfg = toy_config(mu=3, eta=9)
-        coeffs = derive_coefficients(toy_infeasible_plan)
-        ctx = compile_context(toy_infeasible_plan, coeffs)
+        ctx = compile_context(toy_infeasible_plan)
         state = initial_state(ctx, cfg)
         for expected in (1, 2, 3):
             state = step(state, ctx, cfg)
@@ -582,8 +583,47 @@ class TestRun:
         assert info.misses == 1 and info.hits >= 9
 
     def test_package_root_exports_engine_api(self):
-        for name in ("EsConfig", "run", "step", "select", "mutate", "recombine"):
-            assert hasattr(millopt, name)
+        assert millopt.__all__ == [
+            "__version__",
+            "builtin_case",
+            "builtin_document_bytes",
+            "load_document",
+            "load_document_file",
+            "EsConfig",
+            "run",
+            "ContractError",
+            "DecisionVector",
+            "DerivedCoefficients",
+            "DomainError",
+            "EconomicConstants",
+            "MachineSpec",
+            "MillingPlan",
+            "ModelError",
+            "OperationKind",
+            "OperationSpec",
+            "PlanError",
+            "ToolKind",
+            "ToolQuality",
+            "ToolSpec",
+            "constraint_margins",
+            "derive_coefficients",
+            "fitness",
+            "profit_rate",
+            "unit_cost",
+            "unit_time",
+            "GridSpec",
+            "OracleError",
+            "OracleResult",
+            "dinkelbach_solve",
+        ]
+        for name in millopt.__all__:
+            assert hasattr(millopt, name), name
+        # the operators stay in millopt.es; the other names are gone or private
+        removed = ("load_plan", "mutate", "recombine", "select", "step", "machining_time", "cutting_force", "decision_bounds")
+        for name in removed:
+            assert not hasattr(millopt, name), name
+        for name in ("mutate", "recombine", "select", "step"):
+            assert callable(getattr(es, name)), name
 
 
 def _reference_rates() -> dict[int, float]:
@@ -748,7 +788,7 @@ def digest_plan(index: int):
 @pytest.mark.parametrize("index", sorted(UNPROFITABLE_DIGEST_PLANS))
 def test_plan_whose_floor_reaches_the_price_stops_before_the_first_generation(index, monkeypatch):
     plan = digest_plan(index)
-    ctx = compile_context(plan, derive_coefficients(plan))
+    ctx = compile_context(plan)
     assert cost_floor(ctx) / ctx.sale_price == pytest.approx(UNPROFITABLE_DIGEST_PLANS[index], abs=5e-3)
     assert dinkelbach_solve(plan, grid=GridSpec(resolution=300)).profit_rate < 0.0
 

@@ -30,11 +30,8 @@ from millopt import (
     ToolQuality,
     ToolSpec,
     constraint_margins,
-    cutting_force,
-    decision_bounds,
     derive_coefficients,
     fitness,
-    machining_time,
     profit_rate,
     unit_cost,
     unit_time,
@@ -43,6 +40,7 @@ from millopt.es import EsConfig, initial_state, step
 from millopt.milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
+    _cutting_force as cutting_force,
     batch_evaluate,
     compile_context,
     corner_rate,
@@ -177,24 +175,37 @@ class TestDerivedCoefficients:
             DerivedCoefficients(k1=1.0, k3=1.0, c5=1.0, c6=1.0, c7=1.0)
 
 
+def machining_time(plan: MillingPlan, op_index: int, v: float, f: float) -> float:
+    """unit_time of plan cut down to operation op_index, with no setup and
+    no tool change time: that operation's machining time k1 / (v * f)."""
+    op = plan.operations[op_index]
+    single = MillingPlan(
+        economics=dataclasses.replace(plan.economics, setup_time=0.0),
+        machine=plan.machine,
+        tools=(dataclasses.replace(plan.tool_for(op), change_time=0.0),),
+        operations=(op,),
+    )
+    return unit_time(single, DecisionVector(speeds=(v,), feeds=(f,)), derive_coefficients(single))
+
+
 class TestMachiningTime:
-    def test_hand_values(self, builtin_coeffs):
-        assert machining_time(0, 100.0, 0.1, builtin_coeffs) == pytest.approx(
-            1.1780972450961725, rel=1e-12
-        )
-        assert machining_time(0, 100.0, 0.1, builtin_coeffs) == pytest.approx(1.178, abs=5e-4)
-        assert machining_time(0, 100.0, 0.2, builtin_coeffs) == pytest.approx(0.589, abs=5e-4)
+    def test_hand_values(self, builtin_plan):
+        assert machining_time(builtin_plan, 0, 100.0, 0.1) == pytest.approx(1.1780972450961725, rel=1e-12)
+        assert machining_time(builtin_plan, 0, 100.0, 0.1) == pytest.approx(1.178, abs=5e-4)
+        assert machining_time(builtin_plan, 0, 100.0, 0.2) == pytest.approx(0.589, abs=5e-4)
 
-    def test_doubling_speed_halves_time(self, builtin_coeffs):
-        assert machining_time(0, 200.0, 0.1, builtin_coeffs) == pytest.approx(
-            machining_time(0, 100.0, 0.1, builtin_coeffs) / 2.0, rel=1e-15
+    def test_doubling_speed_halves_time(self, builtin_plan):
+        assert machining_time(builtin_plan, 0, 200.0, 0.1) == pytest.approx(
+            machining_time(builtin_plan, 0, 100.0, 0.1) / 2.0, rel=1e-15
         )
 
-    def test_rejects_nonpositive_inputs(self, builtin_coeffs):
-        with pytest.raises(DomainError):
-            machining_time(0, 0.0, 0.1, builtin_coeffs)
-        with pytest.raises(DomainError):
-            machining_time(0, 100.0, -0.1, builtin_coeffs)
+    def test_rejects_nonpositive_inputs(self, builtin_plan, builtin_coeffs):
+        for v, f in ((0.0, 0.1), (100.0, -0.1)):
+            with pytest.raises(DomainError):
+                machining_time(builtin_plan, 0, v, f)
+            x = DecisionVector(speeds=(v, 40.0, 40.0, 30.0, 31.3), feeds=(f, 0.325, 0.325, 0.5, 0.388))
+            with pytest.raises(DomainError):
+                unit_cost(builtin_plan, x, builtin_coeffs)
 
 
 class TestUnitTimeAndCost:
@@ -227,9 +238,7 @@ class TestUnitTimeAndCost:
     def test_unit_time_includes_setup_and_changes(self, builtin_plan, builtin_coeffs):
         x = feasible_builtin_point()
         total = unit_time(builtin_plan, x, builtin_coeffs)
-        machining = sum(
-            machining_time(i, x.speeds[i], x.feeds[i], builtin_coeffs) for i in range(5)
-        )
+        machining = sum(builtin_coeffs[i].k1 / (x.speeds[i] * x.feeds[i]) for i in range(5))
         assert total == pytest.approx(2.0 + machining + 5 * 0.5, rel=1e-12)
 
     def test_doubling_tool_price_doubles_only_tool_cost(self, builtin_plan, builtin_coeffs):
@@ -537,7 +546,7 @@ class TestMonotonicity:
 def assert_batch_matches_scalar(plan, coeffs, genomes) -> np.ndarray:
     """Every row priced by batch_evaluate as by the scalar functions, with
     exactly the same feasibility verdict; returns the verdicts."""
-    batch = batch_evaluate(compile_context(plan, coeffs), genomes)
+    batch = batch_evaluate(compile_context(plan), genomes)
     for row in range(genomes.shape[0]):
         x = DecisionVector.from_genome(genomes[row])
         assert batch.unit_cost[row] == pytest.approx(unit_cost(plan, x, coeffs), rel=1e-12)
@@ -571,12 +580,11 @@ class TestFeedCap:
         for _ in range(2000):
             plan = random_plan(rng)
             coeffs = derive_coefficients(plan)
-            ctx = compile_context(plan, coeffs)
-            lower, _ = decision_bounds(plan)
+            ctx = compile_context(plan)
             for i, op in enumerate(plan.operations):
                 cap = float(ctx.feed_cap[i])
                 assert cap <= op.feed_bounds[1]
-                genome = lower.copy()
+                genome = ctx.lower.copy()
                 genome[plan.m + i] = cap
                 assert not broken_limits(plan, coeffs, genome, i) & FEED_LIMITS_NAMED
                 if cap < op.feed_bounds[1]:
@@ -593,7 +601,8 @@ class TestFeedCap:
 class TestBatchEvaluate:
     def test_matches_scalar_functions(self, builtin_plan, builtin_coeffs):
         rng = np.random.default_rng(7)
-        lower, upper = decision_bounds(builtin_plan)
+        ctx = compile_context(builtin_plan)
+        lower, upper = ctx.lower, ctx.upper
         # widened sampling box brings in out-of-box and infeasible points
         genomes = rng.uniform(lower * 0.8, upper * 1.15, size=(64, lower.size))
         assert_batch_matches_scalar(builtin_plan, builtin_coeffs, genomes)
@@ -623,8 +632,8 @@ class TestBatchEvaluate:
         flips: dict[str, int] = {}
         for plan in plans:
             coeffs = derive_coefficients(plan)
-            ctx = compile_context(plan, coeffs)
-            lower, upper = decision_bounds(plan)
+            ctx = compile_context(plan)
+            lower, upper = ctx.lower, ctx.upper
             m = plan.m
             random_rows = plan_rng.uniform(lower * 0.8, upper * 1.15, size=(8, lower.size))
             edge_rows = []
@@ -644,13 +653,13 @@ class TestBatchEvaluate:
         # the one-ulp step decides feasibility through every kind of cap
         assert set(flips) == FEED_LIMITS_NAMED | {"feed_box"}
 
-    def test_rejects_wrong_width(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_rejects_wrong_width(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
         with pytest.raises(ContractError):
             batch_evaluate(ctx, np.ones((3, 7)))
 
-    def test_rejects_nonpositive_entries(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_rejects_nonpositive_entries(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
         bad = np.full((1, 10), 0.2)
         bad[0, 0] = -1.0
         with pytest.raises(DomainError):
@@ -658,25 +667,23 @@ class TestBatchEvaluate:
 
     @pytest.mark.parametrize("entry", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 9])
-    def test_rejects_nonpositive_and_nonfinite_entries(
-        self, builtin_plan, builtin_coeffs, entry, column
-    ):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_rejects_nonpositive_and_nonfinite_entries(self, builtin_plan, entry, column):
+        ctx = compile_context(builtin_plan)
         bad = np.full((3, 10), 0.2)
         bad[1, column] = entry
         with pytest.raises(DomainError):
             batch_evaluate(ctx, bad)
 
-    def test_empty_batch_evaluates_to_empty_arrays(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_empty_batch_evaluates_to_empty_arrays(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
         result = batch_evaluate(ctx, np.empty((0, 10)))
         for values in (result.fitness, result.unit_cost, result.unit_time, result.feasible):
             assert values.shape == (0,)
 
-    def test_box_test_follows_a_replaced_feed_cap(self, builtin_plan, builtin_coeffs):
+    def test_box_test_follows_a_replaced_feed_cap(self, builtin_plan):
         # feasible_upper is derived from feed_cap, so replacing feed_cap
         # moves the feed half of the box test with it
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+        ctx = compile_context(builtin_plan)
         assert np.array_equal(ctx.feasible_upper, np.concatenate((ctx.upper[:5], ctx.feed_cap)))
         assert batch_evaluate(ctx, ctx.lower).feasible[0]
         capped = dataclasses.replace(ctx, feed_cap=np.where(np.arange(5) == 2, 0.0, ctx.feed_cap))
@@ -757,7 +764,7 @@ class TestOperationMajorLayout:
     BATCH_SIZES = (0, 1, 2, 105, 333)
 
     def check_plan(self, plan, rng) -> None:
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         for n in self.BATCH_SIZES:
             assert_matches_reference(ctx, rng.uniform(0.9 * ctx.lower, 1.2 * ctx.upper, size=(n, 2 * ctx.m)))
         edges = boundary_rows(ctx, rng)
@@ -775,14 +782,14 @@ class TestOperationMajorLayout:
         # from m = 8 numpy sums a row through partial sums
         self.check_plan(repeated_plan(builtin_plan, times), np.random.default_rng(times))
 
-    def test_one_dimensional_genome_is_one_row(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_one_dimensional_genome_is_one_row(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
         genome = np.random.default_rng(3).uniform(ctx.lower, ctx.upper)
         assert_matches_reference(ctx, genome)
         assert batch_evaluate(ctx, genome).fitness.shape == (1,)
 
-    def test_replace_rebuilds_derived_columns(self, builtin_plan, builtin_coeffs):
-        ctx = compile_context(builtin_plan, builtin_coeffs)
+    def test_replace_rebuilds_derived_columns(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
         changed = dataclasses.replace(
             ctx,
             feed_cap=ctx.feed_cap * 0.5,
@@ -814,23 +821,26 @@ class TestBoxPriceCheck:
     def test_overflow_at_the_lowest_corner(self, builtin_plan):
         plan = with_wear(builtin_plan, 0.004)
         with pytest.raises(DomainError, match="at the lowest speeds and feeds"):
-            compile_context(plan, derive_coefficients(plan))
+            compile_context(plan)
 
     def test_overflow_only_above_the_lowest_corner(self, builtin_plan):
         plan = with_wear(builtin_plan, 1 / 151)
         coeffs = derive_coefficients(plan)
-        lower, _ = decision_bounds(plan)
+        corner = DecisionVector(
+            speeds=tuple(op.speed_bounds[0] for op in plan.operations),
+            feeds=tuple(op.feed_bounds[0] for op in plan.operations),
+        )
         # the corner prices finitely; the fastest speeds do not
-        assert math.isfinite(unit_cost(plan, DecisionVector.from_genome(lower), coeffs))
+        assert math.isfinite(unit_cost(plan, corner, coeffs))
         with pytest.raises(DomainError, match="inside the speed and feed bounds"):
-            compile_context(plan, coeffs)
+            compile_context(plan)
 
     @pytest.mark.parametrize("life_exponent", [0.1, 0.5, 1.0, 1.5, 2.0])
     def test_finite_plans_compile_and_price_without_warnings(self, builtin_plan, life_exponent):
         # a = 1/n - 1 takes both signs here, so both speed corners are read
         plan = with_wear(builtin_plan, life_exponent)
         with np.errstate(all="raise"):
-            ctx = compile_context(plan, derive_coefficients(plan))
+            ctx = compile_context(plan)
             batch = batch_evaluate(ctx, np.random.default_rng(5).uniform(ctx.lower, ctx.upper, size=(64, 10)))
         assert np.isfinite(batch.unit_cost).all()
 
@@ -865,7 +875,7 @@ class TestCostFloor:
     def test_floor_is_sound_on_random_plans(self, seed):
         rng = np.random.default_rng(seed)
         plan = random_plan(rng)
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         assume(corner_rate(ctx) is not None)
         floor = strict_cost_floor(ctx)
         grid = dinkelbach_solve(plan, grid=GridSpec(resolution=40))
@@ -909,7 +919,7 @@ class TestCostFloor:
                 for op in plan.operations
             )
             plan = dataclasses.replace(plan, operations=operations)
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         floor = strict_cost_floor(ctx)
         assert math.isfinite(floor)
         genomes = np.vstack(

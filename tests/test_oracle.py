@@ -22,7 +22,6 @@ from millopt import (
     constraint_margins,
     derive_coefficients,
     dinkelbach_solve,
-    machining_time,
     profit_rate,
     unit_cost,
     unit_time,
@@ -78,7 +77,7 @@ def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
             x = DecisionVector(tuple(probe_speeds), tuple(probe_feeds))
             if not constraint_margins(plan, x, coeffs)[op_index].satisfied:
                 continue
-            time = machining_time(op_index, float(v), float(f), coeffs) + tool.change_time
+            time = c.k1 / (float(v) * float(f)) + tool.change_time
             cost = rate * time + tool.price * c.k3 * v**speed_exp * f**feed_exp
             value = cost + lam * time
             if best is None or value < best[2] - 1e-15:
@@ -94,7 +93,7 @@ def scan(op_index, lam, plan, ctx, grid):
 
 
 def grid_min(plan, coeffs, op_index, lam, resolution):
-    ctx = compile_context(plan, coeffs)
+    ctx = compile_context(plan)
     return scan(op_index, lam, plan, ctx, GridSpec(resolution=resolution))
 
 
@@ -149,7 +148,7 @@ class TestPerOpGridMin:
         v, f, value = grid_min(toy_single_plan, coeffs, 0, 0.0, 9)
         tool = toy_single_plan.tools[0]
         rate = toy_single_plan.economics.minute_rate
-        time = machining_time(0, v, f, coeffs) + tool.change_time
+        time = coeffs[0].k1 / (v * f) + tool.change_time
         speed_exp = 1.0 / tool.life_exponent - 1.0
         feed_exp = (
             toy_single_plan.machine.chip_area_exponent
@@ -247,7 +246,7 @@ def scan_both(plan, ctx, op_index, lam, resolution):
 def compiled_random_plans():
     rng = np.random.default_rng(20)
     plans = [random_plan(rng) for _ in range(300)]
-    return [(plan, compile_context(plan, derive_coefficients(plan))) for plan in plans]
+    return [(plan, compile_context(plan)) for plan in plans]
 
 
 class TestStaircaseMatchesFullGrid:
@@ -263,7 +262,7 @@ class TestStaircaseMatchesFullGrid:
         assert found > 0
 
     def test_builtin_case_at_its_lambda_trace(self, builtin_plan):
-        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        ctx = compile_context(builtin_plan)
         for lam in (0.0, 1.3347188500502423, 1.3754333401782102, 1.3754610610670144):
             for i in range(builtin_plan.m):
                 assert scan_both(builtin_plan, ctx, i, lam, 833) is not None
@@ -280,7 +279,7 @@ def edge_context(plan=None, **entries):
     """single_face_plan (or plan, one operation) compiled, with the named
     per-operation context entries replaced."""
     plan = plan or single_face_plan()
-    ctx = compile_context(plan, derive_coefficients(plan))
+    ctx = compile_context(plan)
     return plan, dataclasses.replace(ctx, **{k: np.array([v]) for k, v in entries.items()})
 
 
@@ -326,14 +325,14 @@ NARROW_SPEEDS = pinned_face_plan(speed_bounds=(75.0, 75.1))
 class TestStaircaseEdges:
     def test_single_point_speed_box(self):
         plan = pinned_face_plan(speed_bounds=(75.0, 75.0))
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         for resolution in (2, 9, 301):
             got = scan_both(plan, ctx, 0, 2.0, resolution)
             assert got is not None and got[0] == 75.0
 
     def test_single_point_feed_box(self):
         plan = pinned_face_plan(feed_bounds=(0.2, 0.2))
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         for resolution in (2, 9, 301):
             got = scan_both(plan, ctx, 0, 2.0, resolution)
             assert got is not None and got[1] == 0.2
@@ -407,7 +406,7 @@ class TestStaircaseEdges:
         assert scan_both(plan, ctx, 0, 2.0, 700)[:2] == (speeds[-1], feeds[0])
         # the unmodified plan, where power trims the rows into a staircase
         plan = single_face_plan()
-        ctx = compile_context(plan, derive_coefficients(plan))
+        ctx = compile_context(plan)
         for lam in (0.0, 3.0):
             assert scan_both(plan, ctx, 0, lam, 301) is not None
 
@@ -439,7 +438,7 @@ class TestBandEdges:
     def test_zero_and_negative_weight_on_builtin_case(self, builtin_plan):
         # rate + lam exactly 0 drops the time term; at -1 the time term is
         # negative, so a band's largest 1 / f bounds it
-        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        ctx = compile_context(builtin_plan)
         for lam in (-ctx.rate, -(ctx.rate + 1.0)):
             assert ctx.rate + lam in (0.0, -1.0)
             for i in range(builtin_plan.m):
@@ -517,7 +516,7 @@ class TestRowBlockEdges:
         # a negative tool_cost_coef makes every block's smallest wear row
         # factor its most negative one, and weight -1 does the same to the
         # time factors; 833 rows make 14 blocks
-        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        ctx = compile_context(builtin_plan)
         ctx = dataclasses.replace(ctx, tool_cost_coef=-ctx.tool_cost_coef)
         for i in range(builtin_plan.m):
             scan_prepared_both(builtin_plan, ctx, i, (-(ctx.rate + 1.0), 0.0), 833)
@@ -525,7 +524,7 @@ class TestRowBlockEdges:
     def test_one_prepared_grid_at_weights_of_both_signs(self, builtin_plan, compiled_random_plans):
         # weight = rate + lam changes sign between the scans of one
         # preparation, so the band extremes of 1 / f must swap with it
-        ctx = compile_context(builtin_plan, derive_coefficients(builtin_plan))
+        ctx = compile_context(builtin_plan)
         lams = (1.3754333401782102, -(ctx.rate + 1.0), 0.0, -ctx.rate, -(ctx.rate + 0.25), 3.0)
         for i in range(builtin_plan.m):
             assert None not in scan_prepared_both(builtin_plan, ctx, i, lams, 833)
@@ -562,7 +561,7 @@ class TestToySingleOpExactly:
         assert result.iterations == 2
 
     def test_multiplier_trace_starts_at_corner_rate_and_never_falls(self, toy_single_plan):
-        ctx = compile_context(toy_single_plan, derive_coefficients(toy_single_plan))
+        ctx = compile_context(toy_single_plan)
         result = dinkelbach_solve(toy_single_plan, grid=GridSpec(resolution=3))
         trace = result.lambda_trace
         assert trace[0] == batch_evaluate(ctx, ctx.lower).fitness[0]
@@ -704,7 +703,7 @@ def grid_step(plan, coeffs, ops, lam):
 
 def prepared(plan, resolution):
     coeffs = derive_coefficients(plan)
-    ctx = compile_context(plan, coeffs)
+    ctx = compile_context(plan)
     grid = GridSpec(resolution=resolution)
     return coeffs, ctx, [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
 
@@ -845,7 +844,7 @@ class TestFailureModes:
         for _ in range(500):
             plan = random_plan(rng)
             coeffs = derive_coefficients(plan)
-            ctx = compile_context(plan, coeffs)
+            ctx = compile_context(plan)
             corner = bool(batch_evaluate(ctx, ctx.lower).feasible[0])
             on_grid = all(
                 prepare_op_grid(i, ctx, grid) is not None for i in range(plan.m)
