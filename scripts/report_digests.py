@@ -33,7 +33,13 @@ Every report is JSON, so full precision counts.  The set:
   * one run per retired solver setting, on the bundled document with that
     key set to a once-valid value: optimize --stall 50 for the es keys,
     oracle for the oracle keys.  Documents with these keys are rejected
-    as unknown keys.
+    as unknown keys;
+  * --help of the program and of each subcommand, at a fixed width of 80
+    columns;
+  * one run per invalid entry in the bundled document: optimize with
+    es.mu 10.5, es.seed true, es.sigma_init "fast", a tool_id key in the
+    first operation and an unknown key in the first tool, and oracle with
+    oracle.resolution 2.5.  Each is rejected with one error line.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -44,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import traceback
@@ -52,6 +59,8 @@ from pathlib import Path
 from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
+# argparse wraps --help to the terminal's width; fix it so digests compare.
+os.environ["COLUMNS"] = "80"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
@@ -75,6 +84,17 @@ RETIRED_KEYS = (
     ("es", "max_generations", 5000),
     ("oracle", "dinkelbach_tolerance", 1e-9),
     ("oracle", "max_dinkelbach_iterations", 100),
+)
+COMMANDS = ("optimize", "oracle", "evaluate", "compare")
+# (command, section, key, value): the value goes into the section, or into
+# its first entry where the section is a list.
+INVALID_ENTRIES = (
+    ("optimize", "es", "mu", 10.5),
+    ("optimize", "es", "seed", True),
+    ("optimize", "es", "sigma_init", "fast"),
+    ("optimize", "operations", "tool_id", 1),
+    ("optimize", "tools", "colour", "red"),
+    ("oracle", "oracle", "resolution", 2.5),
 )
 
 
@@ -164,6 +184,20 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             yield f"optimize {section}.{key}", ("optimize", *retired, "--stall", "50")
         else:
             yield f"oracle {section}.{key}", ("oracle", *retired)
+
+    yield "help", ("--help",)
+    for command in COMMANDS:
+        yield f"{command} help", (command, "--help")
+
+    for command, section, key, value in INVALID_ENTRIES:
+        document = json.loads(builtin_document_bytes().decode("utf-8"))
+        entry = document.setdefault(section, {})
+        (entry[0] if isinstance(entry, list) else entry)[key] = value
+        path = workdir / f"invalid_{section}_{key}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        yield f"{command} {section}.{key}={json.dumps(value)}", (
+            command, "--config", str(path), "--out", "json",
+        )
 
 
 def digest(text: str) -> str:

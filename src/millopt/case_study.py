@@ -2,8 +2,11 @@
 
 A plan document is a JSON object with sections ``economics``, ``machine``,
 ``tools`` and ``operations``, plus optional ``es`` and ``oracle`` sections
-that override solver settings.  Loading is strict: unknown keys are
-rejected by name so typos cannot silently change a run.
+that override solver settings.  Each section's keys are the field names
+of the dataclass it fills (``EsConfig`` and ``GridSpec`` for the solver
+sections), except that an operation names its tool as ``tool``.  Loading
+is strict: unknown keys are rejected by name so typos cannot silently
+change a run.
 
 The bundled case ships with nine published comparison results for the
 same part; they are stored exactly as printed, two decimals each.
@@ -12,11 +15,13 @@ same part; they are stored exactly as printed, two decimals each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
+from .es import EsConfig
 from .milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
@@ -30,6 +35,7 @@ from .milling import (
     ToolQuality,
     ToolSpec,
 )
+from .oracle import GridSpec
 
 __all__ = [
     "ReferenceRow",
@@ -41,8 +47,6 @@ __all__ = [
     "builtin_case",
     "builtin_document_bytes",
     "consistency_gap",
-    "ES_OVERRIDE_KEYS",
-    "ORACLE_OVERRIDE_KEYS",
 ]
 
 
@@ -86,42 +90,13 @@ def consistency_gap(row: ReferenceRow, sale_price: float) -> float:
     return (sale_price - row.unit_cost) / row.unit_time - row.profit_rate
 
 
-ECONOMICS_KEYS = ("sale_price", "material_cost", "labor_rate", "overhead_rate", "setup_time")
-MACHINE_KEYS = (
-    "motor_power",
-    "efficiency",
-    "power_constant",
-    "wear_factor",
-    "chip_area_exponent",
-    "slenderness_exponent",
-)
-TOOL_REQUIRED_KEYS = (
-    "id",
-    "kind",
-    "quality",
-    "diameter",
-    "teeth",
-    "price",
-    "lead_angle",
-    "clearance_angle",
-    "taylor_constant",
-    "life_exponent",
-    "change_time",
-)
-TOOL_OPTIONAL_KEYS = ("permitted_force",)
-OPERATION_REQUIRED_KEYS = ("number", "kind", "tool", "axial_depth", "radial_depth", "travel")
-OPERATION_OPTIONAL_KEYS = (
-    "surface_finish_req",
-    "radial_depth_assumed",
-    "speed_bounds",
-    "feed_bounds",
-    "k3_override",
-)
-ES_OVERRIDE_KEYS = ("mu", "eta", "sigma_init", "alpha", "stall_limit", "seed")
-ORACLE_OVERRIDE_KEYS = ("resolution",)
+# The one document key that differs from the dataclass field it fills.
+_RENAMED = {"tool_id": "tool"}
 
-_ES_INT_KEYS = frozenset({"mu", "eta", "stall_limit", "seed"})
-_ORACLE_INT_KEYS = frozenset({"resolution"})
+
+def _keys(cls: type) -> tuple[str, ...]:
+    """The document keys of a dataclass's fields, in field order."""
+    return tuple(_RENAMED.get(field.name, field.name) for field in fields(cls))
 
 
 def _expect_mapping(value: Any, where: str) -> Mapping[str, Any]:
@@ -185,7 +160,7 @@ def _bounds_pair(section: Mapping[str, Any], key: str, where: str) -> tuple[floa
 
 
 def _load_tool(section: Mapping[str, Any], where: str) -> ToolSpec:
-    _reject_unknown(section, TOOL_REQUIRED_KEYS + TOOL_OPTIONAL_KEYS, where)
+    _reject_unknown(section, _keys(ToolSpec), where)
     return ToolSpec(
         id=_integer(section, "id", where),
         kind=_enum(section, "kind", ToolKind, where),
@@ -203,7 +178,7 @@ def _load_tool(section: Mapping[str, Any], where: str) -> ToolSpec:
 
 
 def _load_operation(section: Mapping[str, Any], where: str) -> OperationSpec:
-    _reject_unknown(section, OPERATION_REQUIRED_KEYS + OPERATION_OPTIONAL_KEYS, where)
+    _reject_unknown(section, _keys(OperationSpec), where)
     kind = _enum(section, "kind", OperationKind, where)
     assumed = section.get("radial_depth_assumed", False)
     if not isinstance(assumed, bool):
@@ -225,23 +200,24 @@ def _load_operation(section: Mapping[str, Any], where: str) -> OperationSpec:
     )
 
 
-def _load_overrides(
-    document: Mapping[str, Any], section_name: str, allowed: tuple[str, ...], int_keys: frozenset[str]
-) -> dict[str, Any]:
-    if section_name not in document:
+def _load_numbers(document: Mapping[str, Any], name: str, cls: type) -> Any:
+    """cls built from a required section of numbers, one per field."""
+    where = f"section '{name}'"
+    section = _expect_mapping(document[name], where)
+    _reject_unknown(section, _keys(cls), where)
+    return cls(**{key: _number(section, key, where) for key in _keys(cls)})
+
+
+def _load_overrides(document: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
+    """The non-null settings an optional section gives for cls's fields,
+    each read as an integer where the field's default is one."""
+    if name not in document:
         return {}
-    section = _expect_mapping(document[section_name], f"section '{section_name}'")
-    _reject_unknown(section, allowed, f"section '{section_name}'")
-    out: dict[str, Any] = {}
-    for key, value in section.items():
-        where = f"section '{section_name}'"
-        if value is None:
-            continue
-        if key in int_keys:
-            out[key] = _integer(section, key, where)
-        else:
-            out[key] = _number(section, key, where)
-    return out
+    where = f"section '{name}'"
+    section = _expect_mapping(document[name], where)
+    _reject_unknown(section, _keys(cls), where)
+    read = {field.name: _integer if isinstance(field.default, int) else _number for field in fields(cls)}
+    return {key: read[key](section, key, where) for key, value in section.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -263,17 +239,8 @@ def load_document(document: Mapping[str, Any]) -> LoadedDocument:
         if required not in document:
             raise PlanError(f"missing required section '{required}' in plan document")
 
-    eco_section = _expect_mapping(document["economics"], "section 'economics'")
-    _reject_unknown(eco_section, ECONOMICS_KEYS, "section 'economics'")
-    economics = EconomicConstants(
-        **{key: _number(eco_section, key, "section 'economics'") for key in ECONOMICS_KEYS}
-    )
-
-    machine_section = _expect_mapping(document["machine"], "section 'machine'")
-    _reject_unknown(machine_section, MACHINE_KEYS, "section 'machine'")
-    machine = MachineSpec(
-        **{key: _number(machine_section, key, "section 'machine'") for key in MACHINE_KEYS}
-    )
+    economics = _load_numbers(document, "economics", EconomicConstants)
+    machine = _load_numbers(document, "machine", MachineSpec)
 
     raw_tools = document["tools"]
     if not isinstance(raw_tools, (list, tuple)) or not raw_tools:
@@ -294,8 +261,8 @@ def load_document(document: Mapping[str, Any]) -> LoadedDocument:
     plan = MillingPlan(economics=economics, machine=machine, tools=tools, operations=operations)
     return LoadedDocument(
         plan=plan,
-        es_overrides=_load_overrides(document, "es", ES_OVERRIDE_KEYS, _ES_INT_KEYS),
-        oracle_overrides=_load_overrides(document, "oracle", ORACLE_OVERRIDE_KEYS, _ORACLE_INT_KEYS),
+        es_overrides=_load_overrides(document, "es", EsConfig),
+        oracle_overrides=_load_overrides(document, "oracle", GridSpec),
     )
 
 
@@ -308,56 +275,26 @@ def load_document_file(path: str | Path) -> LoadedDocument:
     return load_document(raw)
 
 
+def _plain(value: Any) -> Any:
+    """value as JSON-ready data: a dataclass as an object of its fields under
+    their document keys, None fields left out; enums by value; tuples as lists."""
+    if is_dataclass(value):
+        items = ((field.name, getattr(value, field.name)) for field in fields(value))
+        return {_RENAMED.get(name, name): _plain(item) for name, item in items if item is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 def dump_plan(plan: MillingPlan) -> dict[str, Any]:
     """Serialize a plan to a document that load_document reads back unchanged.
 
     Bounds are emitted explicitly (resolved, not defaulted) so the dump is
-    self-contained.
+    self-contained; optional fields that are None are left out.
     """
-    tools = []
-    for tool in plan.tools:
-        entry: dict[str, Any] = {
-            "id": tool.id,
-            "kind": tool.kind.value,
-            "quality": tool.quality.value,
-            "diameter": tool.diameter,
-            "teeth": tool.teeth,
-            "price": tool.price,
-            "lead_angle": tool.lead_angle,
-            "clearance_angle": tool.clearance_angle,
-            "taylor_constant": tool.taylor_constant,
-            "life_exponent": tool.life_exponent,
-            "change_time": tool.change_time,
-        }
-        if tool.permitted_force is not None:
-            entry["permitted_force"] = tool.permitted_force
-        tools.append(entry)
-
-    operations = []
-    for op in plan.operations:
-        entry = {
-            "number": op.number,
-            "kind": op.kind.value,
-            "tool": op.tool_id,
-            "axial_depth": op.axial_depth,
-            "radial_depth": op.radial_depth,
-            "radial_depth_assumed": op.radial_depth_assumed,
-            "travel": op.travel,
-            "speed_bounds": list(op.speed_bounds),
-            "feed_bounds": list(op.feed_bounds),
-        }
-        if op.surface_finish_req is not None:
-            entry["surface_finish_req"] = op.surface_finish_req
-        if op.k3_override is not None:
-            entry["k3_override"] = op.k3_override
-        operations.append(entry)
-
-    return {
-        "economics": {key: getattr(plan.economics, key) for key in ECONOMICS_KEYS},
-        "machine": {key: getattr(plan.machine, key) for key in MACHINE_KEYS},
-        "tools": tools,
-        "operations": operations,
-    }
+    return _plain(plan)
 
 
 def builtin_document_bytes() -> bytes:

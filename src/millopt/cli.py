@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -70,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stall",
         type=int,
         default=None,
+        dest="stall_limit",
+        metavar="STALL",
         help="generations without a relative rise of the best above 1e-6 before stopping",
     )
     es_parent.add_argument(
@@ -82,7 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid_parent = argparse.ArgumentParser(add_help=False)
     grid_parent.add_argument(
-        "--grid-resolution", type=int, default=None, help="oracle grid points per axis"
+        "--grid-resolution",
+        type=int,
+        default=None,
+        dest="resolution",
+        metavar="GRID_RESOLUTION",
+        help="oracle grid points per axis",
     )
 
     sub.add_parser(
@@ -119,26 +127,14 @@ def _load_input(args: argparse.Namespace) -> tuple[case_study.LoadedDocument, bo
     return case_study.load_document_file(args.config), False
 
 
-def _es_config(args: argparse.Namespace, overrides: dict[str, Any]) -> es.EsConfig:
+def _settings(cls: type, args: argparse.Namespace, overrides: dict[str, Any]) -> Any:
+    """cls from the document's overrides, each field replaced by the flag
+    whose dest is its name where that flag was given."""
     merged = dict(overrides)
-    for key, value in (
-        ("seed", args.seed),
-        ("mu", args.mu),
-        ("eta", args.eta),
-        ("stall_limit", args.stall),
-        ("alpha", args.alpha),
-        ("sigma_init", args.sigma_init),
-    ):
-        if value is not None:
-            merged[key] = value
-    return es.EsConfig(**merged)
-
-
-def _grid_spec(args: argparse.Namespace, overrides: dict[str, Any]) -> oracle.GridSpec:
-    merged = dict(overrides)
-    if getattr(args, "grid_resolution", None) is not None:
-        merged["resolution"] = args.grid_resolution
-    return oracle.GridSpec(**merged)
+    for field in fields(cls):
+        if (value := getattr(args, field.name)) is not None:
+            merged[field.name] = value
+    return cls(**merged)
 
 
 def _improvement_logger(stream) -> Any:
@@ -275,7 +271,7 @@ def _render_compare(report: dict[str, Any], fmt: str) -> str:
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
     loaded, _ = _load_input(args)
-    config = _es_config(args, loaded.es_overrides)
+    config = _settings(es.EsConfig, args, loaded.es_overrides)
     observer = _improvement_logger(sys.stderr) if args.verbose else None
     result = es.run(loaded.plan, config, observer=observer)
     report = _solution_report(
@@ -292,11 +288,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
         evaluations=result.evaluations,
         seed=result.seed,
         config={
-            "mu": config.mu,
-            "eta": config.eta,
-            "sigma_init": config.sigma_init,
-            "alpha": config.alpha,
-            "stall_limit": config.stall_limit,
+            **{name: value for name, value in asdict(config).items() if name != "seed"},
             "max_generations": es.MAX_GENERATIONS,
             "sigma_floor": es.SIGMA_FLOOR,
         },
@@ -306,7 +298,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
     loaded, _ = _load_input(args)
-    grid = _grid_spec(args, loaded.oracle_overrides)
+    grid = _settings(oracle.GridSpec, args, loaded.oracle_overrides)
     result = oracle.dinkelbach_solve(loaded.plan, grid=grid)
     report = _solution_report(
         "oracle",
@@ -379,8 +371,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     loaded, is_builtin = _load_input(args)
     plan = loaded.plan
-    config = _es_config(args, loaded.es_overrides)
-    grid = _grid_spec(args, loaded.oracle_overrides)
+    config = _settings(es.EsConfig, args, loaded.es_overrides)
+    grid = _settings(oracle.GridSpec, args, loaded.oracle_overrides)
     observer = _improvement_logger(sys.stderr) if args.verbose else None
 
     run_result = es.run(plan, config, observer=observer)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -530,13 +529,6 @@ class OperationMargins:
     @property
     def satisfied(self) -> bool:
         return self.power_ok and self.finish_ok and self.force_ok and self.speed_ok and self.feed_ok
-
-    def items(self) -> Iterator[tuple[str, float | None, bool]]:
-        yield "power", self.power, self.power_ok
-        yield "finish", self.finish, self.finish_ok
-        yield "force", self.force, self.force_ok
-        yield "speed_box", None, self.speed_ok
-        yield "feed_box", None, self.feed_ok
 
 
 def _finish_and_force(

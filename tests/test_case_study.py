@@ -4,11 +4,16 @@ the dump/load round trip."""
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
+import re
 
 import pytest
 
 from millopt import (
+    EsConfig,
+    GridSpec,
     OperationKind,
     PlanError,
     ToolKind,
@@ -18,20 +23,39 @@ from millopt import (
     load_document,
     load_document_file,
 )
-from millopt.case_study import (
-    ES_OVERRIDE_KEYS,
-    ORACLE_OVERRIDE_KEYS,
-    REFERENCE_ROWS,
-    ReferenceRow,
-    consistency_gap,
-    dump_plan,
-)
+from millopt.case_study import REFERENCE_ROWS, ReferenceRow, consistency_gap, dump_plan
+from millopt.cli import build_parser
 
-from conftest import single_face_plan, two_op_plan
+from conftest import CARBIDE_FACE_MILL, single_face_plan, two_op_plan
 
 
 def builtin_document() -> dict:
     return json.loads(builtin_document_bytes().decode("utf-8"))
+
+
+def exactly(message: str) -> str:
+    """A pytest.raises pattern that matches message and nothing more."""
+    return f"^{re.escape(message)}$"
+
+
+def every_optional_plan():
+    """two_op_plan with a face operation in front that sets every optional
+    field: a permitted force on its face mill, a finish requirement, an
+    assumed radial depth and a wear-coefficient override.  Its end-mill
+    operation keeps its finish requirement."""
+    plan = two_op_plan()
+    face = dataclasses.replace(
+        single_face_plan().operations[0],
+        number=0,
+        surface_finish_req=2.0,
+        radial_depth_assumed=True,
+        k3_override=2.5e-6,
+    )
+    return dataclasses.replace(
+        plan,
+        tools=(dataclasses.replace(CARBIDE_FACE_MILL, permitted_force=4500.0),) + plan.tools,
+        operations=(face,) + plan.operations,
+    )
 
 
 class TestReferenceRows:
@@ -135,7 +159,7 @@ class TestBuiltinCase:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("factory", [single_face_plan, two_op_plan])
+    @pytest.mark.parametrize("factory", [single_face_plan, two_op_plan, every_optional_plan])
     def test_toy_plans(self, factory):
         plan = factory()
         assert load_document(dump_plan(plan)).plan == plan
@@ -175,7 +199,24 @@ class TestLoaderErrors:
     def test_unknown_economics_key_named(self):
         doc = builtin_document()
         doc["economics"]["discount"] = 0.1
-        with pytest.raises(PlanError, match="unknown key 'discount' in section 'economics'"):
+        with pytest.raises(PlanError, match=exactly("unknown key 'discount' in section 'economics'")):
+            load_document(doc)
+
+    @pytest.mark.parametrize(
+        ("place", "key", "message"),
+        [
+            ("machine", "spindle", "unknown key 'spindle' in section 'machine'"),
+            ("tools", "colour", "unknown key 'colour' in tools[0]"),
+            ("operations", "coolant", "unknown key 'coolant' in operations[0]"),
+            # the field behind an operation's 'tool' key is not a document key
+            ("operations", "tool_id", "unknown key 'tool_id' in operations[0]"),
+        ],
+    )
+    def test_unknown_plan_key_named(self, place, key, message):
+        doc = builtin_document()
+        section = doc[place][0] if isinstance(doc[place], list) else doc[place]
+        section[key] = 1
+        with pytest.raises(PlanError, match=exactly(message)):
             load_document(doc)
 
     def test_missing_tool_key_named(self):
@@ -288,7 +329,13 @@ class TestSolverOverrides:
     def test_unknown_override_key_rejected(self):
         doc = builtin_document()
         doc["es"] = {"population": 15}
-        with pytest.raises(PlanError, match="unknown key 'population' in section 'es'"):
+        with pytest.raises(PlanError, match=exactly("unknown key 'population' in section 'es'")):
+            load_document(doc)
+        doc = builtin_document()
+        doc["oracle"] = {"grid_resolution": 300}
+        with pytest.raises(
+            PlanError, match=exactly("unknown key 'grid_resolution' in section 'oracle'")
+        ):
             load_document(doc)
 
     def test_int_keys_reject_floats(self):
@@ -303,7 +350,29 @@ class TestSolverOverrides:
         loaded = load_document(doc)
         assert loaded.es_overrides == {"sigma_init": 0.5}
 
-    def test_override_key_whitelists(self):
-        assert "sigma_init" in ES_OVERRIDE_KEYS
-        assert "resolution" in ORACLE_OVERRIDE_KEYS
-        assert "seed" in ES_OVERRIDE_KEYS
+    def test_sections_and_flags_name_the_settings_fields(self):
+        """The es and oracle sections take exactly the fields of EsConfig and
+        GridSpec, and each field is set by exactly one flag whose dest is
+        the field's name."""
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        dests = [action.dest for action in commands.choices["compare"]._actions]
+        retired = {
+            "es": ("tau_global", "tau_local", "sigma_floor", "max_generations"),
+            "oracle": ("dinkelbach_tolerance", "max_dinkelbach_iterations"),
+        }
+        for section, settings in (("es", EsConfig), ("oracle", GridSpec)):
+            values = dataclasses.asdict(settings())
+            doc = builtin_document()
+            doc[section] = values
+            assert getattr(load_document(doc), f"{section}_overrides") == values
+            for key in retired[section]:
+                doc[section] = {**values, key: 1}
+                with pytest.raises(
+                    PlanError, match=exactly(f"unknown key '{key}' in section '{section}'")
+                ):
+                    load_document(doc)
+            for name in values:
+                assert dests.count(name) == 1, name

@@ -420,8 +420,10 @@ class TestConstraintMargins:
         margin = constraint_margins(
             toy_single_plan, DecisionVector((90.0,), (0.2,)), coeffs
         )[0]
-        names = [name for name, _, _ in margin.items()]
-        assert names == ["power", "finish", "force", "speed_box", "feed_box"]
+        names = [field.name for field in dataclasses.fields(margin)]
+        assert names == ["operation", "power", "finish", "force", "speed_ok", "feed_ok"]
+        limits = (margin.power_ok, margin.finish_ok, margin.force_ok, margin.speed_ok, margin.feed_ok)
+        assert margin.satisfied == all(limits)
 
 
 class TestFitness:
@@ -570,7 +572,14 @@ def broken_limits(plan, coeffs, genome, op_index) -> set[str]:
     the finish limit named by its tool kind."""
     margin = constraint_margins(plan, DecisionVector.from_genome(genome), coeffs)[op_index]
     finish = "face_finish" if coeffs[op_index].c6 is not None else "end_finish"
-    return {finish if name == "finish" else name for name, _, ok in margin.items() if not ok}
+    limits = {
+        "power": margin.power_ok,
+        finish: margin.finish_ok,
+        "force": margin.force_ok,
+        "speed_box": margin.speed_ok,
+        "feed_box": margin.feed_ok,
+    }
+    return {name for name, ok in limits.items() if not ok}
 
 
 class TestFeedCap:
