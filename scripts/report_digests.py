@@ -10,8 +10,9 @@ the random plan generator from that checkout's ``perfbench/workloads.py``.
 Every report is JSON, so full precision counts.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
-  * optimize on the bundled case with --sigma-init 0.3, seeds 0-4 (the
-    runs of the es_builtin benchmark workload), and seed 0 once more with
+  * optimize on the bundled case with --sigma-init 0.3, seeds 0-19 (every
+    run of the es_builtin benchmark workload, whose ES_SEEDS sets the
+    count), and seed 0 once more with
     --verbose, so the improvement log on stderr is hashed;
   * optimize --sigma-init 0.3 --stall 200, seeds 0-1, on the bundled
     document with its operations listed twice (m = 10) and its sale price
@@ -67,7 +68,7 @@ import numpy as np  # noqa: E402
 
 from millopt.case_study import builtin_document_bytes  # noqa: E402
 from millopt.cli import main  # noqa: E402
-from workloads import midpoint_args, random_plan_document  # noqa: E402
+from workloads import ES_SEEDS, midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
 REPEATED_SEEDS = range(2)
@@ -104,7 +105,7 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     for seed in SEEDS:
         yield f"optimize builtin seed={seed}", ("optimize", *builtin, "--seed", str(seed))
         yield f"compare builtin seed={seed}", ("compare", *builtin, "--seed", str(seed))
-    for seed in SEEDS:
+    for seed in range(ES_SEEDS):
         yield (
             f"optimize builtin sigma-init=0.3 seed={seed}",
             ("optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", str(seed), "--out", "json"),

@@ -8,6 +8,15 @@ sizes, then log-normal step-size mutation followed by a Gaussian genome
 perturbation.  Selection is comma-style: only the eta children compete,
 the mu parents are discarded every generation.
 
+A generation is a few dozen numpy calls on small arrays, so per-call
+overhead, not arithmetic, sets its speed, and numpy's cheapest loop is
+the one over equal-shape contiguous operands.  So the children live in
+contiguous (eta, L) blocks, the step sizes and perturbations are worked
+in place in the generation's one buffer of normal draws, and the box
+arrives as (eta, L) rows that EvalContext.batch_constants tiles once per
+context and batch size, rather than as an (L,) row broadcast over every
+child; batch_evaluate lays its work out the same way.
+
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
 indices, recombination masks, step-size mutations, genome perturbations),
@@ -17,7 +26,7 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -212,11 +221,14 @@ def mutate(
     Each child's step sizes are scaled by exp(tau_global * g + tau_local *
     e_j), with one draw g per child and one e_j per component, at the
     learning rates for the genome length, and kept at or above
-    SIGMA_FLOOR.  Returns new arrays; the inputs are left unchanged.
+    SIGMA_FLOOR.  lower and upper bound one genome, (length,), or each
+    row, (n, length); step passes rows, so that the clipping runs on
+    operands of one shape.  Returns new arrays; the inputs are left
+    unchanged.
     """
     n, length = genomes.shape
-    if length != lower.shape[0]:
-        raise ContractError(f"genome length {length} does not match bounds length {lower.shape[0]}")
+    if length != lower.shape[-1]:
+        raise ContractError(f"genome length {length} does not match bounds length {lower.shape[-1]}")
     tau_g, tau_l = learning_rates(length)
     # One shared global draw per individual, one local draw per component,
     # then one perturbation per component, all from one call: the generator
@@ -272,20 +284,24 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         config.alpha,
         rng,
     )
-    genomes, sigmas = mutate(genomes, sigmas, ctx.lower, ctx.upper, rng)
+    batch = ctx.batch_constants(eta)
+    genomes, sigmas = mutate(genomes, sigmas, batch.box_lower, batch.box_upper, rng)
 
     fitnesses = batch_evaluate(ctx, genomes).fitness
     order = select(fitnesses, mu)
 
     best_idx = int(order[0])
-    record = state.record
+    last = state.record
     best = float(fitnesses[best_idx])
-    if best > record.stall_fitness * (1.0 + STALL_GAIN):
-        record = replace(record, stall_counter=0, stall_fitness=best)
+    if best > last.stall_fitness * (1.0 + STALL_GAIN):
+        stall_counter, stall_fitness = 0, best
     else:
-        record = replace(record, stall_counter=record.stall_counter + 1)
-    if best > record.fitness:
-        record = replace(record, genome=genomes[best_idx].copy(), sigmas=sigmas[best_idx].copy(), fitness=best)
+        stall_counter, stall_fitness = last.stall_counter + 1, last.stall_fitness
+    # A new record every generation: an observer may keep the last one.
+    if best > last.fitness:
+        record = BestRecord(genomes[best_idx].copy(), sigmas[best_idx].copy(), best, stall_counter, stall_fitness)
+    else:
+        record = BestRecord(last.genome, last.sigmas, last.fitness, stall_counter, stall_fitness)
 
     return EsState(
         genomes=genomes.take(order, axis=0),

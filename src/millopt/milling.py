@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -596,7 +597,30 @@ def plan_warnings(plan: MillingPlan) -> tuple[str, ...]:
     return tuple(notes)
 
 
-_COLUMN_FIELDS = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
+class BatchConstants(NamedTuple):
+    """An EvalContext's constants laid out for a batch of n genomes.
+
+    batch_evaluate works on one flat operation-major copy of the batch:
+    the n speeds of operation 1, ..., of operation m, then the n feeds of
+    each.  k1 to c5 hold each operation's value n times in a row, and
+    lower and feasible_upper each component's bound, so they line up with
+    that copy element for element.  box_lower and box_upper are lower and
+    upper as n rows, (n, 2m), one per genome of the batch itself.
+    """
+
+    k1: np.ndarray
+    tool_cost_coef: np.ndarray
+    speed_exponent: np.ndarray
+    feed_exponent: np.ndarray
+    c5: np.ndarray
+    lower: np.ndarray
+    feasible_upper: np.ndarray
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+
+
+# The fields batch_constants repeats from the EvalContext arrays of the same names.
+_REPEATED_FIELDS = BatchConstants._fields[:7]
 
 
 @dataclass(frozen=True)
@@ -610,9 +634,10 @@ class EvalContext:
     feasible_upper is derived, never passed: the speed half of upper
     followed by feed_cap, the box a feasible genome lies below.
     change_time[i] is operation i's tool change time; the fixed terms hold their sum.
-    The *_col fields are derived too: the per-operation constants, and the
-    box, as columns that broadcast over batch_evaluate's operation-major
-    blocks.
+    batch_constants(n) lays the per-operation constants and the box out
+    for a batch of n genomes; the last batch size other than 1 is cached
+    in a field that __post_init__ creates, so dataclasses.replace starts
+    a fresh cache.
     """
 
     sale_price: float
@@ -629,23 +654,31 @@ class EvalContext:
     lower: np.ndarray
     upper: np.ndarray
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
-    k1_col: np.ndarray = field(init=False, repr=False, compare=False)
-    tool_cost_coef_col: np.ndarray = field(init=False, repr=False, compare=False)
-    speed_exponent_col: np.ndarray = field(init=False, repr=False, compare=False)
-    feed_exponent_col: np.ndarray = field(init=False, repr=False, compare=False)
-    c5_col: np.ndarray = field(init=False, repr=False, compare=False)
-    lower_col: np.ndarray = field(init=False, repr=False, compare=False)
-    feasible_upper_col: np.ndarray = field(init=False, repr=False, compare=False)
+    _batches: dict[int, BatchConstants] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
         object.__setattr__(self, "feasible_upper", feasible_upper)
-        for name in _COLUMN_FIELDS:
-            object.__setattr__(self, f"{name}_col", getattr(self, name)[:, None])
+        object.__setattr__(self, "_batches", {})
 
     @property
     def m(self) -> int:
         return self.k1.size
+
+    def batch_constants(self, n: int) -> BatchConstants:
+        """The constants of a batch of n genomes; at n = 1 the arrays
+        themselves."""
+        if n == 1:
+            return BatchConstants(*(getattr(self, name) for name in _REPEATED_FIELDS), self.lower, self.upper)
+        constants = self._batches.get(n)
+        if constants is None:
+            self._batches.clear()
+            constants = self._batches[n] = BatchConstants(
+                *(np.repeat(getattr(self, name), n) for name in _REPEATED_FIELDS),
+                np.tile(self.lower, (n, 1)),
+                np.tile(self.upper, (n, 1)),
+            )
+        return constants
 
 
 def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float:
@@ -828,9 +861,12 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
 
     Matches the scalar functions exactly: same formulas, same inclusive
     margin comparisons (finish and force through feed_cap), same death
-    penalty.
+    penalty.  Works on one flat operation-major copy of the batch against
+    the constants of ctx.batch_constants(n), so that every numpy call
+    runs on equal-length contiguous operands, numpy's cheapest loop.
     """
     points = np.atleast_2d(np.asarray(genomes, dtype=float))
+    n = points.shape[0]
     m = ctx.m
     if points.shape[1] != 2 * m:
         raise ContractError(f"expected genomes of length {2 * m}, got {points.shape[1]}")
@@ -839,33 +875,38 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
     # reject.
     if points.size and not (points.min() > 0.0 and points.max() < math.inf):
         raise DomainError("all speeds and feeds must be finite and > 0")
-    # Operation-major copy: v and f are contiguous (m, n) blocks, so every
-    # ufunc below runs one inner loop per operation, not one per genome.
-    columns = points.T.copy()
-    v = columns[:m]
-    f = columns[m:]
+    # A view rather than a copy when n = 1; it is only read.
+    flat = points.T.ravel()
+    const = ctx.batch_constants(n)
+    mn = m * n
+    v = flat[:mn]
+    f = flat[mn:]
 
-    # Machining times in the first m rows, wear costs in the last m.
-    terms = np.empty_like(columns)
-    t_machining = np.multiply(v, f, out=terms[:m])
-    np.divide(ctx.k1_col, t_machining, out=t_machining)
-    wear = np.power(v, ctx.speed_exponent_col, out=terms[m:])
-    wear *= ctx.tool_cost_coef_col
-    wear *= f**ctx.feed_exponent_col
-    # Each genome's m terms are summed as one contiguous row, as in a
-    # genome-major layout: numpy sums eight or more elements through
-    # partial sums, so summing down the columns would change the bits
-    # once m >= 8.
-    machining, wear_total = terms.T.copy().reshape(points.shape[0], 2, m).sum(axis=2).T
+    # Machining times in the first mn entries, wear costs in the last.
+    terms = np.empty_like(flat)
+    t_machining = np.multiply(v, f, out=terms[:mn])
+    np.divide(const.k1, t_machining, out=t_machining)
+    wear = np.power(v, const.speed_exponent, out=terms[mn:])
+    wear *= const.tool_cost_coef
+    wear *= f**const.feed_exponent
+    # Each genome's m terms must be summed in the order numpy sums a
+    # contiguous row, as a genome-major layout would.  Below eight
+    # elements that is one after the other, which a reduction down the
+    # operations also gives; from eight on numpy sums a row through
+    # partial sums, so the terms are first copied genome-major.
+    if m < 8:
+        machining, wear_total = terms.reshape(2, m, n).sum(axis=1)
+    else:
+        machining, wear_total = terms.reshape(2 * m, n).T.copy().reshape(n, 2, m).sum(axis=2).T
     time_total = ctx.time_fixed + machining
     cost_total = ctx.cost_fixed + ctx.rate * machining + wear_total
 
-    box = columns >= ctx.lower_col
-    box &= columns <= ctx.feasible_upper_col
-    power = ctx.c5_col * v
+    box = flat >= const.lower
+    box &= flat <= const.feasible_upper
+    power = const.c5 * v
     power *= f**0.8
-    box[:m] &= power <= 1.0
-    feasible = box.all(axis=0)
+    box[:mn] &= power <= 1.0
+    feasible = box.reshape(2 * m, n).all(axis=0)
 
     rate_of_profit = (ctx.sale_price - cost_total) / time_total
     return BatchEval(

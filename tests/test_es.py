@@ -30,6 +30,7 @@ from millopt.es import (
     step,
 )
 from millopt.milling import (
+    BatchEval,
     batch_evaluate,
     compile_context,
     cost_floor,
@@ -768,6 +769,38 @@ def test_default_run_is_a_prefix_of_the_strict_rise_run(builtin_plan, monkeypatc
             assert run(plan, config) == result
         stopped_earlier += stop < strict.generations
     assert stopped_earlier >= len(builtin)
+
+
+def test_run_looks_up_step_and_batch_evaluate_on_the_module_every_generation(builtin_plan, monkeypatch):
+    """perfbench/tracing.py times a run by wrapping es.step and
+    es.batch_evaluate, and reads EsState.record, EsState.evaluations and
+    BatchEval.feasible; a run that bound either function once would go
+    untimed."""
+    calls = {"step": 0, "batch_evaluate": 0}
+
+    def counting(name):
+        original = getattr(es, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(es, name, counted)
+
+    counting("step")
+    counting("batch_evaluate")
+    seen = []
+    result = run(
+        builtin_plan,
+        EsConfig(stall_limit=5),
+        observer=lambda state: seen.append((state.generation, calls["step"], calls["batch_evaluate"])),
+    )
+    assert result.feasible and result.generations >= 5
+    assert seen == [(g, g, g) for g in range(1, result.generations + 1)]
+    # one more batch_evaluate prices the record
+    assert calls == {"step": result.generations, "batch_evaluate": result.generations + 1}
+    assert {"record", "evaluations"} <= {f.name for f in dataclasses.fields(es.EsState)}
+    assert "feasible" in {f.name for f in dataclasses.fields(BatchEval)}
 
 
 # Plans 11, 52 and 59 of scripts/report_digests.py: feasible at the lowest

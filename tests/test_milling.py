@@ -743,6 +743,12 @@ def repeated_plan(plan: MillingPlan, times: int) -> MillingPlan:
     )
 
 
+def first_operations(plan: MillingPlan, m: int) -> MillingPlan:
+    """plan cut or, by repeated_plan, extended to its first m operations."""
+    longer = repeated_plan(plan, -(-m // plan.m))
+    return dataclasses.replace(longer, operations=longer.operations[:m])
+
+
 def boundary_rows(ctx, rng) -> np.ndarray:
     """Rows from a random in-box base with one operation's feed exactly at
     its cap, or its speed at the largest double that batch_evaluate's
@@ -797,8 +803,27 @@ class TestOperationMajorLayout:
         assert_matches_reference(ctx, genome)
         assert batch_evaluate(ctx, genome).fitness.shape == (1,)
 
-    def test_replace_rebuilds_derived_columns(self, builtin_plan):
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_bit_identical_to_genome_major_either_side_of_eight_operations(self, builtin_plan, m):
+        # below eight terms batch_evaluate sums down the operations, from
+        # eight on it sums genome-major rows
+        self.check_plan(first_operations(builtin_plan, m), np.random.default_rng(m))
+
+    @pytest.mark.parametrize("m", [5, 7, 8])
+    def test_one_context_across_batch_sizes(self, builtin_plan, m):
+        # the constants cached for one batch size never serve another, and
+        # a replaced context never sees the cache of the one it came from
+        ctx = compile_context(first_operations(builtin_plan, m))
+        rng = np.random.default_rng(m)
+        for context in (ctx, dataclasses.replace(ctx, k1=2 * ctx.k1)):
+            for n in (105, 1, 333, 105):
+                genomes = rng.uniform(0.9 * context.lower, 1.2 * context.upper, size=(n, 2 * m))
+                assert_matches_reference(context, genomes)
+
+    def test_replace_rebuilds_batch_constants(self, builtin_plan):
         ctx = compile_context(builtin_plan)
+        genomes = np.random.default_rng(4).uniform(ctx.lower, ctx.upper, size=(64, 10))
+        assert_matches_reference(ctx, genomes)
         changed = dataclasses.replace(
             ctx,
             feed_cap=ctx.feed_cap * 0.5,
@@ -809,9 +834,14 @@ class TestOperationMajorLayout:
             feed_exponent=ctx.feed_exponent - 0.25,
             lower=ctx.lower * 0.5,
         )
-        columns = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
-        for name in columns:
-            assert np.array_equal(getattr(changed, f"{name}_col"), getattr(changed, name)[:, None]), name
+        constants = changed.batch_constants(64)
+        repeated = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
+        for name in repeated:
+            assert np.array_equal(getattr(constants, name), np.repeat(getattr(changed, name), 64)), name
+        for name in ("lower", "upper"):
+            assert np.array_equal(getattr(constants, f"box_{name}"), np.tile(getattr(changed, name), (64, 1))), name
+        for name in (*repeated, "box_lower", "box_upper"):
+            assert getattr(changed.batch_constants(1), name) is getattr(changed, name.removeprefix("box_")), name
         genomes = np.random.default_rng(4).uniform(changed.lower, changed.upper, size=(64, 10))
         assert_matches_reference(changed, genomes)
         assert not np.array_equal(batch_evaluate(changed, genomes).unit_cost, batch_evaluate(ctx, genomes).unit_cost)
