@@ -40,7 +40,11 @@ Every report is JSON, so full precision counts.  The set:
   * one run per invalid entry in the bundled document: optimize with
     es.mu 10.5, es.seed true, es.sigma_init "fast", a tool_id key in the
     first operation and an unknown key in the first tool, and oracle with
-    oracle.resolution 2.5.  Each is rejected with one error line.
+    oracle.resolution 2.5; then optimize with one fault per kind of key
+    reader: the first operation's kind "drill", its radial_depth_assumed
+    "yes" and its speed_bounds [1], and the first tool's quality "steel",
+    its permitted_force "x" and no teeth.  Each is rejected with one error
+    line.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -87,6 +91,8 @@ RETIRED_KEYS = (
     ("oracle", "max_dinkelbach_iterations", 100),
 )
 COMMANDS = ("optimize", "oracle", "evaluate", "compare")
+# Stands for a key deleted from its section.
+MISSING = object()
 # (command, section, key, value): the value goes into the section, or into
 # its first entry where the section is a list.
 INVALID_ENTRIES = (
@@ -96,6 +102,12 @@ INVALID_ENTRIES = (
     ("optimize", "operations", "tool_id", 1),
     ("optimize", "tools", "colour", "red"),
     ("oracle", "oracle", "resolution", 2.5),
+    ("optimize", "operations", "kind", "drill"),
+    ("optimize", "tools", "quality", "steel"),
+    ("optimize", "operations", "radial_depth_assumed", "yes"),
+    ("optimize", "operations", "speed_bounds", [1]),
+    ("optimize", "tools", "permitted_force", "x"),
+    ("optimize", "tools", "teeth", MISSING),
 )
 
 
@@ -193,10 +205,15 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     for command, section, key, value in INVALID_ENTRIES:
         document = json.loads(builtin_document_bytes().decode("utf-8"))
         entry = document.setdefault(section, {})
-        (entry[0] if isinstance(entry, list) else entry)[key] = value
+        entry = entry[0] if isinstance(entry, list) else entry
+        if value is MISSING:
+            del entry[key]
+        else:
+            entry[key] = value
         path = workdir / f"invalid_{section}_{key}.json"
         path.write_text(json.dumps(document), encoding="utf-8")
-        yield f"{command} {section}.{key}={json.dumps(value)}", (
+        shown = " missing" if value is MISSING else f"={json.dumps(value)}"
+        yield f"{command} {section}.{key}{shown}", (
             command, "--config", str(path), "--out", "json",
         )
 

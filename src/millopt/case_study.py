@@ -4,9 +4,12 @@ A plan document is a JSON object with sections ``economics``, ``machine``,
 ``tools`` and ``operations``, plus optional ``es`` and ``oracle`` sections
 that override solver settings.  Each section's keys are the field names
 of the dataclass it fills (``EsConfig`` and ``GridSpec`` for the solver
-sections), except that an operation names its tool as ``tool``.  Loading
+sections), except that an operation names its tool as ``tool``, and each
+key is read by the one reader of its field's annotation: ``float``, ``int``,
+``float | None``, ``bool``, ``tuple[float, float]`` or an enum.  Loading
 is strict: unknown keys are rejected by name so typos cannot silently
-change a run.
+change a run, and an entry with several faults reports the first in field
+order.
 
 The bundled case ships with nine published comparison results for the
 same part; they are stored exactly as printed, two decimals each.
@@ -17,9 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Container, Mapping
 
 from .es import EsConfig
 from .milling import (
@@ -34,6 +38,7 @@ from .milling import (
     ToolKind,
     ToolQuality,
     ToolSpec,
+    _is_integer,
 )
 from .oracle import GridSpec
 
@@ -94,18 +99,13 @@ def consistency_gap(row: ReferenceRow, sale_price: float) -> float:
 _RENAMED = {"tool_id": "tool"}
 
 
-def _keys(cls: type) -> tuple[str, ...]:
-    """The document keys of a dataclass's fields, in field order."""
-    return tuple(_RENAMED.get(field.name, field.name) for field in fields(cls))
-
-
 def _expect_mapping(value: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise PlanError(f"{where} must be an object")
     return value
 
 
-def _reject_unknown(section: Mapping[str, Any], allowed: tuple[str, ...], where: str) -> None:
+def _reject_unknown(section: Mapping[str, Any], allowed: Container[str], where: str) -> None:
     for key in section:
         if key not in allowed:
             raise PlanError(f"unknown key '{key}' in {where}")
@@ -124,7 +124,7 @@ def _integer(section: Mapping[str, Any], key: str, where: str) -> int:
     if key not in section:
         raise PlanError(f"missing required key '{key}' in {where}")
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise PlanError(f"'{key}' in {where} must be an integer")
     return value
 
@@ -135,7 +135,14 @@ def _optional_number(section: Mapping[str, Any], key: str, where: str) -> float 
     return _number(section, key, where)
 
 
-def _enum(section: Mapping[str, Any], key: str, enum_cls: type, where: str):
+def _flag(section: Mapping[str, Any], key: str, where: str) -> bool:
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise PlanError(f"'{key}' in {where} must be true or false")
+    return value
+
+
+def _enum(enum_cls: type, section: Mapping[str, Any], key: str, where: str):
     raw = section.get(key)
     if not isinstance(raw, str):
         raise PlanError(f"missing or non-string key '{key}' in {where}")
@@ -159,65 +166,63 @@ def _bounds_pair(section: Mapping[str, Any], key: str, where: str) -> tuple[floa
     return (float(low), float(high))
 
 
-def _load_tool(section: Mapping[str, Any], where: str) -> ToolSpec:
-    _reject_unknown(section, _keys(ToolSpec), where)
-    return ToolSpec(
-        id=_integer(section, "id", where),
-        kind=_enum(section, "kind", ToolKind, where),
-        quality=_enum(section, "quality", ToolQuality, where),
-        diameter=_number(section, "diameter", where),
-        teeth=_integer(section, "teeth", where),
-        price=_number(section, "price", where),
-        lead_angle=_number(section, "lead_angle", where),
-        clearance_angle=_number(section, "clearance_angle", where),
-        taylor_constant=_number(section, "taylor_constant", where),
-        life_exponent=_number(section, "life_exponent", where),
-        change_time=_number(section, "change_time", where),
-        permitted_force=_optional_number(section, "permitted_force", where),
-    )
+Reader = Callable[[Mapping[str, Any], str, str], Any]
+
+# The reader of each field annotation as written: the model modules defer
+# their annotations, so each is a string.  A reader returns the key's value,
+# or what stands for its absence where the key may be left out.
+_READERS: dict[str, Reader] = {
+    "float": _number,
+    "int": _integer,
+    "float | None": _optional_number,
+    "bool": _flag,
+    "tuple[float, float]": _bounds_pair,
+    **{enum_cls.__name__: partial(_enum, enum_cls) for enum_cls in (ToolKind, ToolQuality, OperationKind)},
+}
 
 
-def _load_operation(section: Mapping[str, Any], where: str) -> OperationSpec:
-    _reject_unknown(section, _keys(OperationSpec), where)
-    kind = _enum(section, "kind", OperationKind, where)
-    assumed = section.get("radial_depth_assumed", False)
-    if not isinstance(assumed, bool):
-        raise PlanError(f"'radial_depth_assumed' in {where} must be true or false")
-    speed_bounds = _bounds_pair(section, "speed_bounds", where) or SPEED_LIMITS[kind]
-    feed_bounds = _bounds_pair(section, "feed_bounds", where) or FEED_LIMITS[kind]
-    return OperationSpec(
-        number=_integer(section, "number", where),
-        kind=kind,
-        tool_id=_integer(section, "tool", where),
-        axial_depth=_number(section, "axial_depth", where),
-        radial_depth=_number(section, "radial_depth", where),
-        travel=_number(section, "travel", where),
-        speed_bounds=speed_bounds,
-        feed_bounds=feed_bounds,
-        surface_finish_req=_optional_number(section, "surface_finish_req", where),
-        radial_depth_assumed=assumed,
-        k3_override=_optional_number(section, "k3_override", where),
-    )
+@cache
+def _layout(cls: type) -> dict[str, tuple[str, Reader]]:
+    """(field name, reader of its annotation) of each field of cls, by
+    document key in field order.  Cached: a load asks once per entry, and
+    building it costs more than reading the entry."""
+    return {_RENAMED.get(field.name, field.name): (field.name, _READERS[field.type]) for field in fields(cls)}
 
 
-def _load_numbers(document: Mapping[str, Any], name: str, cls: type) -> Any:
-    """cls built from a required section of numbers, one per field."""
-    where = f"section '{name}'"
-    section = _expect_mapping(document[name], where)
-    _reject_unknown(section, _keys(cls), where)
-    return cls(**{key: _number(section, key, where) for key in _keys(cls)})
+def _load_fields(section: Any, cls: type, where: str) -> dict[str, Any]:
+    """Each field of cls, read under its document key by the reader of its
+    annotation, in field order; unknown keys are rejected first."""
+    section = _expect_mapping(section, where)
+    _reject_unknown(section, _layout(cls), where)
+    return {name: read(section, key, where) for key, (name, read) in _layout(cls).items()}
+
+
+def _load_operation(section: Any, where: str) -> OperationSpec:
+    """An operation entry; absent bounds take the defaults of its kind."""
+    values = _load_fields(section, OperationSpec, where)
+    values["speed_bounds"] = values["speed_bounds"] or SPEED_LIMITS[values["kind"]]
+    values["feed_bounds"] = values["feed_bounds"] or FEED_LIMITS[values["kind"]]
+    return OperationSpec(**values)
 
 
 def _load_overrides(document: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
-    """The non-null settings an optional section gives for cls's fields,
-    each read as an integer where the field's default is one."""
+    """The non-null settings an optional section gives for cls's fields, in
+    document order, each read by the reader of its field's annotation."""
     if name not in document:
         return {}
     where = f"section '{name}'"
     section = _expect_mapping(document[name], where)
-    _reject_unknown(section, _keys(cls), where)
-    read = {field.name: _integer if isinstance(field.default, int) else _number for field in fields(cls)}
-    return {key: read[key](section, key, where) for key, value in section.items() if value is not None}
+    layout = _layout(cls)
+    _reject_unknown(section, layout, where)
+    return {key: layout[key][1](section, key, where) for key, value in section.items() if value is not None}
+
+
+def _load_list(document: Mapping[str, Any], name: str, load: Callable[[Any, str], Any]) -> tuple:
+    """Each entry of a required non-empty list section, loaded in turn."""
+    entries = document[name]
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise PlanError(f"section '{name}' must be a non-empty list")
+    return tuple(load(entry, f"{name}[{idx}]") for idx, entry in enumerate(entries))
 
 
 @dataclass(frozen=True)
@@ -239,24 +244,14 @@ def load_document(document: Mapping[str, Any]) -> LoadedDocument:
         if required not in document:
             raise PlanError(f"missing required section '{required}' in plan document")
 
-    economics = _load_numbers(document, "economics", EconomicConstants)
-    machine = _load_numbers(document, "machine", MachineSpec)
-
-    raw_tools = document["tools"]
-    if not isinstance(raw_tools, (list, tuple)) or not raw_tools:
-        raise PlanError("section 'tools' must be a non-empty list")
-    tools = tuple(
-        _load_tool(_expect_mapping(entry, f"tools[{idx}]"), f"tools[{idx}]")
-        for idx, entry in enumerate(raw_tools)
+    economics = EconomicConstants(
+        **_load_fields(document["economics"], EconomicConstants, "section 'economics'")
     )
-
-    raw_ops = document["operations"]
-    if not isinstance(raw_ops, (list, tuple)) or not raw_ops:
-        raise PlanError("section 'operations' must be a non-empty list")
-    operations = tuple(
-        _load_operation(_expect_mapping(entry, f"operations[{idx}]"), f"operations[{idx}]")
-        for idx, entry in enumerate(raw_ops)
+    machine = MachineSpec(**_load_fields(document["machine"], MachineSpec, "section 'machine'"))
+    tools = _load_list(
+        document, "tools", lambda entry, where: ToolSpec(**_load_fields(entry, ToolSpec, where))
     )
+    operations = _load_list(document, "operations", _load_operation)
 
     plan = MillingPlan(economics=economics, machine=machine, tools=tools, operations=operations)
     return LoadedDocument(

@@ -351,17 +351,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
         speeds=list(x.speeds),
         feeds=list(x.feeds),
         margins=[
-            {
-                "operation": m.operation,
-                "power": m.power,
-                "power_ok": m.power_ok,
-                "finish": m.finish,
-                "finish_ok": m.finish_ok,
-                "force": m.force,
-                "force_ok": m.force_ok,
-                "speed_ok": m.speed_ok,
-                "feed_ok": m.feed_ok,
-            }
+            {**asdict(m), "power_ok": m.power_ok, "finish_ok": m.finish_ok, "force_ok": m.force_ok}
             for m in margins
         ],
     )

@@ -37,6 +37,7 @@ from .milling import (
     DecisionVector,
     EvalContext,
     MillingPlan,
+    _is_integer,
     batch_evaluate,
     compile_context,
     corner_rate,
@@ -71,11 +72,6 @@ MAX_GENERATIONS = 100_000
 # the best fitness rises above the last reset's fitness by more than this
 # relative gain.  Smaller rises still update the record.
 STALL_GAIN = 1e-6
-
-
-def _is_integer(value: object) -> bool:
-    """An int that is not a bool: True and False are not settings."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

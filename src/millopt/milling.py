@@ -114,6 +114,11 @@ def _finite(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def _is_integer(value: object) -> bool:
+    """An int that is not a bool: True and False are not counts or ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EconomicConstants:
     """Shop-level economics shared by every operation.
@@ -200,9 +205,9 @@ class ToolSpec:
     permitted_force: float | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.id, int) and self.id >= 0, "tool.id must be a non-negative integer")
+        _require(_is_integer(self.id) and self.id >= 0, "tool.id must be a non-negative integer")
         _require(_finite(self.diameter) and self.diameter > 0.0, f"tool {self.id}: diameter must be > 0")
-        _require(isinstance(self.teeth, int) and self.teeth >= 1, f"tool {self.id}: teeth must be an integer >= 1")
+        _require(_is_integer(self.teeth) and self.teeth >= 1, f"tool {self.id}: teeth must be an integer >= 1")
         _require(_finite(self.price) and self.price >= 0.0, f"tool {self.id}: price must be >= 0")
         _require(
             _finite(self.lead_angle) and 0.0 <= self.lead_angle < 90.0,
@@ -256,8 +261,9 @@ class OperationSpec:
     k3_override: float | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.number, int) and self.number >= 0, "operation.number must be a non-negative integer")
+        _require(_is_integer(self.number) and self.number >= 0, "operation.number must be a non-negative integer")
         label = f"operation {self.number}"
+        _require(_is_integer(self.tool_id), f"{label}: tool_id must be an integer")
         _require(_finite(self.axial_depth) and self.axial_depth > 0.0, f"{label}: axial_depth must be > 0")
         _require(_finite(self.radial_depth) and self.radial_depth > 0.0, f"{label}: radial_depth must be > 0")
         _require(_finite(self.travel) and self.travel > 0.0, f"{label}: travel must be > 0")

@@ -47,6 +47,7 @@ from .milling import (
     DecisionVector,
     EvalContext,
     MillingPlan,
+    _is_integer,
     compile_context,
     corner_rate,
     derive_coefficients,
@@ -89,7 +90,7 @@ class GridSpec:
     resolution: int = 500
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.resolution, int) and self.resolution >= 2):
+        if not (_is_integer(self.resolution) and self.resolution >= 2):
             raise ValueError("resolution must be an integer >= 2")
 
 

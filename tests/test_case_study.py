@@ -6,23 +6,29 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import re
 
 import pytest
 
 from millopt import (
+    EconomicConstants,
     EsConfig,
     GridSpec,
+    MachineSpec,
     OperationKind,
+    OperationSpec,
     PlanError,
     ToolKind,
     ToolQuality,
+    ToolSpec,
     builtin_case,
     builtin_document_bytes,
     load_document,
     load_document_file,
 )
+from millopt import case_study
 from millopt.case_study import REFERENCE_ROWS, ReferenceRow, consistency_gap, dump_plan
 from millopt.cli import build_parser
 
@@ -56,6 +62,88 @@ def every_optional_plan():
         tools=(dataclasses.replace(CARBIDE_FACE_MILL, permitted_force=4500.0),) + plan.tools,
         operations=(face,) + plan.operations,
     )
+
+
+# Stands for a key deleted from its section.
+MISSING = object()
+
+
+def required(place, where, key, kind, *wrong):
+    """Single faults of a required key: absent, then each wrong value."""
+    yield place, key, MISSING, f"missing required key '{key}' in {where}"
+    yield from optional(place, where, key, kind, *wrong)
+
+
+def optional(place, where, key, kind, *wrong):
+    """Single faults of a key that may be left out: each wrong value."""
+    for value in wrong:
+        yield place, key, value, f"'{key}' in {where} must {kind}"
+
+
+def choice(place, where, key, choices):
+    """Single faults of an enum key: absent, not a string, not a choice."""
+    for value in (MISSING, 1):
+        yield place, key, value, f"missing or non-string key '{key}' in {where}"
+    yield place, key, "drill", f"'{key}' in {where} must be one of: {choices} (got 'drill')"
+
+
+def numbers(place, where, *keys):
+    for key in keys:
+        yield from required(place, where, key, "be a number", "x", True)
+
+
+def integers(place, where, *keys):
+    for key in keys:
+        yield from required(place, where, key, "be an integer", 1.5, True)
+
+
+def overrides(place, where, *keys, kind, wrong):
+    for key in keys:
+        yield from optional(place, where, key, kind, *wrong)
+
+
+BOUNDS = ("be a two-element [lower, upper] list", [1], 60.0)
+# Every document key of economics, machine, tools[0], operations[0], es and
+# oracle, each with one or more single faults and the one line it gives.
+SINGLE_FAULTS = list(
+    itertools.chain(
+        numbers(
+            "economics", "section 'economics'",
+            "sale_price", "material_cost", "labor_rate", "overhead_rate", "setup_time",
+        ),
+        numbers(
+            "machine", "section 'machine'",
+            "motor_power", "efficiency", "power_constant", "wear_factor",
+            "chip_area_exponent", "slenderness_exponent",
+        ),
+        integers("tools", "tools[0]", "id", "teeth"),
+        choice("tools", "tools[0]", "kind", "face_mill, end_mill"),
+        choice("tools", "tools[0]", "quality", "hss, carbide"),
+        numbers(
+            "tools", "tools[0]",
+            "diameter", "price", "lead_angle", "clearance_angle", "taylor_constant",
+            "life_exponent", "change_time",
+        ),
+        optional("tools", "tools[0]", "permitted_force", "be a number", "x", True),
+        integers("operations", "operations[0]", "number", "tool"),
+        choice("operations", "operations[0]", "kind", "face, corner, pocket, slot"),
+        numbers("operations", "operations[0]", "axial_depth", "radial_depth", "travel"),
+        optional("operations", "operations[0]", "speed_bounds", *BOUNDS),
+        optional("operations", "operations[0]", "feed_bounds", *BOUNDS),
+        optional("operations", "operations[0]", "speed_bounds", "contain numbers", [60.0, "x"]),
+        optional("operations", "operations[0]", "surface_finish_req", "be a number", "x", True),
+        optional("operations", "operations[0]", "radial_depth_assumed", "be true or false", "yes", 1, None),
+        optional("operations", "operations[0]", "k3_override", "be a number", "x", True),
+        overrides("es", "section 'es'", "mu", "eta", "stall_limit", "seed", kind="be an integer", wrong=(1.5, True)),
+        overrides("es", "section 'es'", "sigma_init", "alpha", kind="be a number", wrong=("fast", True)),
+        overrides("oracle", "section 'oracle'", "resolution", kind="be an integer", wrong=(2.5, True)),
+    )
+)
+
+
+def fault_id(fault):
+    place, key, value, _ = fault
+    return f"{place}.{key}:{'missing' if value is MISSING else json.dumps(value)}"
 
 
 class TestReferenceRows:
@@ -271,6 +359,47 @@ class TestLoaderErrors:
             load_document(doc)
         doc["operations"][0]["speed_bounds"] = [60.0, "fast"]
         with pytest.raises(PlanError, match="must contain numbers"):
+            load_document(doc)
+
+    @pytest.mark.parametrize("fault", SINGLE_FAULTS, ids=fault_id)
+    def test_single_fault_message(self, fault):
+        place, key, value, message = fault
+        doc = builtin_document()
+        section = doc.setdefault(place, {})
+        entry = section[0] if isinstance(section, list) else section
+        if value is MISSING:
+            del entry[key]
+        else:
+            entry[key] = value
+        with pytest.raises(PlanError, match=exactly(message)):
+            load_document(doc)
+
+    def test_single_faults_cover_every_key(self):
+        document = dump_plan(every_optional_plan())
+        sections = {
+            "economics": document["economics"],
+            "machine": document["machine"],
+            "tools": document["tools"][0],
+            "operations": document["operations"][0],
+            "es": dataclasses.asdict(EsConfig()),
+            "oracle": dataclasses.asdict(GridSpec()),
+        }
+        expected = {(place, key) for place, section in sections.items() for key in section}
+        assert {(place, key) for place, key, _, _ in SINGLE_FAULTS} == expected
+
+    @pytest.mark.parametrize(
+        "cls", [EconomicConstants, MachineSpec, ToolSpec, OperationSpec, EsConfig, GridSpec]
+    )
+    def test_every_field_annotation_has_a_reader(self, cls):
+        for field in dataclasses.fields(cls):
+            assert field.type in case_study._READERS, (cls.__name__, field.name, field.type)
+
+    def test_first_fault_in_field_order(self):
+        """An entry with two faults reports the one of the earlier field."""
+        doc = builtin_document()
+        del doc["operations"][0]["number"]
+        doc["operations"][0]["kind"] = "drill"
+        with pytest.raises(PlanError, match=exactly("missing required key 'number' in operations[0]")):
             load_document(doc)
 
     def test_non_mapping_document(self):

@@ -241,26 +241,6 @@ class TestRecombine:
         )
         assert sigmas[0, 0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
 
-    def test_one_draw_gives_the_stream_of_three(self):
-        # mutate draws a generation's normals in one call; on a real
-        # generator that is the global, local and step draws, in turn
-        n, length = 7, 4
-        genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
-        sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
-        lower, upper = np.full(length, 70.0), np.full(length, 110.0)
-        tau_g, tau_l = learning_rates(length)
-        rng = np.random.default_rng(5)
-        global_draw = rng.standard_normal((n, 1))
-        local_draws = rng.standard_normal((n, length))
-        expected_sigmas = np.maximum(
-            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), SIGMA_FLOOR
-        )
-        expected = np.clip(genomes + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
-        mutated = np.random.default_rng(5)
-        child, child_sigmas = mutate(genomes, sigmas, lower, upper, mutated)
-        assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
-        assert mutated.standard_normal() == rng.standard_normal()
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             recombine(

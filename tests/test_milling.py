@@ -464,6 +464,21 @@ class TestValidation:
         with pytest.raises(PlanError):
             ToolSpec(**{**CARBIDE_FACE_MILL.__dict__, "clearance_angle": 0.0})
 
+    @pytest.mark.parametrize(
+        ("spec", "name", "message"),
+        [
+            ("tool", "id", "tool.id must be a non-negative integer"),
+            ("tool", "teeth", "tool 1: teeth must be an integer >= 1"),
+            ("operation", "number", "operation.number must be a non-negative integer"),
+            ("operation", "tool_id", "operation 1: tool_id must be an integer"),
+        ],
+        ids=["tool.id", "tool.teeth", "operation.number", "operation.tool_id"],
+    )
+    def test_booleans_are_not_integers(self, toy_single_plan, spec, name, message):
+        base = CARBIDE_FACE_MILL if spec == "tool" else toy_single_plan.operations[0]
+        with pytest.raises(PlanError, match=f"^{message}$"):
+            dataclasses.replace(base, **{name: True})
+
     def test_duplicate_operation_numbers_rejected(self, toy_single_plan):
         op = toy_single_plan.operations[0]
         with pytest.raises(PlanError):

@@ -47,6 +47,7 @@ class TestGridSpec:
             {"resolution": 1},
             {"resolution": 0},
             {"resolution": 2.5},
+            pytest.param({"resolution": True}, id="resolution_bool"),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
