@@ -241,6 +241,31 @@ class TestRecombine:
         )
         assert sigmas[0, 0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
 
+    def test_one_draw_gives_the_stream_of_three(self):
+        # breeding a generation draws the crossover mask in one call, then
+        # mutate's global, local and step normals in turn, on one generator
+        n, length = 7, 4
+        genomes_a = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
+        genomes_b = np.random.default_rng(3).uniform(60.0, 120.0, (n, length))
+        sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
+        lower, upper = np.full(length, 70.0), np.full(length, 110.0)
+        tau_g, tau_l = learning_rates(length)
+        rng = np.random.default_rng(5)
+        take_a = rng.integers(0, 2, size=(n, length)).astype(bool)
+        global_draw = rng.standard_normal((n, 1))
+        local_draws = rng.standard_normal((n, length))
+        expected_sigmas = np.maximum(
+            sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), SIGMA_FLOOR
+        )
+        parents = np.where(take_a, genomes_a, genomes_b)
+        expected = np.clip(parents + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
+        bred = np.random.default_rng(5)
+        child, child_sigmas = recombine(genomes_a, genomes_b, sigmas, sigmas.copy(), 0.5, bred)
+        assert np.array_equal(child, parents)
+        child, child_sigmas = mutate(child, child_sigmas, lower, upper, bred)
+        assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
+        assert bred.standard_normal() == rng.standard_normal()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             recombine(
