@@ -21,12 +21,16 @@ Every report is JSON, so full precision counts.  The set:
   * oracle on the bundled case at resolutions 2, 3 and 7, where the
     multiplier iteration's minimizer repeats early, and at 500, 833, ...,
     2500 and 4000;
-  * one evaluate on the bundled case, and one at a first speed of 1e200,
-    where the plan compiles but the scalar pricing of the point overflows;
+  * one evaluate on the bundled case, one at a first feed of 0.3, where
+    the first operation's power and finish margins are violated, and one
+    at a first speed of 1e200, where the plan compiles but the scalar
+    pricing of the point overflows;
   * optimize (stall 200), oracle (resolution 300) and evaluate (box
     midpoints) on the first 60 random plan documents from rng [7, 3];
-  * optimize --verbose and optimize --stall 5000 on random plan 11, which
-    is feasible at its lowest corner and unprofitable everywhere;
+  * optimize --verbose, optimize --stall 5000 and compare on random plan
+    11, which is feasible at its lowest corner and unprofitable everywhere,
+    and compare on random plan 19, which is infeasible at its lowest
+    corner;
   * optimize, oracle, compare and evaluate on the bundled document with
     tool wear that overflows (every life_exponent 0.004, every k3_override
     1.0), and on one that overflows only above the lowest corner (every
@@ -82,6 +86,7 @@ PLAN_RNG = [7, 3]
 PLAN_STALL = "200"
 PLAN_RESOLUTION = "300"
 UNPROFITABLE_PLAN = 11
+CORNER_INFEASIBLE_PLAN = 19
 RETIRED_KEYS = (
     ("es", "tau_global", 0.2),
     ("es", "tau_local", 0.4),
@@ -149,6 +154,10 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         "evaluate", *builtin,
         "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
     )
+    yield "evaluate builtin feed=0.3", (
+        "evaluate", *builtin,
+        "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.3,0.325,0.325,0.5,0.388",
+    )
     yield "evaluate builtin speed=1e200", (
         "evaluate", *builtin,
         "--speeds", "1e200,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
@@ -170,6 +179,9 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     plan = ("--config", str(workdir / f"plan_{UNPROFITABLE_PLAN}.json"), "--out", "json")
     yield f"optimize plan={UNPROFITABLE_PLAN} verbose", ("optimize", *plan, "--stall", PLAN_STALL, "--verbose")
     yield f"optimize plan={UNPROFITABLE_PLAN} stall=5000", ("optimize", *plan, "--stall", "5000")
+    yield f"compare plan={UNPROFITABLE_PLAN}", ("compare", *plan)
+    plan = ("--config", str(workdir / f"plan_{CORNER_INFEASIBLE_PLAN}.json"), "--out", "json")
+    yield f"compare plan={CORNER_INFEASIBLE_PLAN}", ("compare", *plan)
 
     for name, life_exponent in (("overflow", 0.004), ("overflow above corner", 1 / 151)):
         document = json.loads(builtin_document_bytes().decode("utf-8"))

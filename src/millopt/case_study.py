@@ -18,8 +18,7 @@ same part; they are stored exactly as printed, two decimals each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
@@ -48,10 +47,8 @@ __all__ = [
     "LoadedDocument",
     "load_document",
     "load_document_file",
-    "dump_plan",
     "builtin_case",
     "builtin_document_bytes",
-    "consistency_gap",
 ]
 
 
@@ -82,17 +79,6 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
     ReferenceRow("Hybrid differential evolution algorithm", 10.90, 5.00, 2.82),
     ReferenceRow("Evolutionary strategy", 10.91, 5.00, 2.82),
 )
-
-
-def consistency_gap(row: ReferenceRow, sale_price: float) -> float:
-    """Signed difference between the profit rate implied by a row's cost
-    and time and the profit rate the row prints.
-
-    The printed columns are rounded to two decimals, so on this table the
-    gap can differ from zero by up to about 0.009 from printing alone.  Two
-    rows of ``REFERENCE_ROWS`` exceed that as printed in the sources.
-    """
-    return (sale_price - row.unit_cost) / row.unit_time - row.profit_rate
 
 
 # The one document key that differs from the dataclass field it fills.
@@ -268,28 +254,6 @@ def load_document_file(path: str | Path) -> LoadedDocument:
     except json.JSONDecodeError as exc:
         raise PlanError(f"{path} is not valid JSON: {exc}") from exc
     return load_document(raw)
-
-
-def _plain(value: Any) -> Any:
-    """value as JSON-ready data: a dataclass as an object of its fields under
-    their document keys, None fields left out; enums by value; tuples as lists."""
-    if is_dataclass(value):
-        items = ((field.name, getattr(value, field.name)) for field in fields(value))
-        return {_RENAMED.get(name, name): _plain(item) for name, item in items if item is not None}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    return value
-
-
-def dump_plan(plan: MillingPlan) -> dict[str, Any]:
-    """Serialize a plan to a document that load_document reads back unchanged.
-
-    Bounds are emitted explicitly (resolved, not defaulted) so the dump is
-    self-contained; optional fields that are None are left out.
-    """
-    return _plain(plan)
 
 
 def builtin_document_bytes() -> bytes:

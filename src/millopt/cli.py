@@ -340,14 +340,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     milling.compile_context(plan)
     coeffs = milling.derive_coefficients(plan)
     margins = milling.constraint_margins(plan, x, coeffs)
+    feasible = all(m.satisfied for m in margins)
+    cost, time = milling.unit_cost(plan, x, coeffs), milling.unit_time(plan, x, coeffs)
+    rate = (plan.economics.sale_price - cost) / time  # milling.profit_rate, priced once
     report = _solution_report(
         "evaluate",
         plan,
-        feasible=all(m.satisfied for m in margins),
-        fitness=milling.fitness(plan, x, coeffs),
-        profit_rate=milling.profit_rate(plan, x, coeffs),
-        unit_cost=milling.unit_cost(plan, x, coeffs),
-        unit_time=milling.unit_time(plan, x, coeffs),
+        feasible=feasible,
+        fitness=rate if feasible else 0.0,
+        profit_rate=rate,
+        unit_cost=cost,
+        unit_time=time,
         speeds=list(x.speeds),
         feeds=list(x.feeds),
         margins=[

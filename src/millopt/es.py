@@ -37,10 +37,10 @@ from .milling import (
     DecisionVector,
     EvalContext,
     MillingPlan,
+    _finite,
     _is_integer,
     batch_evaluate,
     compile_context,
-    corner_rate,
     cost_floor,
 )
 
@@ -97,9 +97,9 @@ class EsConfig:
             raise ValueError("mu must be an integer >= 1")
         if not (_is_integer(self.eta) and self.eta > self.mu):
             raise ValueError("eta must be an integer > mu")
-        if not (math.isfinite(self.sigma_init) and self.sigma_init > 0.0):
+        if not (_finite(self.sigma_init) and self.sigma_init > 0.0):
             raise ValueError("sigma_init must be > 0")
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
+        if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be strictly between 0 and 1")
         if not (_is_integer(self.stall_limit) and self.stall_limit >= 1):
             raise ValueError("stall_limit must be an integer >= 1")
@@ -316,30 +316,31 @@ def run(
 ) -> RunResult:
     """Optimize a plan; deterministic for a fixed (plan, config, seed).
 
-    The run stops before the first generation, so that generations and
-    evaluations are 0 and the observer sees no generation, when the lowest
-    corner is infeasible, and with it every point, or when the certified
-    cost floor (milling.cost_floor) reaches the sale price, so that no
-    point has a positive profit rate.  Either way the result is the
-    infeasible one that running every generation would report.
+    The run sets up no population, so that generations and evaluations
+    are 0 and the observer sees no generation, when the lowest corner
+    (ctx.corner) is infeasible, and with it every point, or when the
+    certified cost floor (milling.cost_floor) reaches the sale price, so
+    that no point has a positive profit rate.  Either way the result is
+    the infeasible one that running every generation would report.
 
     Raises DomainError as compile_context does.
     """
     config = config or EsConfig()
     ctx = compile_context(plan)
-    state = initial_state(ctx, config)
     # No point is feasible unless the lowest corner is, and none is
     # profitable once the cost floor reaches the price; a positive corner
     # rate already shows a profit, so only a nonpositive one asks for it.
-    rate = corner_rate(ctx)
-    nothing_to_find = rate is None or (rate <= 0.0 and cost_floor(ctx) >= ctx.sale_price)
-    max_generations = 0 if nothing_to_find else MAX_GENERATIONS
-    while state.record.stall_counter < config.stall_limit and state.generation < max_generations:
-        state = step(state, ctx, config)
-        if observer is not None:
-            observer(state)
+    corner = ctx.corner
+    nothing_to_find = not corner.feasible[0] or (corner.fitness[0] <= 0.0 and cost_floor(ctx) >= ctx.sale_price)
+    record, generations, evaluations = BestRecord(), 0, 0
+    if not nothing_to_find:
+        state = initial_state(ctx, config)
+        while state.record.stall_counter < config.stall_limit and state.generation < MAX_GENERATIONS:
+            state = step(state, ctx, config)
+            if observer is not None:
+                observer(state)
+        record, generations, evaluations = state.record, state.generation, state.evaluations
 
-    record = state.record
     if record.genome is None:
         return RunResult(
             feasible=False,
@@ -348,8 +349,8 @@ def run(
             unit_cost=None,
             unit_time=None,
             profit_rate=None,
-            generations=state.generation,
-            evaluations=state.evaluations,
+            generations=generations,
+            evaluations=evaluations,
             seed=config.seed,
         )
 
@@ -365,7 +366,7 @@ def run(
         unit_cost=cost,
         unit_time=time,
         profit_rate=(ctx.sale_price - cost) / time,
-        generations=state.generation,
-        evaluations=state.evaluations,
+        generations=generations,
+        evaluations=evaluations,
         seed=config.seed,
     )

@@ -50,7 +50,6 @@ __all__ = [
     "compile_context",
     "BatchEval",
     "batch_evaluate",
-    "corner_rate",
     "cost_floor",
 ]
 
@@ -111,7 +110,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return (isinstance(value, float) or _is_integer(value)) and math.isfinite(value)
 
 
 def _is_integer(value: object) -> bool:
@@ -638,7 +637,9 @@ class EvalContext:
     finish and force margins are both <= 1.  Both margins grow with f, so
     a feed satisfies them exactly when it is <= feed_cap[i].
     feasible_upper is derived, never passed: the speed half of upper
-    followed by feed_cap, the box a feasible genome lies below.
+    followed by feed_cap, the box a feasible genome lies below.  So is
+    corner, batch_evaluate's evaluation of lower, the corner where every
+    margin is smallest: no genome is feasible unless it is.
     change_time[i] is operation i's tool change time; the fixed terms hold their sum.
     batch_constants(n) lays the per-operation constants and the box out
     for a batch of n genomes; the last batch size other than 1 is cached
@@ -660,12 +661,16 @@ class EvalContext:
     lower: np.ndarray
     upper: np.ndarray
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
+    corner: BatchEval = field(init=False, repr=False, compare=False)
     _batches: dict[int, BatchConstants] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
         object.__setattr__(self, "feasible_upper", feasible_upper)
         object.__setattr__(self, "_batches", {})
+        # An overflowing corner is reported by _check_box_prices, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "corner", batch_evaluate(self, self.lower))
 
     @property
     def m(self) -> int:
@@ -756,21 +761,21 @@ def _check_box_prices(ctx: EvalContext) -> None:
     """Raise DomainError unless batch_evaluate prices every genome in the
     box [lower, upper] with finite values.
 
-    The lowest corner is checked first, by batch_evaluate itself.  Over
-    the box, each machining time is largest at the lowest corner and
-    smallest at the highest.  v**a, f**b and the wear term are products of
-    positive monotone powers, largest at the corners the signs of a and b
-    pick.  Summed, these bound every unit cost, and with the smallest time
-    every profit rate, so no search in the box can overflow.  A factor
-    that overflows makes the bound inf or NaN.
+    The lowest corner is checked first, as batch_evaluate priced it in
+    ctx.corner.  Over the box, each machining time is largest at the lowest
+    corner and smallest at the highest.  v**a, f**b and the wear term are
+    products of positive monotone powers, largest at the corners the signs
+    of a and b pick.  Summed, these bound every unit cost, and with the
+    smallest time every profit rate, so no search in the box can overflow.
+    A factor that overflows makes the bound inf or NaN.
     """
     m = ctx.m
     v_lo, v_hi = ctx.lower[:m], ctx.upper[:m]
     f_lo, f_hi = ctx.lower[m:], ctx.upper[m:]
+    corner_cost = ctx.corner.unit_cost[0]
+    if not math.isfinite(corner_cost):
+        raise DomainError(f"unit cost {corner_cost} at the lowest speeds and feeds: the plan overflows")
     with np.errstate(over="ignore", invalid="ignore"):
-        corner_cost = batch_evaluate(ctx, ctx.lower).unit_cost[0]
-        if not math.isfinite(corner_cost):
-            raise DomainError(f"unit cost {corner_cost} at the lowest speeds and feeds: the plan overflows")
         speed_factor = np.where(ctx.speed_exponent >= 0.0, v_hi, v_lo) ** ctx.speed_exponent
         feed_factor = np.where(ctx.feed_exponent >= 0.0, f_hi, f_lo) ** ctx.feed_exponent
         wear = speed_factor * ctx.tool_cost_coef * feed_factor
@@ -922,12 +927,3 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
         feasible=feasible,
     )
 
-
-def corner_rate(ctx: EvalContext) -> float | None:
-    """Profit rate at the all-lowest genome ctx.lower, or None when it is
-    infeasible, and with it, as every margin is nondecreasing in v and f,
-    every point.  compile_context has checked that the rate is finite."""
-    corner = batch_evaluate(ctx, ctx.lower)
-    if not corner.feasible[0]:
-        return None
-    return float(corner.fitness[0])

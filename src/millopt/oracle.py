@@ -49,7 +49,6 @@ from .milling import (
     MillingPlan,
     _is_integer,
     compile_context,
-    corner_rate,
     derive_coefficients,
     unit_cost,
     unit_time,
@@ -332,13 +331,14 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     """Exact profit-rate optimum over the product grid.
 
     The multiplier lam starts at the profit rate of the box's lowest
-    corner.  Each iteration takes, per operation, the grid point
-    minimizing cost + lam * time, and the whole point's rate as the next
-    lam.  It stops at the first point that equals the previous one (the
-    corner, before the first iteration) or whose rate is not above lam:
-    that point is a fixed point of the iteration and the grid optimum.
-    While it goes on, lam rises strictly, so no point recurs and the
-    iteration ends on a finite grid without a tolerance.
+    corner, as the compiled context priced it (EvalContext.corner).  Each
+    iteration takes, per operation, the grid point minimizing cost + lam *
+    time, and the whole point's rate as the next lam.  It stops at the
+    first point that equals the previous one (the corner, before the first
+    iteration) or whose rate is not above lam: that point is a fixed point
+    of the iteration and the grid optimum.  While it goes on, lam rises
+    strictly, so no point recurs and the iteration ends on a finite grid
+    without a tolerance.
 
     Returns an infeasible result, before any iteration, when the corner is
     infeasible; raises DomainError as compile_context does, and OracleError
@@ -349,8 +349,7 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     grid = grid or GridSpec()
     # The lowest corner is a grid point, so when it is feasible with a
     # finite value every per-operation scan finds a finite feasible point.
-    lam = corner_rate(ctx)
-    if lam is None:
+    if not ctx.corner.feasible[0]:
         return OracleResult(
             feasible=False,
             best=None,
@@ -360,6 +359,7 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
             iterations=0,
             lambda_trace=(),
         )
+    lam = float(ctx.corner.fitness[0])
     ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
     # The reports price with the scalar model, which the frozen yardsticks
     # pin to the last bit.

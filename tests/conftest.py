@@ -1,8 +1,11 @@
-"""Shared fixtures: the bundled plan plus small hand-checkable instances."""
+"""Shared fixtures: the bundled plan plus small hand-checkable instances,
+and the test helpers that write plans out and check published rows."""
 
 from __future__ import annotations
 
 import dataclasses
+from enum import Enum
+from typing import Any
 
 import pytest
 
@@ -18,6 +21,7 @@ from millopt import (
     builtin_case,
     derive_coefficients,
 )
+from millopt.case_study import _RENAMED, ReferenceRow
 
 STANDARD_ECONOMICS = EconomicConstants(
     sale_price=25.0,
@@ -173,6 +177,39 @@ def force_infeasible_plan() -> MillingPlan:
     plan = single_face_plan()
     tool = dataclasses.replace(plan.tools[0], permitted_force=500.0)
     return dataclasses.replace(plan, tools=(tool,))
+
+
+def _plain(value: Any) -> Any:
+    """value as JSON-ready data: a dataclass as an object of its fields under
+    their document keys, None fields left out; enums by value; tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        items = ((field.name, getattr(value, field.name)) for field in dataclasses.fields(value))
+        return {_RENAMED.get(name, name): _plain(item) for name, item in items if item is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def dump_plan(plan: MillingPlan) -> dict[str, Any]:
+    """Serialize a plan to a document that load_document reads back unchanged.
+
+    Bounds are emitted explicitly (resolved, not defaulted) so the dump is
+    self-contained; optional fields that are None are left out.
+    """
+    return _plain(plan)
+
+
+def consistency_gap(row: ReferenceRow, sale_price: float) -> float:
+    """Signed difference between the profit rate implied by a row's cost
+    and time and the profit rate the row prints.
+
+    The printed columns are rounded to two decimals, so on this table the
+    gap can differ from zero by up to about 0.009 from printing alone.  Two
+    rows of ``REFERENCE_ROWS`` exceed that as printed in the sources.
+    """
+    return (sale_price - row.unit_cost) / row.unit_time - row.profit_rate
 
 
 @pytest.fixture(scope="session")

@@ -39,10 +39,12 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.case_study import REFERENCE_ROWS, consistency_gap
+from millopt.case_study import REFERENCE_ROWS
 from millopt.cli import main
 from millopt import es
 from millopt.es import SIGMA_FLOOR, learning_rates, mutate
+
+from conftest import consistency_gap
 
 
 SALE_PRICE = 25.0

@@ -29,10 +29,10 @@ from millopt import (
     load_document_file,
 )
 from millopt import case_study
-from millopt.case_study import REFERENCE_ROWS, ReferenceRow, consistency_gap, dump_plan
+from millopt.case_study import REFERENCE_ROWS, ReferenceRow
 from millopt.cli import build_parser
 
-from conftest import CARBIDE_FACE_MILL, single_face_plan, two_op_plan
+from conftest import CARBIDE_FACE_MILL, consistency_gap, dump_plan, single_face_plan, two_op_plan
 
 
 def builtin_document() -> dict:

@@ -4,23 +4,29 @@ and stderr logging."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from millopt import EsConfig, GridSpec, PlanError, cli, es, oracle
-from millopt.case_study import builtin_document_bytes, dump_plan, load_document
+from millopt import EsConfig, GridSpec, PlanError, cli, es, milling, oracle
+from millopt.case_study import builtin_document_bytes, load_document
 from millopt.cli import main
 
 from conftest import (
+    dump_plan,
     finish_infeasible_plan,
     force_infeasible_plan,
     infeasible_plan,
     single_face_plan,
     two_op_plan,
 )
+from test_acceptance import random_plan
 from test_es import digest_plan
 
 
@@ -318,6 +324,41 @@ class TestEvaluateCommand:
             "evaluate", "--builtin-case", "--speeds", "200,45,40,35,32", "--feeds", self.FEEDS,
         )
         assert "violated" in out
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        region=st.sampled_from(["below the feed caps", "box", "around the box"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_report_prices_as_the_scalar_functions(self, tmp_path_factory, seed, region):
+        # evaluate prices the point once; its four prices are still those
+        # of the scalar reference functions, bit for bit, inside the box
+        # and outside it, feasible or not.
+        rng = np.random.default_rng(seed)
+        plan = random_plan(rng)
+        ctx = milling.compile_context(plan)
+        low, high = {
+            "below the feed caps": (ctx.lower, np.maximum(ctx.lower, ctx.feasible_upper)),
+            "box": (ctx.lower, ctx.upper),
+            "around the box": (0.5 * ctx.lower, 2.0 * ctx.upper),
+        }[region]
+        x = milling.DecisionVector.from_genome(rng.uniform(low, high))
+        coeffs = milling.derive_coefficients(plan)
+        names = ("fitness", "profit_rate", "unit_cost", "unit_time")
+        expected = {name: float(getattr(milling, name)(plan, x, coeffs)).hex() for name in names}
+
+        path = tmp_path_factory.mktemp("evaluate") / "plan.json"
+        path.write_text(json.dumps(dump_plan(plan)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([
+                "evaluate", "--config", str(path), "--out", "json",
+                "--speeds", ",".join(repr(float(v)) for v in x.speeds),
+                "--feeds", ",".join(repr(float(f)) for f in x.feeds),
+            ])
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert {name: float(report[name]).hex() for name in names} == expected
 
     def test_wrong_value_count_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -17,7 +17,7 @@ import pytest
 
 import millopt
 from millopt import ContractError
-from millopt import es
+from millopt import es, milling
 from millopt.es import (
     SIGMA_FLOOR,
     EsConfig,
@@ -108,6 +108,7 @@ class TestEsConfig:
             pytest.param({"mu": True, "eta": 2}, id="mu_bool"),
             pytest.param({"stall_limit": True}, id="stall_limit_bool"),
             pytest.param({"seed": False}, id="seed_bool"),
+            pytest.param({"sigma_init": True}, id="sigma_init_bool"),
         ],
     )
     def test_rejects_bad_settings(self, overrides):
@@ -855,3 +856,26 @@ def test_plan_whose_floor_reaches_the_price_stops_before_the_first_generation(in
     # without the floor, the run is the stepped one
     monkeypatch.setattr(es, "cost_floor", lambda ctx: -math.inf)
     assert run(plan, config) == stepped
+
+
+@pytest.mark.parametrize("index", [None, 11], ids=["corner_infeasible", "digest_plan_11"])
+def test_skipped_run_prices_the_corner_once_and_draws_no_population(index, toy_infeasible_plan, monkeypatch):
+    # The corner's evaluation is made once, by compile_context, and a run
+    # with nothing to find seeds no generator and draws no genome.
+    plan = toy_infeasible_plan if index is None else digest_plan(index)
+    calls = []
+
+    def counted(ctx, genomes):
+        calls.append(np.atleast_2d(genomes).shape[0])
+        return batch_evaluate(ctx, genomes)
+
+    def no_population(ctx, config):
+        raise AssertionError("initial_state called for a plan with nothing to find")
+
+    monkeypatch.setattr(milling, "batch_evaluate", counted)
+    monkeypatch.setattr(es, "batch_evaluate", counted)
+    monkeypatch.setattr(es, "initial_state", no_population)
+    result = run(plan, EsConfig(stall_limit=200))
+    assert not result.feasible
+    assert (result.generations, result.evaluations) == (0, 0)
+    assert calls == [1]

@@ -43,7 +43,6 @@ from millopt.milling import (
     _cutting_force as cutting_force,
     batch_evaluate,
     compile_context,
-    corner_rate,
     cost_floor,
     plan_warnings,
 )
@@ -479,6 +478,48 @@ class TestValidation:
         with pytest.raises(PlanError, match=f"^{message}$"):
             dataclasses.replace(base, **{name: True})
 
+    @pytest.mark.parametrize(
+        ("spec", "changes", "error", "message"),
+        [
+            ("economics", {"material_cost": True}, PlanError, "economics.material_cost must be finite and >= 0"),
+            ("machine", {"motor_power": True}, PlanError, "machine.motor_power must be > 0"),
+            ("machine", {"efficiency": True}, PlanError, r"machine.efficiency must be in \(0, 1\]"),
+            ("tool", {"diameter": True}, PlanError, "tool 1: diameter must be > 0"),
+            (
+                "operation",
+                {"speed_bounds": (True, 100.0)},
+                PlanError,
+                "operation 1: speed_bounds must satisfy 0 < lower <= upper",
+            ),
+            (
+                "operation",
+                {"feed_bounds": (0.05, True)},
+                PlanError,
+                "operation 1: feed_bounds must satisfy 0 < lower <= upper",
+            ),
+            ("point", {"speeds": (True,)}, DomainError, "speeds and feeds must be finite numbers"),
+        ],
+        ids=[
+            "economics.material_cost",
+            "machine.motor_power",
+            "machine.efficiency",
+            "tool.diameter",
+            "operation.speed_bounds",
+            "operation.feed_bounds",
+            "decision_vector",
+        ],
+    )
+    def test_booleans_are_not_numbers(self, toy_single_plan, spec, changes, error, message):
+        base = {
+            "economics": STANDARD_ECONOMICS,
+            "machine": STANDARD_MACHINE,
+            "tool": CARBIDE_FACE_MILL,
+            "operation": toy_single_plan.operations[0],
+            "point": DecisionVector(speeds=(100.0,), feeds=(0.1,)),
+        }[spec]
+        with pytest.raises(error, match=f"^{message}$"):
+            dataclasses.replace(base, **changes)
+
     def test_duplicate_operation_numbers_rejected(self, toy_single_plan):
         op = toy_single_plan.operations[0]
         with pytest.raises(PlanError):
@@ -713,6 +754,9 @@ class TestBatchEvaluate:
         capped = dataclasses.replace(ctx, feed_cap=np.where(np.arange(5) == 2, 0.0, ctx.feed_cap))
         assert np.array_equal(capped.feasible_upper[5:], capped.feed_cap)
         assert not batch_evaluate(capped, ctx.lower).feasible[0]
+        # and so is corner, so the replaced context reads its corner, and
+        # with it the plan, as infeasible
+        assert ctx.corner.feasible[0] and not capped.corner.feasible[0]
 
 
 def reference_batch_evaluate(ctx, genomes):
@@ -930,7 +974,7 @@ class TestCostFloor:
         rng = np.random.default_rng(seed)
         plan = random_plan(rng)
         ctx = compile_context(plan)
-        assume(corner_rate(ctx) is not None)
+        assume(ctx.corner.feasible[0])
         floor = strict_cost_floor(ctx)
         grid = dinkelbach_solve(plan, grid=GridSpec(resolution=40))
         genomes = np.vstack(

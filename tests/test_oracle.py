@@ -26,8 +26,8 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.milling import batch_evaluate, compile_context, corner_rate
-from millopt import oracle
+from millopt.milling import batch_evaluate, compile_context
+from millopt import milling, oracle
 from millopt.oracle import per_op_grid_min, prepare_op_grid
 
 from conftest import single_face_plan, two_op_plan
@@ -754,6 +754,21 @@ class TestDinkelbachStart:
     def test_builtin_case(self, builtin_plan, resolution):
         assert self.start_free(builtin_plan, resolution)
 
+    @pytest.mark.parametrize("plan_name", ["builtin_plan", "toy_infeasible_plan"])
+    def test_solve_prices_the_corner_once(self, plan_name, request, monkeypatch):
+        # The starting multiplier comes from the compiled context's corner,
+        # the one evaluation compile_context made of it.
+        plan = request.getfixturevalue(plan_name)
+        calls = []
+
+        def counted(ctx, genomes):
+            calls.append(np.atleast_2d(genomes).shape[0])
+            return batch_evaluate(ctx, genomes)
+
+        monkeypatch.setattr(milling, "batch_evaluate", counted)
+        dinkelbach_solve(plan, grid=GridSpec(resolution=50))
+        assert calls == [1]
+
     @pytest.mark.parametrize("resolution", [7, 50])
     def test_random_plans(self, resolution):
         rng = np.random.default_rng(11)
@@ -767,9 +782,9 @@ def tolerance_solve(plan, resolution):
     corner's rate, stop once consecutive multipliers differ by less than
     1e-9, within 100 iterations."""
     coeffs, ctx, ops = prepared(plan, resolution)
-    lam = corner_rate(ctx)
-    if lam is None:
+    if not ctx.corner.feasible[0]:
         return OracleResult(False, None, None, None, None, 0, ())
+    lam = float(ctx.corner.fitness[0])
     trace = [lam]
     for iteration in range(1, 101):
         x, lam_next, cost, time = grid_step(plan, coeffs, ops, lam)
