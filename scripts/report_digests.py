@@ -14,6 +14,10 @@ Every report is JSON, so full precision counts.  The set:
     run of the es_builtin benchmark workload, whose ES_SEEDS sets the
     count), and seed 0 once more with
     --verbose, so the improvement log on stderr is hashed;
+  * optimize on the bundled case with --sigma-init 0.3 --stall 50 at
+    --mu 1 --lambda 7, where the second parent is always row 0, and at
+    --mu 4 --lambda 9, so that generations of other sizes than the
+    default 105 children are compared too;
   * optimize --sigma-init 0.3 --stall 200, seeds 0-1, on the bundled
     document with its operations listed twice (m = 10) and its sale price
     doubled to 50, so that a profitable point is found and reported, where
@@ -79,6 +83,8 @@ from millopt.cli import main  # noqa: E402
 from workloads import ES_SEEDS, midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
+# (mu, lambda) of the small-population runs.
+SMALL_POPULATIONS = ((1, 7), (4, 9))
 REPEATED_SEEDS = range(2)
 RESOLUTIONS = (2, 3, 7, 500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
 RANDOM_PLANS = 60
@@ -130,6 +136,11 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     yield "optimize builtin sigma-init=0.3 seed=0 verbose", (
         "optimize", "--builtin-case", "--sigma-init", "0.3", "--seed", "0", "--verbose", "--out", "json",
     )
+    for mu, eta in SMALL_POPULATIONS:
+        yield f"optimize builtin sigma-init=0.3 stall=50 mu={mu} lambda={eta}", (
+            "optimize", "--builtin-case", "--sigma-init", "0.3", "--stall", "50",
+            "--mu", str(mu), "--lambda", str(eta), "--out", "json",
+        )
     document = json.loads(builtin_document_bytes().decode("utf-8"))
     operations = document["operations"]
     document["operations"] = operations + [

@@ -337,8 +337,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     )
     # Rejects, as the solvers do, a plan whose prices overflow anywhere in
     # its box, even where the point itself would price finitely.
-    milling.compile_context(plan)
-    coeffs = milling.derive_coefficients(plan)
+    coeffs = milling.compile_context(plan).coefficients
     margins = milling.constraint_margins(plan, x, coeffs)
     feasible = all(m.satisfied for m in margins)
     cost, time = milling.unit_cost(plan, x, coeffs), milling.unit_time(plan, x, coeffs)

@@ -11,11 +11,21 @@ the mu parents are discarded every generation.
 A generation is a few dozen numpy calls on small arrays, so per-call
 overhead, not arithmetic, sets its speed, and numpy's cheapest loop is
 the one over equal-shape contiguous operands.  So the children live in
-contiguous (eta, L) blocks, the step sizes and perturbations are worked
-in place in the generation's one buffer of normal draws, and the box
-arrives as (eta, L) rows that EvalContext.batch_constants tiles once per
-context and batch size, rather than as an (L,) row broadcast over every
-child; batch_evaluate lays its work out the same way.
+contiguous (eta, L) blocks, and the box arrives as (eta, L) rows that
+EvalContext.batch_constants tiles once per context and batch size,
+rather than as an (L,) row broadcast over every child; batch_evaluate
+lays its work out the same way.
+
+The arrays a generation works in, and their views, are made once per
+run: initial_state gives the state a Workspace that lives for the whole
+run.  It holds the copies of each child's two parents, the buffer of
+normal draws in which mutate turns the step-size draws and the
+perturbations into the children's step sizes and genomes, and
+batch_evaluate's PricingBuffers for eta children, result included.
+Every generation overwrites all of it.  What a state shows is copied
+out of it: the mu survivors are taken into fresh arrays and a new
+record's row is copied, so an observer may keep any state's genomes,
+sigmas and record, but never an array of its workspace.
 
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
@@ -26,9 +36,9 @@ so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +47,7 @@ from .milling import (
     DecisionVector,
     EvalContext,
     MillingPlan,
+    PricingBuffers,
     _finite,
     _is_integer,
     batch_evaluate,
@@ -51,6 +62,8 @@ __all__ = [
     "EsConfig",
     "learning_rates",
     "BestRecord",
+    "NormalDraws",
+    "Workspace",
     "EsState",
     "RunResult",
     "initial_state",
@@ -137,9 +150,50 @@ class BestRecord:
     stall_fitness: float = 0.0
 
 
+class NormalDraws(NamedTuple):
+    """One generation's normal draws for n children of genome length L, in
+    one buffer of n * (1 + 2L) floats in draw order, and views of it: the
+    shared draw of each child, (n, 1), then the step-size draws and the
+    genome perturbations, (n, L) each.  mutate turns the last two into the
+    children's step sizes and genomes in place."""
+
+    buffer: np.ndarray
+    shared: np.ndarray
+    steps: np.ndarray
+    perturbations: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, length: int) -> NormalDraws:
+        buffer = np.empty(n * (1 + 2 * length))
+        return cls(
+            buffer,
+            buffer[:n].reshape(n, 1),
+            buffer[n : n * (1 + length)].reshape(n, length),
+            buffer[n * (1 + length) :].reshape(n, length),
+        )
+
+
+class Workspace(NamedTuple):
+    """A run's working arrays, made once by initial_state for one context
+    and config; every generation overwrites them.
+
+    parents holds the first and second parents' genomes and step sizes,
+    (eta, L) each; draws the generation's normal draws, in which mutate
+    makes the children; pricing batch_evaluate's buffers for eta genomes.
+    """
+
+    parents: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    draws: NormalDraws
+    pricing: PricingBuffers
+
+
 @dataclass
 class EsState:
-    """Parent population plus bookkeeping between generations."""
+    """Parent population plus bookkeeping between generations.
+
+    genomes, sigmas and record are fresh arrays every generation, so an
+    observer may keep them; workspace is overwritten by the next one.
+    """
 
     genomes: np.ndarray
     sigmas: np.ndarray
@@ -147,6 +201,7 @@ class EsState:
     generation: int
     evaluations: int
     rng: np.random.Generator
+    workspace: Workspace = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,9 +225,11 @@ class RunResult:
 
 def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
     """Generation 0: mu genomes uniform inside the box, all step sizes
-    equal to sigma_init, nothing evaluated yet."""
+    equal to sigma_init, nothing evaluated yet, and the run's workspace."""
     rng = np.random.default_rng(config.seed)
-    genomes = rng.uniform(ctx.lower, ctx.upper, size=(config.mu, ctx.lower.size))
+    length = ctx.lower.size
+    genomes = rng.uniform(ctx.lower, ctx.upper, size=(config.mu, length))
+    parents = np.empty((4, config.eta, length))
     return EsState(
         genomes=genomes,
         sigmas=np.full(genomes.shape, config.sigma_init, dtype=float),
@@ -180,6 +237,11 @@ def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
         generation=0,
         evaluations=0,
         rng=rng,
+        workspace=Workspace(
+            parents=tuple(parents),
+            draws=NormalDraws.empty(config.eta, length),
+            pricing=PricingBuffers(ctx, config.eta),
+        ),
     )
 
 
@@ -211,6 +273,7 @@ def mutate(
     lower: np.ndarray,
     upper: np.ndarray,
     rng: np.random.Generator,
+    draws: NormalDraws | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Self-adapt the step sizes, perturb the genomes, clip to the box.
 
@@ -219,23 +282,28 @@ def mutate(
     learning rates for the genome length, and kept at or above
     SIGMA_FLOOR.  lower and upper bound one genome, (length,), or each
     row, (n, length); step passes rows, so that the clipping runs on
-    operands of one shape.  Returns new arrays; the inputs are left
-    unchanged.
+    operands of one shape.  The inputs are left unchanged.  The normal
+    draws fill draws, NormalDraws for n children of this length, or
+    fresh ones, and the children are returned in its steps and
+    perturbations.
     """
     n, length = genomes.shape
     if length != lower.shape[-1]:
         raise ContractError(f"genome length {length} does not match bounds length {lower.shape[-1]}")
+    if draws is None:
+        draws = NormalDraws.empty(n, length)
+    elif draws.steps.shape != genomes.shape:
+        raise ContractError(f"draws for {draws.steps.shape} children, got genomes of shape {genomes.shape}")
     tau_g, tau_l = learning_rates(length)
     # One shared global draw per individual, one local draw per component,
     # then one perturbation per component, all from one call: the generator
     # keeps no state between normal draws, so this is the stream three
     # calls of these shapes would give.
-    draws = rng.standard_normal(n * (1 + 2 * length))
-    global_draw = draws[:n].reshape(n, 1)
-    new_sigmas = draws[n : n * (1 + length)].reshape(n, length)
-    new_genomes = draws[n * (1 + length) :].reshape(n, length)
+    rng.standard_normal(out=draws.buffer)
+    global_draw, new_sigmas, new_genomes = draws.shared, draws.steps, draws.perturbations
     new_sigmas *= tau_l
-    new_sigmas += tau_g * global_draw
+    global_draw *= tau_g
+    new_sigmas += global_draw
     np.exp(new_sigmas, out=new_sigmas)
     new_sigmas *= sigmas
     np.maximum(new_sigmas, SIGMA_FLOOR, out=new_sigmas)
@@ -261,9 +329,12 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     """Advance one generation: breed eta children, evaluate, select mu.
 
     Draw order within the generation: parent indices, recombination
-    masks, step-size mutation draws, genome perturbation draws.
+    masks, step-size mutation draws, genome perturbation draws.  The
+    children are bred and priced in state.workspace, which state must
+    have from initial_state(ctx, config).
     """
     rng = state.rng
+    work = state.workspace
     mu, eta = config.mu, config.eta
     # Two distinct parents per child, uniform over the population.
     first = rng.integers(0, mu, size=eta)
@@ -272,18 +343,18 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         second += second >= first
     else:
         second = np.zeros(eta, dtype=int)
-    genomes, sigmas = recombine(
-        state.genomes.take(first, axis=0),
-        state.genomes.take(second, axis=0),
-        state.sigmas.take(first, axis=0),
-        state.sigmas.take(second, axis=0),
-        config.alpha,
-        rng,
-    )
-    batch = ctx.batch_constants(eta)
-    genomes, sigmas = mutate(genomes, sigmas, batch.box_lower, batch.box_upper, rng)
+    genomes_a, genomes_b, sigmas_a, sigmas_b = work.parents
+    # In-range indices: "clip" takes them as they are, without the copy
+    # that "raise" makes of out.
+    state.genomes.take(first, axis=0, out=genomes_a, mode="clip")
+    state.genomes.take(second, axis=0, out=genomes_b, mode="clip")
+    state.sigmas.take(first, axis=0, out=sigmas_a, mode="clip")
+    state.sigmas.take(second, axis=0, out=sigmas_b, mode="clip")
+    genomes, sigmas = recombine(genomes_a, genomes_b, sigmas_a, sigmas_b, config.alpha, rng)
+    batch = work.pricing.constants
+    genomes, sigmas = mutate(genomes, sigmas, batch.box_lower, batch.box_upper, rng, draws=work.draws)
 
-    fitnesses = batch_evaluate(ctx, genomes).fitness
+    fitnesses = batch_evaluate(ctx, genomes, work.pricing).fitness
     order = select(fitnesses, mu)
 
     best_idx = int(order[0])
@@ -306,6 +377,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         generation=state.generation + 1,
         evaluations=state.evaluations + eta,
         rng=rng,
+        workspace=work,
     )
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "EvalContext",
     "compile_context",
     "BatchEval",
+    "PricingBuffers",
     "batch_evaluate",
     "cost_floor",
 ]
@@ -640,6 +641,9 @@ class EvalContext:
     followed by feed_cap, the box a feasible genome lies below.  So is
     corner, batch_evaluate's evaluation of lower, the corner where every
     margin is smallest: no genome is feasible unless it is.
+    coefficients are the plan's DerivedCoefficients that compile_context
+    packed, for the scalar functions; dataclasses.replace carries them
+    over unchanged.
     change_time[i] is operation i's tool change time; the fixed terms hold their sum.
     batch_constants(n) lays the per-operation constants and the box out
     for a batch of n genomes; the last batch size other than 1 is cached
@@ -660,6 +664,7 @@ class EvalContext:
     feed_cap: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    coefficients: tuple[DerivedCoefficients, ...] = field(repr=False, compare=False)
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
     corner: BatchEval = field(init=False, repr=False, compare=False)
     _batches: dict[int, BatchConstants] = field(init=False, repr=False, compare=False)
@@ -752,6 +757,7 @@ def compile_context(plan: MillingPlan) -> EvalContext:
         feed_cap=np.array([_feed_cap(plan, i, c) for i, c in enumerate(coeffs)]),
         lower=np.array([op.speed_bounds[0] for op in ops] + [op.feed_bounds[0] for op in ops], dtype=float),
         upper=np.array([op.speed_bounds[1] for op in ops] + [op.feed_bounds[1] for op in ops], dtype=float),
+        coefficients=coeffs,
     )
     _check_box_prices(ctx)
     return ctx
@@ -867,7 +873,66 @@ class BatchEval:
     feasible: np.ndarray
 
 
-def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
+class PricingBuffers:
+    """batch_evaluate's working arrays for batches of n genomes of one
+    context, with the views of them that it writes, made once.
+
+    by_operation receives the operation-major copy of the batch, flat,
+    whose halves are the speeds and the feeds.  terms holds the machining
+    times and then the wear costs; scratch the feed powers, the
+    genome-major copy of the terms (from eight operations on) and the
+    power margins; sums each genome's machining and wear totals; inside
+    and check the bound tests.  result is the one BatchEval over the four
+    result arrays, which every call with these buffers overwrites.
+    """
+
+    __slots__ = (
+        "ctx", "constants", "flat", "by_operation", "speeds", "feeds",
+        "machining_terms", "wear_terms", "feed_powers", "genome_major", "term_columns", "term_rows",
+        "sums", "machining", "wear_total", "power", "feed_powers_08",
+        "inside", "inside_by_operation", "inside_speeds", "check", "check_speeds", "infeasible", "result",
+    )
+
+    def __init__(self, ctx: EvalContext, n: int) -> None:
+        m = ctx.m
+        mn = m * n
+        self.ctx = ctx
+        self.constants = ctx.batch_constants(n)
+        self.flat = np.empty(2 * mn)
+        self.by_operation = self.flat.reshape(2 * m, n)
+        self.speeds, self.feeds = self.flat[:mn], self.flat[mn:]
+        terms = np.empty(2 * mn)
+        self.machining_terms, self.wear_terms = terms[:mn], terms[mn:]
+        scratch = np.empty(2 * mn)
+        self.feed_powers = self.power = scratch[:mn]
+        self.feed_powers_08 = scratch[mn:]
+        # Each genome's terms summed as a contiguous row (see batch_evaluate).
+        if m < 8:
+            self.genome_major = self.term_columns = None
+            self.term_rows = terms.reshape(2, m, n)
+            self.sums = np.empty((2, n))
+            self.machining, self.wear_total = self.sums
+        else:
+            self.genome_major = scratch.reshape(n, 2 * m)
+            self.term_columns = terms.reshape(2 * m, n).T
+            self.term_rows = scratch.reshape(n, 2, m)
+            self.sums = np.empty((n, 2))
+            self.machining, self.wear_total = self.sums.T
+        self.inside = np.empty(2 * mn, dtype=bool)
+        self.inside_by_operation = self.inside.reshape(2 * m, n)
+        self.inside_speeds = self.inside[:mn]
+        self.check = np.empty(2 * mn, dtype=bool)
+        self.check_speeds = self.check[:mn]
+        self.infeasible = self.check[:n]
+        self.result = BatchEval(
+            fitness=np.empty(n),
+            unit_cost=np.empty(n),
+            unit_time=np.empty(n),
+            feasible=np.empty(n, dtype=bool),
+        )
+
+
+def batch_evaluate(ctx: EvalContext, genomes: np.ndarray, buffers: PricingBuffers | None = None) -> BatchEval:
     """Evaluate an (n, 2m) array of decision vectors in one pass.
 
     Matches the scalar functions exactly: same formulas, same inclusive
@@ -875,55 +940,61 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray) -> BatchEval:
     penalty.  Works on one flat operation-major copy of the batch against
     the constants of ctx.batch_constants(n), so that every numpy call
     runs on equal-length contiguous operands, numpy's cheapest loop.
+
+    Works in buffers, PricingBuffers(ctx, n), and returns their result,
+    which the next call with the same buffers overwrites; without them
+    every call works in fresh ones, so no two results share memory.
     """
     points = np.atleast_2d(np.asarray(genomes, dtype=float))
     n = points.shape[0]
     m = ctx.m
     if points.shape[1] != 2 * m:
         raise ContractError(f"expected genomes of length {2 * m}, got {points.shape[1]}")
-    # min and max propagate NaN, so one pair of reductions rejects NaN,
-    # +-inf and nonpositive entries alike; an empty batch has nothing to
-    # reject.
-    if points.size and not (points.min() > 0.0 and points.max() < math.inf):
+    # minimum and maximum propagate NaN, so one pair of reductions rejects
+    # NaN, +-inf and nonpositive entries alike; an empty batch has nothing
+    # to reject.
+    if points.size and not (
+        np.minimum.reduce(points, axis=None) > 0.0 and np.maximum.reduce(points, axis=None) < math.inf
+    ):
         raise DomainError("all speeds and feeds must be finite and > 0")
-    # A view rather than a copy when n = 1; it is only read.
-    flat = points.T.ravel()
-    const = ctx.batch_constants(n)
-    mn = m * n
-    v = flat[:mn]
-    f = flat[mn:]
+    if buffers is None:
+        buffers = PricingBuffers(ctx, n)
+    elif buffers.ctx is not ctx or buffers.result.fitness.size != n:
+        raise ContractError(f"pricing buffers were made for another context or batch size than {n} genomes")
+    const = buffers.constants
+    np.copyto(buffers.by_operation, points.T)
+    v, f = buffers.speeds, buffers.feeds
 
-    # Machining times in the first mn entries, wear costs in the last.
-    terms = np.empty_like(flat)
-    t_machining = np.multiply(v, f, out=terms[:mn])
+    t_machining = np.multiply(v, f, out=buffers.machining_terms)
     np.divide(const.k1, t_machining, out=t_machining)
-    wear = np.power(v, const.speed_exponent, out=terms[mn:])
+    wear = np.power(v, const.speed_exponent, out=buffers.wear_terms)
     wear *= const.tool_cost_coef
-    wear *= f**const.feed_exponent
+    wear *= np.power(f, const.feed_exponent, out=buffers.feed_powers)
     # Each genome's m terms must be summed in the order numpy sums a
     # contiguous row, as a genome-major layout would.  Below eight
     # elements that is one after the other, which a reduction down the
     # operations also gives; from eight on numpy sums a row through
     # partial sums, so the terms are first copied genome-major.
     if m < 8:
-        machining, wear_total = terms.reshape(2, m, n).sum(axis=1)
+        np.add.reduce(buffers.term_rows, axis=1, out=buffers.sums)
     else:
-        machining, wear_total = terms.reshape(2 * m, n).T.copy().reshape(n, 2, m).sum(axis=2).T
-    time_total = ctx.time_fixed + machining
-    cost_total = ctx.cost_fixed + ctx.rate * machining + wear_total
+        np.copyto(buffers.genome_major, buffers.term_columns)
+        np.add.reduce(buffers.term_rows, axis=2, out=buffers.sums)
+    result = buffers.result
+    machining = buffers.machining
+    np.add(ctx.time_fixed, machining, out=result.unit_time)
+    cost_total = np.multiply(ctx.rate, machining, out=result.unit_cost)
+    np.add(ctx.cost_fixed, cost_total, out=cost_total)
+    cost_total += buffers.wear_total
 
-    box = flat >= const.lower
-    box &= flat <= const.feasible_upper
-    power = const.c5 * v
-    power *= f**0.8
-    box[:mn] &= power <= 1.0
-    feasible = box.reshape(2 * m, n).all(axis=0)
+    box = np.greater_equal(buffers.flat, const.lower, out=buffers.inside)
+    box &= np.less_equal(buffers.flat, const.feasible_upper, out=buffers.check)
+    power = np.multiply(const.c5, v, out=buffers.power)
+    power *= np.power(f, 0.8, out=buffers.feed_powers_08)
+    buffers.inside_speeds &= np.less_equal(power, 1.0, out=buffers.check_speeds)
+    feasible = np.logical_and.reduce(buffers.inside_by_operation, axis=0, out=result.feasible)
 
-    rate_of_profit = (ctx.sale_price - cost_total) / time_total
-    return BatchEval(
-        fitness=np.where(feasible, rate_of_profit, 0.0),
-        unit_cost=cost_total,
-        unit_time=time_total,
-        feasible=feasible,
-    )
-
+    rate_of_profit = np.subtract(ctx.sale_price, cost_total, out=result.fitness)
+    rate_of_profit /= result.unit_time
+    np.copyto(rate_of_profit, 0.0, where=np.logical_not(feasible, out=buffers.infeasible))
+    return result

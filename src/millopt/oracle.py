@@ -49,7 +49,6 @@ from .milling import (
     MillingPlan,
     _is_integer,
     compile_context,
-    derive_coefficients,
     unit_cost,
     unit_time,
 )
@@ -363,7 +362,7 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
     # The reports price with the scalar model, which the frozen yardsticks
     # pin to the last bit.
-    coeffs = derive_coefficients(plan)
+    coeffs = ctx.coefficients
     previous = DecisionVector.from_genome(ctx.lower)
     trace: list[float] = [lam]
 

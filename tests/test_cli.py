@@ -376,6 +376,32 @@ class TestEvaluateCommand:
         assert "comma-separated numbers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--builtin-case", "--grid-resolution", "50"),
+        ("evaluate", "--builtin-case", "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388"),
+    ],
+    ids=["oracle", "evaluate"],
+)
+def test_each_command_derives_the_coefficients_once(capsys, monkeypatch, argv):
+    # compile_context derives them and keeps them in EvalContext.coefficients,
+    # which the scalar pricing reads.
+    calls = []
+    original = milling.derive_coefficients
+
+    def counted(plan):
+        calls.append(plan)
+        return original(plan)
+
+    monkeypatch.setattr(milling, "derive_coefficients", counted)
+    # a module that binds the name itself is counted as well
+    monkeypatch.setattr(oracle, "derive_coefficients", counted, raising=False)
+    code, _, _ = run_cli(capsys, *argv, "--out", "json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 class TestCompareCommand:
     def test_builtin_json_report(self, capsys):
         code, report = run_json(

@@ -54,7 +54,10 @@ class QueuedNormals:
         self._stream = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
         self._used = 0
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.standard_normal(out.shape)
+            return out
         count = int(np.prod(size))
         if self._used + count > self._stream.size:
             raise AssertionError("more standard normals drawn than scripted")
@@ -363,6 +366,21 @@ class TestMutate:
         assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
         assert mutated.standard_normal() == rng.standard_normal()
 
+    def test_given_draws_hold_the_same_children(self):
+        # step passes its run's draws: the same stream, and the children
+        # are made in their views
+        n, length = 7, 4
+        genomes = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
+        sigmas = np.random.default_rng(2).uniform(0.5, 3.0, (n, length))
+        lower, upper = np.full(length, 70.0), np.full(length, 110.0)
+        draws = es.NormalDraws.empty(n, length)
+        fresh = mutate(genomes, sigmas, lower, upper, np.random.default_rng(5))
+        child, child_sigmas = mutate(genomes, sigmas, lower, upper, np.random.default_rng(5), draws=draws)
+        assert child is draws.perturbations and child_sigmas is draws.steps
+        assert np.array_equal(child, fresh[0]) and np.array_equal(child_sigmas, fresh[1])
+        with pytest.raises(ContractError):
+            mutate(genomes[:1], sigmas[:1], lower, upper, np.random.default_rng(5), draws=draws)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             mutate(
@@ -473,7 +491,7 @@ class TestStep:
         ]
         served = iter(best for best, *_ in script)
 
-        def scripted(_ctx, genomes):
+        def scripted(_ctx, genomes, _buffers=None):
             fitness = np.full(genomes.shape[0], 0.5)
             fitness[genomes.shape[0] // 2] = next(served)
             return SimpleNamespace(fitness=fitness)
@@ -531,6 +549,24 @@ class TestRun:
             observer=lambda s: generations.append(s.generation),
         )
         assert generations == list(range(1, result.generations + 1))
+
+    def test_observed_states_outlive_the_generations_after_them(self, builtin_plan):
+        # every generation works in the run's one workspace; what a state
+        # shows an observer must not be among what the next one overwrites
+        kept = []
+
+        def observer(state):
+            record = state.record
+            seen = [state.genomes, state.sigmas, record.genome, record.sigmas]
+            kept.append((state, [None if a is None else a.copy() for a in seen]))
+
+        result = run(builtin_plan, EsConfig(sigma_init=0.3, seed=2, stall_limit=20), observer=observer)
+        assert len(kept) == result.generations >= 20
+        assert kept[-1][0].record.genome is not None
+        for state, copies in kept:
+            record = state.record
+            for array, copy in zip([state.genomes, state.sigmas, record.genome, record.sigmas], copies):
+                assert (array is None and copy is None) or np.array_equal(array, copy)
 
     def test_run_reports_solution_consistent_with_model(self, toy_single_plan):
         result = run(toy_single_plan, EsConfig(seed=7, stall_limit=60))

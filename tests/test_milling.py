@@ -40,6 +40,7 @@ from millopt.es import EsConfig, initial_state, step
 from millopt.milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
+    PricingBuffers,
     _cutting_force as cutting_force,
     batch_evaluate,
     compile_context,
@@ -904,6 +905,39 @@ class TestOperationMajorLayout:
         genomes = np.random.default_rng(4).uniform(changed.lower, changed.upper, size=(64, 10))
         assert_matches_reference(changed, genomes)
         assert not np.array_equal(batch_evaluate(changed, genomes).unit_cost, batch_evaluate(ctx, genomes).unit_cost)
+
+
+RESULT_FIELDS = ("fitness", "unit_cost", "unit_time", "feasible")
+
+
+class TestPricingBuffers:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), n=st.sampled_from((1, 3, 105)))
+    @settings(max_examples=80, deadline=None)
+    def test_reused_buffers_price_as_fresh_calls_and_fresh_calls_share_nothing(self, seed, m, n):
+        # from m = 8 on the sums go through the genome-major copy
+        rng = np.random.default_rng(seed)
+        ctx = compile_context(first_operations(random_plan(rng), m))
+        buffers = PricingBuffers(ctx, n)
+        batches = [rng.uniform(0.9 * ctx.lower, 1.2 * ctx.upper, size=(n, 2 * m)) for _ in range(3)]
+        for genomes in batches:
+            reused = batch_evaluate(ctx, genomes, buffers)
+            assert reused is buffers.result
+            fresh = batch_evaluate(ctx, genomes)
+            for name in RESULT_FIELDS:
+                assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+        first, second = (batch_evaluate(ctx, genomes) for genomes in batches[:2])
+        arrays = [getattr(result, name) for result in (first, second) for name in RESULT_FIELDS]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + batches)
+
+    def test_buffers_serve_only_their_context_and_batch_size(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
+        genomes = np.random.default_rng(6).uniform(ctx.lower, ctx.upper, size=(3, 10))
+        buffers = PricingBuffers(ctx, 3)
+        with pytest.raises(ContractError):
+            batch_evaluate(ctx, genomes[:2], buffers)
+        with pytest.raises(ContractError):
+            batch_evaluate(compile_context(builtin_plan), genomes, buffers)
 
 
 def with_wear(plan: MillingPlan, life_exponent: float) -> MillingPlan:
