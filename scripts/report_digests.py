@@ -53,6 +53,9 @@ Every report is JSON, so full precision counts.  The set:
     "yes" and its speed_bounds [1], and the first tool's quality "steel",
     its permitted_force "x" and no teeth.  Each is rejected with one error
     line.
+  * optimize --sigma-init 0.3 --mu 4 --lambda 9 --stall 50 on the doubled
+    document above, so that the genome-major sums (m = 10) are compared at
+    a batch size other than 105 and 1.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -239,6 +242,12 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         yield f"{command} {section}.{key}{shown}", (
             command, "--config", str(path), "--out", "json",
         )
+
+    # Appended last, so that the runs before it keep their lines.
+    yield "optimize repeated sale-price=50 sigma-init=0.3 stall=50 mu=4 lambda=9", (
+        "optimize", "--config", str(workdir / "repeated.json"), "--sigma-init", "0.3",
+        "--mu", "4", "--lambda", "9", "--stall", "50", "--out", "json",
+    )
 
 
 def digest(text: str) -> str:

@@ -11,16 +11,15 @@ the mu parents are discarded every generation.
 A generation is a few dozen numpy calls on small arrays, so per-call
 overhead, not arithmetic, sets its speed, and numpy's cheapest loop is
 the one over equal-shape contiguous operands.  So the children live in
-contiguous (eta, L) blocks, and the box arrives as (eta, L) rows that
-EvalContext.batch_constants tiles once per context and batch size,
-rather than as an (L,) row broadcast over every child; batch_evaluate
-lays its work out the same way.
+contiguous (eta, L) blocks, and mutate clips them to the box as (eta, L)
+rows rather than an (L,) row broadcast over every child; batch_evaluate
+lays its work out the same way, in its PricingBuffers.
 
 The arrays a generation works in, and their views, are made once per
 run: initial_state gives the state a Workspace that lives for the whole
-run.  It holds the copies of each child's two parents, the buffer of
-normal draws in which mutate turns the step-size draws and the
-perturbations into the children's step sizes and genomes, and
+run.  It holds the box rows, the copies of each child's two parents, the
+buffer of normal draws in which mutate turns the step-size draws and
+the perturbations into the children's step sizes and genomes, and
 batch_evaluate's PricingBuffers for eta children, result included.
 Every generation overwrites all of it.  What a state shows is copied
 out of it: the mu survivors are taken into fresh arrays and a new
@@ -177,11 +176,13 @@ class Workspace(NamedTuple):
     """A run's working arrays, made once by initial_state for one context
     and config; every generation overwrites them.
 
-    parents holds the first and second parents' genomes and step sizes,
-    (eta, L) each; draws the generation's normal draws, in which mutate
+    box holds the rows mutate clips the children to, lower and upper as
+    (eta, L) each; parents the first and second parents' genomes and step
+    sizes, alike; draws the generation's normal draws, in which mutate
     makes the children; pricing batch_evaluate's buffers for eta genomes.
     """
 
+    box: tuple[np.ndarray, np.ndarray]
     parents: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     draws: NormalDraws
     pricing: PricingBuffers
@@ -238,6 +239,7 @@ def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
         evaluations=0,
         rng=rng,
         workspace=Workspace(
+            box=(np.tile(ctx.lower, (config.eta, 1)), np.tile(ctx.upper, (config.eta, 1))),
             parents=tuple(parents),
             draws=NormalDraws.empty(config.eta, length),
             pricing=PricingBuffers(ctx, config.eta),
@@ -351,8 +353,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     state.sigmas.take(first, axis=0, out=sigmas_a, mode="clip")
     state.sigmas.take(second, axis=0, out=sigmas_b, mode="clip")
     genomes, sigmas = recombine(genomes_a, genomes_b, sigmas_a, sigmas_b, config.alpha, rng)
-    batch = work.pricing.constants
-    genomes, sigmas = mutate(genomes, sigmas, batch.box_lower, batch.box_upper, rng, draws=work.draws)
+    genomes, sigmas = mutate(genomes, sigmas, *work.box, rng, draws=work.draws)
 
     fitnesses = batch_evaluate(ctx, genomes, work.pricing).fitness
     order = select(fitnesses, mu)

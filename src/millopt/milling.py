@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -603,32 +602,6 @@ def plan_warnings(plan: MillingPlan) -> tuple[str, ...]:
     return tuple(notes)
 
 
-class BatchConstants(NamedTuple):
-    """An EvalContext's constants laid out for a batch of n genomes.
-
-    batch_evaluate works on one flat operation-major copy of the batch:
-    the n speeds of operation 1, ..., of operation m, then the n feeds of
-    each.  k1 to c5 hold each operation's value n times in a row, and
-    lower and feasible_upper each component's bound, so they line up with
-    that copy element for element.  box_lower and box_upper are lower and
-    upper as n rows, (n, 2m), one per genome of the batch itself.
-    """
-
-    k1: np.ndarray
-    tool_cost_coef: np.ndarray
-    speed_exponent: np.ndarray
-    feed_exponent: np.ndarray
-    c5: np.ndarray
-    lower: np.ndarray
-    feasible_upper: np.ndarray
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-
-
-# The fields batch_constants repeats from the EvalContext arrays of the same names.
-_REPEATED_FIELDS = BatchConstants._fields[:7]
-
-
 @dataclass(frozen=True)
 class EvalContext:
     """Plan constants packed into arrays for batch evaluation.
@@ -645,10 +618,6 @@ class EvalContext:
     packed, for the scalar functions; dataclasses.replace carries them
     over unchanged.
     change_time[i] is operation i's tool change time; the fixed terms hold their sum.
-    batch_constants(n) lays the per-operation constants and the box out
-    for a batch of n genomes; the last batch size other than 1 is cached
-    in a field that __post_init__ creates, so dataclasses.replace starts
-    a fresh cache.
     """
 
     sale_price: float
@@ -667,12 +636,10 @@ class EvalContext:
     coefficients: tuple[DerivedCoefficients, ...] = field(repr=False, compare=False)
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
     corner: BatchEval = field(init=False, repr=False, compare=False)
-    _batches: dict[int, BatchConstants] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
         object.__setattr__(self, "feasible_upper", feasible_upper)
-        object.__setattr__(self, "_batches", {})
         # An overflowing corner is reported by _check_box_prices, not warned of.
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "corner", batch_evaluate(self, self.lower))
@@ -680,21 +647,6 @@ class EvalContext:
     @property
     def m(self) -> int:
         return self.k1.size
-
-    def batch_constants(self, n: int) -> BatchConstants:
-        """The constants of a batch of n genomes; at n = 1 the arrays
-        themselves."""
-        if n == 1:
-            return BatchConstants(*(getattr(self, name) for name in _REPEATED_FIELDS), self.lower, self.upper)
-        constants = self._batches.get(n)
-        if constants is None:
-            self._batches.clear()
-            constants = self._batches[n] = BatchConstants(
-                *(np.repeat(getattr(self, name), n) for name in _REPEATED_FIELDS),
-                np.tile(self.lower, (n, 1)),
-                np.tile(self.upper, (n, 1)),
-            )
-        return constants
 
 
 def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float:
@@ -877,17 +829,23 @@ class PricingBuffers:
     """batch_evaluate's working arrays for batches of n genomes of one
     context, with the views of them that it writes, made once.
 
-    by_operation receives the operation-major copy of the batch, flat,
-    whose halves are the speeds and the feeds.  terms holds the machining
-    times and then the wear costs; scratch the feed powers, the
+    batch_evaluate works on one flat operation-major copy of the batch:
+    the n speeds of operation 1, ..., of operation m, then the n feeds of
+    each.  flat receives it, and by_operation views it as 2m rows of n.
+    k1 to c5 hold each of the context's per-operation values n times in a
+    row, and lower and feasible_upper each component's bound n times, so
+    that they line up with flat element for element.  terms holds the
+    machining times and then the wear costs; scratch the feed powers, the
     genome-major copy of the terms (from eight operations on) and the
     power margins; sums each genome's machining and wear totals; inside
     and check the bound tests.  result is the one BatchEval over the four
     result arrays, which every call with these buffers overwrites.
     """
 
+    # The context's arrays that __init__ repeats n times, under their own names.
+    _REPEATED = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
     __slots__ = (
-        "ctx", "constants", "flat", "by_operation", "speeds", "feeds",
+        *_REPEATED, "ctx", "flat", "by_operation", "speeds", "feeds",
         "machining_terms", "wear_terms", "feed_powers", "genome_major", "term_columns", "term_rows",
         "sums", "machining", "wear_total", "power", "feed_powers_08",
         "inside", "inside_by_operation", "inside_speeds", "check", "check_speeds", "infeasible", "result",
@@ -897,7 +855,8 @@ class PricingBuffers:
         m = ctx.m
         mn = m * n
         self.ctx = ctx
-        self.constants = ctx.batch_constants(n)
+        for name in self._REPEATED:
+            setattr(self, name, np.repeat(getattr(ctx, name), n))
         self.flat = np.empty(2 * mn)
         self.by_operation = self.flat.reshape(2 * m, n)
         self.speeds, self.feeds = self.flat[:mn], self.flat[mn:]
@@ -937,9 +896,10 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray, buffers: PricingBuffer
 
     Matches the scalar functions exactly: same formulas, same inclusive
     margin comparisons (finish and force through feed_cap), same death
-    penalty.  Works on one flat operation-major copy of the batch against
-    the constants of ctx.batch_constants(n), so that every numpy call
-    runs on equal-length contiguous operands, numpy's cheapest loop.
+    penalty.  Works on the flat operation-major copy of the batch that
+    PricingBuffers lays out, against constants repeated to match, so that
+    every numpy call runs on equal-length contiguous operands, numpy's
+    cheapest loop.
 
     Works in buffers, PricingBuffers(ctx, n), and returns their result,
     which the next call with the same buffers overwrites; without them
@@ -961,15 +921,14 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray, buffers: PricingBuffer
         buffers = PricingBuffers(ctx, n)
     elif buffers.ctx is not ctx or buffers.result.fitness.size != n:
         raise ContractError(f"pricing buffers were made for another context or batch size than {n} genomes")
-    const = buffers.constants
     np.copyto(buffers.by_operation, points.T)
     v, f = buffers.speeds, buffers.feeds
 
     t_machining = np.multiply(v, f, out=buffers.machining_terms)
-    np.divide(const.k1, t_machining, out=t_machining)
-    wear = np.power(v, const.speed_exponent, out=buffers.wear_terms)
-    wear *= const.tool_cost_coef
-    wear *= np.power(f, const.feed_exponent, out=buffers.feed_powers)
+    np.divide(buffers.k1, t_machining, out=t_machining)
+    wear = np.power(v, buffers.speed_exponent, out=buffers.wear_terms)
+    wear *= buffers.tool_cost_coef
+    wear *= np.power(f, buffers.feed_exponent, out=buffers.feed_powers)
     # Each genome's m terms must be summed in the order numpy sums a
     # contiguous row, as a genome-major layout would.  Below eight
     # elements that is one after the other, which a reduction down the
@@ -987,9 +946,9 @@ def batch_evaluate(ctx: EvalContext, genomes: np.ndarray, buffers: PricingBuffer
     np.add(ctx.cost_fixed, cost_total, out=cost_total)
     cost_total += buffers.wear_total
 
-    box = np.greater_equal(buffers.flat, const.lower, out=buffers.inside)
-    box &= np.less_equal(buffers.flat, const.feasible_upper, out=buffers.check)
-    power = np.multiply(const.c5, v, out=buffers.power)
+    box = np.greater_equal(buffers.flat, buffers.lower, out=buffers.inside)
+    box &= np.less_equal(buffers.flat, buffers.feasible_upper, out=buffers.check)
+    power = np.multiply(buffers.c5, v, out=buffers.power)
     power *= np.power(f, 0.8, out=buffers.feed_powers_08)
     buffers.inside_speeds &= np.less_equal(power, 1.0, out=buffers.check_speeds)
     feasible = np.logical_and.reduce(buffers.inside_by_operation, axis=0, out=result.feasible)

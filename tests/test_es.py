@@ -509,6 +509,30 @@ class TestStep:
             else:
                 assert record.genome is before.genome and record.sigmas is before.sigmas
 
+    def test_children_are_clipped_to_the_box_of_a_replaced_context(self, builtin_plan, monkeypatch):
+        # the clip rows come from the context the run is given, not from
+        # the one it was replaced from
+        compiled = compile_context(builtin_plan)
+        ctx = dataclasses.replace(compiled, upper=(compiled.lower + compiled.upper) / 2)
+        cfg = toy_config(mu=4, eta=9, sigma_init=0.5)
+        state = initial_state(ctx, cfg)
+        lower_rows, upper_rows = state.workspace.box
+        assert np.array_equal(lower_rows, np.tile(ctx.lower, (cfg.eta, 1)))
+        assert np.array_equal(upper_rows, np.tile(ctx.upper, (cfg.eta, 1)))
+        priced = []
+
+        def spy(context, genomes, buffers=None):
+            priced.append(genomes.copy())
+            return batch_evaluate(context, genomes, buffers)
+
+        monkeypatch.setattr(es, "batch_evaluate", spy)
+        for _ in range(5):
+            state = step(state, ctx, cfg)
+        children = np.concatenate(priced)
+        assert children.shape == (5 * cfg.eta, ctx.lower.size)
+        assert np.all(children >= ctx.lower) and np.all(children <= ctx.upper)
+        assert np.any(children == ctx.upper)  # the narrowed bound did clip
+
     def test_all_infeasible_leaves_record_empty(self, toy_infeasible_plan):
         cfg = toy_config(mu=3, eta=9)
         ctx = compile_context(toy_infeasible_plan)

@@ -871,8 +871,9 @@ class TestOperationMajorLayout:
 
     @pytest.mark.parametrize("m", [5, 7, 8])
     def test_one_context_across_batch_sizes(self, builtin_plan, m):
-        # the constants cached for one batch size never serve another, and
-        # a replaced context never sees the cache of the one it came from
+        # every call repeats the constants of the context it is given for
+        # its own batch size, so no batch size or replaced context sees
+        # another's
         ctx = compile_context(first_operations(builtin_plan, m))
         rng = np.random.default_rng(m)
         for context in (ctx, dataclasses.replace(ctx, k1=2 * ctx.k1)):
@@ -894,14 +895,11 @@ class TestOperationMajorLayout:
             feed_exponent=ctx.feed_exponent - 0.25,
             lower=ctx.lower * 0.5,
         )
-        constants = changed.batch_constants(64)
         repeated = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
-        for name in repeated:
-            assert np.array_equal(getattr(constants, name), np.repeat(getattr(changed, name), 64)), name
-        for name in ("lower", "upper"):
-            assert np.array_equal(getattr(constants, f"box_{name}"), np.tile(getattr(changed, name), (64, 1))), name
-        for name in (*repeated, "box_lower", "box_upper"):
-            assert getattr(changed.batch_constants(1), name) is getattr(changed, name.removeprefix("box_")), name
+        for n in (64, 1):
+            buffers = PricingBuffers(changed, n)
+            for name in repeated:
+                assert np.array_equal(getattr(buffers, name), np.repeat(getattr(changed, name), n)), (name, n)
         genomes = np.random.default_rng(4).uniform(changed.lower, changed.upper, size=(64, 10))
         assert_matches_reference(changed, genomes)
         assert not np.array_equal(batch_evaluate(changed, genomes).unit_cost, batch_evaluate(ctx, genomes).unit_cost)
