@@ -56,6 +56,10 @@ Every report is JSON, so full precision counts.  The set:
   * optimize --sigma-init 0.3 --mu 4 --lambda 9 --stall 50 on the doubled
     document above, so that the genome-major sums (m = 10) are compared at
     a batch size other than 105 and 1.
+  * optimize on the bundled case with --sigma-init 0.3 --stall 50 at
+    --mu 2 --lambda 3, where the second parent takes no draw and each
+    generation draws an odd number of 32-bit halves, and at --mu 3
+    --lambda 7, an odd number of children.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -88,6 +92,8 @@ from workloads import ES_SEEDS, midpoint_args, random_plan_document  # noqa: E40
 SEEDS = range(5)
 # (mu, lambda) of the small-population runs.
 SMALL_POPULATIONS = ((1, 7), (4, 9))
+# (mu, lambda) of the small-population runs appended after the others.
+LATE_SMALL_POPULATIONS = ((2, 3), (3, 7))
 REPEATED_SEEDS = range(2)
 RESOLUTIONS = (2, 3, 7, 500, 833, 1167, 1500, 1833, 2167, 2500, 4000)
 RANDOM_PLANS = 60
@@ -248,6 +254,11 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         "optimize", "--config", str(workdir / "repeated.json"), "--sigma-init", "0.3",
         "--mu", "4", "--lambda", "9", "--stall", "50", "--out", "json",
     )
+    for mu, eta in LATE_SMALL_POPULATIONS:
+        yield f"optimize builtin sigma-init=0.3 stall=50 mu={mu} lambda={eta}", (
+            "optimize", "--builtin-case", "--sigma-init", "0.3", "--stall", "50",
+            "--mu", str(mu), "--lambda", str(eta), "--out", "json",
+        )
 
 
 def digest(text: str) -> str:

@@ -11,7 +11,8 @@ PATH):
 
 Reports carry no timestamps, so a repeated run with the same seed writes
 byte-identical output.  Exit codes: 0 success, 1 oracle iteration guard
-reached, 2 usage, document or overflow error, 3 no feasible solution.
+reached, 2 usage, document, overflow or out-of-memory error, 3 no feasible
+solution.
 """
 
 from __future__ import annotations
@@ -454,6 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__} while pricing the plan: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array, as for a population too large.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except oracle.OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)

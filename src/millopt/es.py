@@ -18,7 +18,8 @@ lays its work out the same way, in its PricingBuffers.
 The arrays a generation works in, and their views, are made once per
 run: initial_state gives the state a Workspace that lives for the whole
 run.  It holds the box rows, the copies of each child's two parents, the
-buffer of normal draws in which mutate turns the step-size draws and
+buffers in which the parents and crossover masks are drawn, the buffer
+of normal draws in which mutate turns the step-size draws and
 the perturbations into the children's step sizes and genomes, and
 batch_evaluate's PricingBuffers for eta children, result included.
 Every generation overwrites all of it.  What a state shows is copied
@@ -29,7 +30,9 @@ sigmas and record, but never an array of its workspace.
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
 indices, recombination masks, step-size mutations, genome perturbations),
-so runs are reproducible bit for bit.
+so runs are reproducible bit for bit.  The parent indices and masks are
+the values, and take the words, that numpy's integers calls for them
+give, but come from one block of raw generator output (MatingDraws).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "learning_rates",
     "BestRecord",
     "NormalDraws",
+    "MatingDraws",
     "Workspace",
     "EsState",
     "RunResult",
@@ -172,18 +176,100 @@ class NormalDraws(NamedTuple):
         )
 
 
+class MatingDraws:
+    """One generation's mating draws for eta children of genome length L:
+    each child's first and second parent index among mu, below 2**32,
+    and its crossover mask, drawn in buffers made once per run.
+
+    draw gives the values that numpy's integers(0, mu, eta),
+    integers(0, mu - 1, eta) and integers(0, 2, (eta, L)).astype(bool)
+    give, and leaves the generator where they leave it.  For a bound k
+    below 2**32, integers takes each value from the next 32-bit half u of
+    the PCG64 generator's 64-bit words, low half first, as (u * k) >> 32
+    (Lemire's multiply-shift, ACM TOMACS 29(1), 2019).  It takes no half
+    for k = 1, takes another when the low 32 bits of u * k fall below
+    2**32 % k, and keeps an unused high half as a spare for the next
+    32-bit draw.  So when no spare is held and the halves fill whole
+    words, one random_raw block holds them all, a mask bit being
+    u >= 2**31.  A block with a rejected draw is rewound and the
+    generation drawn by numpy's own calls, as is every generation while
+    a spare is held or when the halves are odd in number (for an even L,
+    mu == 2 with an odd eta).  The spare is looked up only after such a
+    generation, so nothing else may draw 32-bit values from the
+    generator between two draws.
+    """
+
+    def __init__(self, mu: int, eta: int, length: int) -> None:
+        bounds = [k for k in (mu, mu - 1) if k > 1]
+        parents = eta * len(bounds)
+        halves = parents + eta * length
+        self.mu, self.eta, self.shape = mu, eta, (eta, length)
+        self.words = halves // 2
+        # Whether the raw block may be tried: while the halves fill whole
+        # words and no spare is held, as none is by a fresh generator.
+        self.whole = halves % 2 == 0
+        self.raw = self.whole
+        self.bounds = np.repeat(np.array(bounds, dtype=np.uint32), eta)
+        self.thresholds = np.repeat(np.array([2**32 % k for k in bounds], dtype=np.uint32), eta)
+        self.products = np.empty(parents, dtype=np.uint64)
+        self.low = np.empty(parents, dtype=np.uint32)
+        self.rejected = np.empty(parents, dtype=bool)
+        # The first parent's draws, then the second's before it skips the
+        # first; a row with no draws stays 0.  The draws are shifted in as
+        # unsigned words, the same bits below 2**32.
+        indices = np.zeros((2, eta), dtype=np.int64)
+        self.first, self.second_drawn = indices
+        self.shifted = indices.view(np.uint64).reshape(-1)[:parents]
+        self.second = np.zeros(eta, dtype=np.int64)
+        self.mask = np.empty(self.shape, dtype=bool)
+        self.mask_bits = self.mask.reshape(-1)
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first, second, take_a): two distinct parents per child,
+        uniform over the population (both 0 when mu == 1), and which
+        genome components come from the first.  The arrays are this
+        object's buffers or fresh, and the next draw may overwrite them."""
+        bits = rng.bit_generator
+        if self.raw:
+            # The halves in the generator's order, whatever this machine's.
+            halves = bits.random_raw(self.words).astype("<u8", copy=False).view("<u4")
+            drawn = halves[: self.low.size]
+            np.multiply(drawn, self.bounds, out=self.low)  # mod 2**32
+            np.less(self.low, self.thresholds, out=self.rejected)
+            if not np.count_nonzero(self.rejected):
+                np.multiply(drawn, self.bounds, out=self.products, dtype=np.uint64)
+                np.right_shift(self.products, 32, out=self.shifted)
+                if self.mu > 1:
+                    np.greater_equal(self.second_drawn, self.first, out=self.second)
+                    self.second += self.second_drawn
+                np.greater_equal(halves[drawn.size :], 2**31, out=self.mask_bits)
+                return self.first, self.second, self.mask
+            bits.advance(-self.words)
+        first = rng.integers(0, self.mu, size=self.eta)
+        if self.mu > 1:
+            second = rng.integers(0, self.mu - 1, size=self.eta)
+            second += second >= first
+        else:
+            second = np.zeros(self.eta, dtype=int)
+        take_a = rng.integers(0, 2, size=self.shape).astype(bool)
+        self.raw = self.whole and not bits.state["has_uint32"]
+        return first, second, take_a
+
+
 class Workspace(NamedTuple):
     """A run's working arrays, made once by initial_state for one context
     and config; every generation overwrites them.
 
     box holds the rows mutate clips the children to, lower and upper as
     (eta, L) each; parents the first and second parents' genomes and step
-    sizes, alike; draws the generation's normal draws, in which mutate
-    makes the children; pricing batch_evaluate's buffers for eta genomes.
+    sizes, alike; mating the parent indices and crossover masks; draws
+    the generation's normal draws, in which mutate makes the children;
+    pricing batch_evaluate's buffers for eta genomes.
     """
 
     box: tuple[np.ndarray, np.ndarray]
     parents: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    mating: MatingDraws
     draws: NormalDraws
     pricing: PricingBuffers
 
@@ -241,6 +327,7 @@ def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
         workspace=Workspace(
             box=(np.tile(ctx.lower, (config.eta, 1)), np.tile(ctx.upper, (config.eta, 1))),
             parents=tuple(parents),
+            mating=MatingDraws(config.mu, config.eta, length),
             draws=NormalDraws.empty(config.eta, length),
             pricing=PricingBuffers(ctx, config.eta),
         ),
@@ -253,16 +340,19 @@ def recombine(
     sigmas_a: np.ndarray,
     sigmas_b: np.ndarray,
     alpha: float,
-    rng: np.random.Generator,
+    take_a: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breed one unevaluated child per row from two rows of parents.
 
-    Discrete on the genome: each component from either parent with equal
-    probability.  Intermediate on the step sizes.
+    Discrete on the genome: each component from the first parent where
+    the boolean take_a, of the genomes' shape, is true, else from the
+    second; step draws it with equal odds (MatingDraws).  Intermediate
+    on the step sizes.
     """
-    if genomes_a.shape != genomes_b.shape:
-        raise ContractError(f"parent genome shapes differ: {genomes_a.shape} and {genomes_b.shape}")
-    take_a = rng.integers(0, 2, size=genomes_a.shape).astype(bool)
+    if not genomes_a.shape == genomes_b.shape == take_a.shape:
+        raise ContractError(
+            f"parent genome and mask shapes differ: {genomes_a.shape}, {genomes_b.shape} and {take_a.shape}"
+        )
     genomes = np.where(take_a, genomes_a, genomes_b)
     sigmas = sigmas_a * alpha
     sigmas += (1.0 - alpha) * sigmas_b
@@ -332,19 +422,16 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
 
     Draw order within the generation: parent indices, recombination
     masks, step-size mutation draws, genome perturbation draws.  The
-    children are bred and priced in state.workspace, which state must
-    have from initial_state(ctx, config).
+    first two are the draws of numpy's integers calls, taken in one raw
+    block (MatingDraws), so nothing but step may draw 32-bit values from
+    state.rng.
+    The children are bred and priced in state.workspace, which state
+    must have from initial_state(ctx, config).
     """
     rng = state.rng
     work = state.workspace
     mu, eta = config.mu, config.eta
-    # Two distinct parents per child, uniform over the population.
-    first = rng.integers(0, mu, size=eta)
-    if mu > 1:
-        second = rng.integers(0, mu - 1, size=eta)
-        second += second >= first
-    else:
-        second = np.zeros(eta, dtype=int)
+    first, second, take_a = work.mating.draw(rng)
     genomes_a, genomes_b, sigmas_a, sigmas_b = work.parents
     # In-range indices: "clip" takes them as they are, without the copy
     # that "raise" makes of out.
@@ -352,7 +439,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     state.genomes.take(second, axis=0, out=genomes_b, mode="clip")
     state.sigmas.take(first, axis=0, out=sigmas_a, mode="clip")
     state.sigmas.take(second, axis=0, out=sigmas_b, mode="clip")
-    genomes, sigmas = recombine(genomes_a, genomes_b, sigmas_a, sigmas_b, config.alpha, rng)
+    genomes, sigmas = recombine(genomes_a, genomes_b, sigmas_a, sigmas_b, config.alpha, take_a)
     genomes, sigmas = mutate(genomes, sigmas, *work.box, rng, draws=work.draws)
 
     fitnesses = batch_evaluate(ctx, genomes, work.pricing).fitness

@@ -637,6 +637,27 @@ class TestOverflowAboveTheCorner:
 
 
 class TestUsageAndErrors:
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (MemoryError("Unable to allocate 373. GiB"), "error: Unable to allocate 373. GiB"),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_out_of_memory_exits_two_with_one_error_line(self, capsys, monkeypatch, error, line):
+        # A population too large to allocate; the stand-in raises before
+        # anything is allocated.
+        def exhausted(ctx, config):
+            assert (config.mu, config.eta) == (5_000_000_000, 5_000_000_001)
+            raise error
+
+        monkeypatch.setattr(es, "initial_state", exhausted)
+        code, out, err = run_cli(
+            capsys, "optimize", "--builtin-case", "--mu", "5000000000", "--lambda", "5000000001"
+        )
+        assert (code, out, err) == (2, "", line + "\n")
+
     def test_missing_plan_source_exits_two(self, capsys):
         assert run_cli(capsys, "optimize")[0] == 2
 

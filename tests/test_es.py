@@ -201,12 +201,16 @@ class TestInitPopulation:
         assert np.array_equal(a.genomes, expected)
 
 
+def coin_mask(rng, shape):
+    """A crossover mask from numpy's integers call, as MatingDraws draws it."""
+    return rng.integers(0, 2, size=shape).astype(bool)
+
+
 class TestRecombine:
     def test_identical_parents_reproduce_exactly(self):
         genome, sigmas = np.array([[80.0, 0.2]]), np.array([[2.0, 4.0]])
-        child, child_sigmas = recombine(
-            genome, genome.copy(), sigmas, sigmas.copy(), toy_config().alpha, np.random.default_rng(0)
-        )
+        take_a = coin_mask(np.random.default_rng(0), (1, 2))
+        child, child_sigmas = recombine(genome, genome.copy(), sigmas, sigmas.copy(), toy_config().alpha, take_a)
         assert np.array_equal(child, genome)
         assert np.array_equal(child_sigmas, sigmas)
 
@@ -217,7 +221,7 @@ class TestRecombine:
             np.array([[2.0, 4.0]]),
             np.array([[4.0, 8.0]]),
             toy_config(alpha=0.5).alpha,
-            np.random.default_rng(0),
+            coin_mask(np.random.default_rng(0), (1, 2)),
         )
         assert np.array_equal(sigmas[0], np.array([3.0, 6.0]))
 
@@ -227,7 +231,8 @@ class TestRecombine:
         b = np.array([[10.0, 20.0, 30.0]])
         seen_from_both = set()
         for _ in range(50):
-            child, _ = recombine(a, b, np.ones((1, 3)), np.ones((1, 3)), toy_config().alpha, rng)
+            take_a = coin_mask(rng, (1, 3))
+            child, _ = recombine(a, b, np.ones((1, 3)), np.ones((1, 3)), toy_config().alpha, take_a)
             for i, value in enumerate(child[0]):
                 assert value in (a[0, i], b[0, i])
                 seen_from_both.add((i, value))
@@ -241,13 +246,14 @@ class TestRecombine:
             np.array([[10.0]]),
             np.array([[20.0]]),
             toy_config(alpha=0.25).alpha,
-            np.random.default_rng(0),
+            coin_mask(np.random.default_rng(0), (1, 1)),
         )
         assert sigmas[0, 0] == pytest.approx(0.25 * 10.0 + 0.75 * 20.0, rel=1e-15)
 
     def test_one_draw_gives_the_stream_of_three(self):
-        # breeding a generation draws the crossover mask in one call, then
-        # mutate's global, local and step normals in turn, on one generator
+        # breeding a generation draws the crossover mask, here in one raw
+        # block, then mutate's global, local and step normals in turn, on
+        # one generator
         n, length = 7, 4
         genomes_a = np.random.default_rng(1).uniform(60.0, 120.0, (n, length))
         genomes_b = np.random.default_rng(3).uniform(60.0, 120.0, (n, length))
@@ -264,7 +270,8 @@ class TestRecombine:
         parents = np.where(take_a, genomes_a, genomes_b)
         expected = np.clip(parents + expected_sigmas * rng.standard_normal((n, length)), lower, upper)
         bred = np.random.default_rng(5)
-        child, child_sigmas = recombine(genomes_a, genomes_b, sigmas, sigmas.copy(), 0.5, bred)
+        bred_mask = es.MatingDraws(1, n, length).draw(bred)[2]
+        child, child_sigmas = recombine(genomes_a, genomes_b, sigmas, sigmas.copy(), 0.5, bred_mask)
         assert np.array_equal(child, parents)
         child, child_sigmas = mutate(child, child_sigmas, lower, upper, bred)
         assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
@@ -278,8 +285,103 @@ class TestRecombine:
                 np.ones((1, 2)),
                 np.ones((1, 3)),
                 toy_config().alpha,
-                np.random.default_rng(0),
+                coin_mask(np.random.default_rng(0), (1, 2)),
             )
+
+    def test_mask_shape_mismatch_rejected(self):
+        ones = np.ones((2, 3))
+        with pytest.raises(ContractError, match="mask"):
+            recombine(ones, ones, ones, ones, toy_config().alpha, np.ones((1, 3), dtype=bool))
+
+
+def numpy_mating(rng, mu, eta, length):
+    """A generation's parents and crossover mask from numpy's integers
+    calls: the reference that MatingDraws.draw must equal."""
+    first = rng.integers(0, mu, size=eta)
+    if mu > 1:
+        second = rng.integers(0, mu - 1, size=eta)
+        second += second >= first
+    else:
+        second = np.zeros(eta, dtype=int)
+    return first, second, rng.integers(0, 2, size=(eta, length)).astype(bool)
+
+
+def live_state(bits):
+    """A bit generator's state, without the spare 32-bit half that numpy
+    keeps after it was used: no draw reads it again."""
+    state = bits.state
+    return state if state["has_uint32"] else {**state, "uinteger": None}
+
+
+class TestMatingDraws:
+    @pytest.mark.parametrize(
+        "mu, eta, length",
+        [(15, 105, 10), (1, 7, 2), (2, 3, 2), (3, 7, 20), (4, 9, 20)],
+        ids=["default", "one-parent", "odd-halves", "three", "four"],
+    )
+    def test_draws_are_the_stream_of_numpys_calls(self, mu, eta, length):
+        mating = es.MatingDraws(mu, eta, length)
+        drawn, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(60):
+            got = mating.draw(drawn)
+            expected = numpy_mating(twin, mu, eta, length)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert got[2].dtype == bool
+            # mutate's normals come between two generations' mating draws
+            drawn.standard_normal(eta * (1 + 2 * length))
+            twin.standard_normal(eta * (1 + 2 * length))
+        # an odd number of halves per generation never takes the raw block
+        assert mating.raw == (eta * ((mu > 1) + (mu > 2) + length) % 2 == 0)
+        assert live_state(drawn.bit_generator) == live_state(twin.bit_generator)
+        assert drawn.standard_normal() == twin.standard_normal()
+        assert drawn.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
+
+    def test_rejected_draws_rewind_to_the_stream_of_numpys_calls(self):
+        # Lemire's method rejects about half the draws below 2**31 + 1, so
+        # blocks are rewound, numpy's calls leave spare halves, and raw
+        # blocks come between them.
+        mu, eta, length = 2**31 + 1, 2, 2
+        mating = es.MatingDraws(mu, eta, length)
+        drawn, twin = np.random.default_rng(9), np.random.default_rng(9)
+        seen = {"raw": 0, "rewound": 0, "spare": 0, "after rewound": 0}
+        rewound = False
+        for _ in range(300):
+            tried, spare = mating.raw, twin.bit_generator.state["has_uint32"]
+            got = mating.draw(drawn)
+            expected = numpy_mating(twin, mu, eta, length)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert not (spare and tried)  # a spare half is never skipped
+            from_block = got[0] is mating.first
+            seen["raw"] += from_block
+            seen["spare"] += spare
+            seen["after rewound"] += rewound
+            rewound = tried and not from_block
+            seen["rewound"] += rewound
+            drawn.standard_normal(3)
+            twin.standard_normal(3)
+            assert live_state(drawn.bit_generator) == live_state(twin.bit_generator)
+        assert min(seen.values()) >= 20, seen
+        assert drawn.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
+
+    def test_step_makes_no_integers_call_on_the_raw_path(self, builtin_plan):
+        class NoIntegers:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                if name == "integers":
+                    raise AssertionError("integers called")
+                return getattr(self.rng, name)
+
+        cfg = EsConfig(sigma_init=0.3, seed=3)
+        ctx = compile_context(builtin_plan)
+        plain = initial_state(ctx, cfg)
+        watched = initial_state(ctx, cfg)
+        watched = dataclasses.replace(watched, rng=NoIntegers(watched.rng))
+        for _ in range(30):
+            plain, watched = step(plain, ctx, cfg), step(watched, ctx, cfg)
+        assert np.array_equal(watched.genomes, plain.genomes)
+        assert watched.record.fitness == plain.record.fitness > 0.0
 
 
 class TestMutate:
