@@ -7,7 +7,9 @@ Run it on two checkouts and diff the outputs to see which reports changed:
 
 The script imports millopt from the checkout it lives in (``src/``), and
 the random plan generator from that checkout's ``perfbench/workloads.py``.
-Every report is JSON, so full precision counts.  The set:
+Every report but the last fourteen is JSON, so full precision counts; the
+last fourteen are text and csv, which round, so their key order, widths
+and rows count.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-19 (every
@@ -60,6 +62,12 @@ Every report is JSON, so full precision counts.  The set:
     --mu 2 --lambda 3, where the second parent takes no draw and each
     generation draws an odd number of 32-bit halves, and at --mu 3
     --lambda 7, an odd number of children.
+  * in --out text and then --out csv: optimize (seed 0) and oracle on the
+    bundled case; evaluate on it at the box midpoints and there with a
+    first feed of 0.3, where the first operation's power and finish
+    margins are violated; compare on the bundled case (seed 0), whose text
+    ends in the gap line, on random plan 11, which has no strategy row,
+    and on random plan 19, which has no computed rows.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -85,7 +93,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from millopt.case_study import builtin_document_bytes  # noqa: E402
+from millopt.case_study import builtin_case, builtin_document_bytes  # noqa: E402
 from millopt.cli import main  # noqa: E402
 from workloads import ES_SEEDS, midpoint_args, random_plan_document  # noqa: E402
 
@@ -111,6 +119,8 @@ RETIRED_KEYS = (
     ("oracle", "max_dinkelbach_iterations", 100),
 )
 COMMANDS = ("optimize", "oracle", "evaluate", "compare")
+# Report formats of the runs appended last; every report before them is JSON.
+FORMATS = ("text", "csv")
 # Stands for a key deleted from its section.
 MISSING = object()
 # (command, section, key, value): the value goes into the section, or into
@@ -259,6 +269,26 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             "optimize", "--builtin-case", "--sigma-init", "0.3", "--stall", "50",
             "--mu", str(mu), "--lambda", str(eta), "--out", "json",
         )
+
+    # The text and csv renderers, appended after the JSON runs above.
+    operations = builtin_case()[0].operations
+    speed_bounds = [op.speed_bounds for op in operations]
+    feed_bounds = [op.feed_bounds for op in operations]
+    points = (
+        ("midpoints", midpoint_args(speed_bounds, feed_bounds)),
+        ("midpoints feed=0.3", midpoint_args(speed_bounds, [(0.3, 0.3), *feed_bounds[1:]])),
+    )
+    for fmt in FORMATS:
+        out = ("--out", fmt)
+        yield f"optimize builtin seed=0 out={fmt}", ("optimize", "--builtin-case", "--seed", "0", *out)
+        yield f"oracle builtin out={fmt}", ("oracle", "--builtin-case", *out)
+        for name, point in points:
+            yield f"evaluate builtin {name} out={fmt}", ("evaluate", "--builtin-case", *point, *out)
+        yield f"compare builtin seed=0 out={fmt}", ("compare", "--builtin-case", "--seed", "0", *out)
+        for k in (UNPROFITABLE_PLAN, CORNER_INFEASIBLE_PLAN):
+            yield f"compare plan={k} out={fmt}", (
+                "compare", "--config", str(workdir / f"plan_{k}.json"), *out,
+            )
 
 
 def digest(text: str) -> str:

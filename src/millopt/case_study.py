@@ -251,7 +251,8 @@ def load_document_file(path: str | Path) -> LoadedDocument:
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json's decoder recurses once per nesting level.
         raise PlanError(f"{path} is not valid JSON: {exc}") from exc
     return load_document(raw)
 

@@ -11,8 +11,8 @@ PATH):
 
 Reports carry no timestamps, so a repeated run with the same seed writes
 byte-identical output.  Exit codes: 0 success, 1 oracle iteration guard
-reached, 2 usage, document, overflow or out-of-memory error, 3 no feasible
-solution.
+reached, 2 usage, document, overflow or out-of-memory error or a report
+that cannot be written, 3 no feasible solution.
 """
 
 from __future__ import annotations
@@ -166,6 +166,19 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _solution(result: es.RunResult | oracle.OracleResult) -> dict[str, Any]:
+    """The solution fields both solvers report, in report order."""
+    best = result.best
+    return {
+        "feasible": result.feasible,
+        "profit_rate": result.profit_rate,
+        "unit_cost": result.unit_cost,
+        "unit_time": result.unit_time,
+        "speeds": None if best is None else list(best.speeds),
+        "feeds": None if best is None else list(best.feeds),
+    }
+
+
 def _solution_report(command: str, plan: milling.MillingPlan, **fields: Any) -> dict[str, Any]:
     report: dict[str, Any] = {"command": command, "operations": [op.number for op in plan.operations]}
     report.update(fields)
@@ -278,12 +291,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
     report = _solution_report(
         "optimize",
         loaded.plan,
-        feasible=result.feasible,
-        profit_rate=result.profit_rate,
-        unit_cost=result.unit_cost,
-        unit_time=result.unit_time,
-        speeds=None if result.best is None else list(result.best.speeds),
-        feeds=None if result.best is None else list(result.best.feeds),
+        **_solution(result),
         sigmas_final=None if result.sigmas_final is None else list(result.sigmas_final),
         generations=result.generations,
         evaluations=result.evaluations,
@@ -304,12 +312,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
     report = _solution_report(
         "oracle",
         loaded.plan,
-        feasible=result.feasible,
-        profit_rate=result.profit_rate,
-        unit_cost=result.unit_cost,
-        unit_time=result.unit_time,
-        speeds=None if result.best is None else list(result.best.speeds),
-        feeds=None if result.best is None else list(result.best.feeds),
+        **_solution(result),
         grid_resolution=grid.resolution,
         iterations=result.iterations,
         lambda_trace=list(result.lambda_trace),
@@ -361,6 +364,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
     return _render_keyed(report, args.out), 0
 
 
+def _compare_row(method: str, result: Any, source: str) -> dict[str, Any]:
+    """One compare row from anything with unit_cost, unit_time and profit_rate."""
+    return {
+        "method": method,
+        **{name: getattr(result, name) for name in _TABLE_FIELDS[1:]},
+        "source": source,
+    }
+
+
 def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     loaded, is_builtin = _load_input(args)
     plan = loaded.plan
@@ -371,41 +383,16 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     run_result = es.run(plan, config, observer=observer)
     oracle_result = oracle.dinkelbach_solve(plan, grid=grid)
 
-    rows: list[dict[str, Any]] = []
-    published_strategy: case_study.ReferenceRow | None = None
-    if is_builtin:
-        for ref in case_study.REFERENCE_ROWS:
-            rows.append(
-                {
-                    "method": ref.method,
-                    "unit_cost": ref.unit_cost,
-                    "unit_time": ref.unit_time,
-                    "profit_rate": ref.profit_rate,
-                    "source": "published",
-                }
-            )
-            if ref.method == "Evolutionary strategy":
-                published_strategy = ref
-    if run_result.feasible:
-        rows.append(
-            {
-                "method": "Evolutionary strategy (this implementation)",
-                "unit_cost": run_result.unit_cost,
-                "unit_time": run_result.unit_time,
-                "profit_rate": run_result.profit_rate,
-                "source": "computed",
-            }
-        )
-    if oracle_result.feasible:
-        rows.append(
-            {
-                "method": "Oracle (grid)",
-                "unit_cost": oracle_result.unit_cost,
-                "unit_time": oracle_result.unit_time,
-                "profit_rate": oracle_result.profit_rate,
-                "source": "computed",
-            }
-        )
+    published = case_study.REFERENCE_ROWS if is_builtin else ()
+    computed = (
+        ("Evolutionary strategy (this implementation)", run_result),
+        ("Oracle (grid)", oracle_result),
+    )
+    rows = [_compare_row(ref.method, ref, "published") for ref in published]
+    rows += [_compare_row(method, result, "computed") for method, result in computed if result.feasible]
+    published_strategy = next(
+        (ref for ref in published if ref.method == "Evolutionary strategy"), None
+    )
 
     gap = None
     if published_strategy is not None and run_result.feasible:
@@ -450,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text, code = _COMMANDS[args.command](args)
+        _emit(text, args)
     except (milling.ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -463,8 +451,6 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    _emit(text, args)
     return code
 
 

@@ -59,6 +59,101 @@ CORNER_INFEASIBLE_PLANS = pytest.mark.parametrize(
 )
 
 
+# Whole text and csv reports, byte for byte, so that key order, rounding,
+# column widths and every row are pinned.  optimize runs on the toy plan
+# at --seed 1 --stall 10; compare on the bundled case at --seed 0
+# --stall 5 --grid-resolution 60.
+TOY_OPTIMIZE_TEXT = """\
+optimize report
+  operations              1
+  feasible                True
+  profit_rate             6.8389
+  unit_cost               6.4494
+  unit_time               2.7125
+  speed_1                 61.6030
+  feed_1                  0.4000
+  sigma_final_1           2.8177
+  sigma_final_2           2.3668
+  generations             12
+  evaluations             1260
+  seed                    1
+  config.mu               15
+  config.eta              105
+  config.sigma_init       3.0000
+  config.alpha            0.5000
+  config.stall_limit      10
+  config.max_generations  100000
+  config.sigma_floor      0.0000
+  warning_1               operation 1: tool 1 has no permitted cutting force; force constraint skipped
+"""
+
+TOY_OPTIMIZE_CSV = """\
+key,value
+operations,1
+feasible,True
+profit_rate,6.8389
+unit_cost,6.4494
+unit_time,2.7125
+speed_1,61.6030
+feed_1,0.4000
+sigma_final_1,2.8177
+sigma_final_2,2.3668
+generations,12
+evaluations,1260
+seed,1
+config.mu,15
+config.eta,105
+config.sigma_init,3.0000
+config.alpha,0.5000
+config.stall_limit,10
+config.max_generations,100000
+config.sigma_floor,0.0000
+warning_1,operation 1: tool 1 has no permitted cutting force; force constraint skipped
+"""
+
+BUILTIN_COMPARE_CSV = """\
+method,unit_cost,unit_time,profit_rate
+Handbook,18.36,9.40,0.71
+Method of feasible direction,11.35,5.48,2.49
+Genetic algorithm,11.11,5.22,2.65
+Ant colony algorithm,10.20,5.43,2.72
+Hybrid particle swarm,10.90,5.05,2.79
+Immune algorithm,11.08,5.07,2.75
+Hybrid immune algorithm,10.91,5.07,2.79
+Hybrid differential evolution algorithm,10.90,5.00,2.82
+Evolutionary strategy,10.91,5.00,2.82
+Evolutionary strategy (this implementation),18.78,7.21,0.86
+Oracle (grid),16.14,6.62,1.34
+"""
+
+BUILTIN_COMPARE_TEXT = """\
+method                                       unit_cost  unit_time  profit_rate
+Handbook                                         18.36       9.40         0.71
+Method of feasible direction                     11.35       5.48         2.49
+Genetic algorithm                                11.11       5.22         2.65
+Ant colony algorithm                             10.20       5.43         2.72
+Hybrid particle swarm                            10.90       5.05         2.79
+Immune algorithm                                 11.08       5.07         2.75
+Hybrid immune algorithm                          10.91       5.07         2.79
+Hybrid differential evolution algorithm          10.90       5.00         2.82
+Evolutionary strategy                            10.91       5.00         2.82
+Evolutionary strategy (this implementation)      18.78       7.21         0.86
+Oracle (grid)                                    16.14       6.62         1.34
+
+gap to published strategy row: profit rate 0.8623 vs 2.82 (-69.4%), unit cost 18.7791 vs 10.91 (+72.1%)
+warning_1: operation 1: radial depth 50 mm is an assumed engagement value
+warning_2: operation 1: tool 1 has no permitted cutting force; force constraint skipped
+warning_3: operation 2: radial depth 5 mm is an assumed engagement value
+warning_4: operation 2: tool 2 has no permitted cutting force; force constraint skipped
+warning_5: operation 3: radial depth 10 mm is an assumed engagement value
+warning_6: operation 3: tool 2 has no permitted cutting force; force constraint skipped
+warning_7: operation 4: radial depth 10 mm is an assumed engagement value
+warning_8: operation 4: tool 3 has no permitted cutting force; force constraint skipped
+warning_9: operation 5: radial depth 5 mm is an assumed engagement value
+warning_10: operation 5: tool 3 has no permitted cutting force; force constraint skipped
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -107,6 +202,7 @@ class TestOptimizeCommand:
         assert "speed_1" in out and "feed_1" in out
         assert "profit_rate" in out
         assert out.endswith("\n")
+        assert out == TOY_OPTIMIZE_TEXT
 
     def test_csv_format(self, capsys, toy_config_path):
         code, out, _ = run_cli(
@@ -119,6 +215,7 @@ class TestOptimizeCommand:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert {"feasible", "profit_rate", "speed_1", "feed_1", "seed"} <= keys
+        assert out == TOY_OPTIMIZE_CSV
 
     def test_same_seed_writes_byte_identical_files(self, capsys, toy_config_path, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -450,6 +547,7 @@ class TestCompareCommand:
         assert lines[0] == "method,unit_cost,unit_time,profit_rate"
         assert len(lines) == 12  # header + 9 published + 2 computed
         assert lines[1].startswith("Handbook,18.36,9.40,0.71")
+        assert out == BUILTIN_COMPARE_CSV
 
     def test_text_mentions_reproduction_gap(self, capsys):
         code, out, _ = run_cli(
@@ -460,6 +558,7 @@ class TestCompareCommand:
         assert code == 0
         assert "gap to published strategy row:" in out
         assert "Evolutionary strategy (this implementation)" in out
+        assert out == BUILTIN_COMPARE_TEXT
 
     def test_infeasible_plan_exits_three(self, capsys, infeasible_config_path):
         code, report = run_json(
@@ -680,6 +779,30 @@ class TestUsageAndErrors:
         code, _, err = run_cli(capsys, "optimize", "--config", str(path))
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_document_nested_past_the_recursion_limit_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "oracle", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--stall", "3"),
+            ("evaluate", "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388"),
+        ],
+        ids=["optimize", "evaluate"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_two_with_one_error_line(self, capsys, tmp_path, argv, target):
+        path = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--builtin-case", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(path) in err and "Traceback" not in err
 
     def test_unknown_document_key_exits_two(self, capsys, tmp_path):
         document = dump_plan(two_op_plan())
