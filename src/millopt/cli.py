@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -74,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="stall_limit",
         metavar="STALL",
-        help="generations without a relative rise of the best above 1e-6 before stopping",
+        help="generations without a relative rise of the best above 1e-6 before stopping; "
+        "a run stops at such a rise once a certified bound on the optimum shows no other can follow",
     )
     es_parent.add_argument(
         "--alpha", type=float, default=None, help="step-size recombination mixing weight"
@@ -107,6 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--feeds", required=True, help="comma-separated feeds, one per operation"
     )
+    # A list may start with a negative value, "-5,40,...", which argparse
+    # reads as an option unless it looks like a number.  evaluate has no
+    # option that does, so every argument starting "-<digit>" or "-.<digit>"
+    # is a value, and the model's own check rejects it.
+    evaluate._negative_number_matcher = re.compile(r"^-\.?\d")
     sub.add_parser(
         "compare",
         parents=[plan_parent, es_parent, grid_parent],

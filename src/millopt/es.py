@@ -27,6 +27,16 @@ out of it: the mu survivors are taken into fresh arrays and a new
 record's row is copied, so an observer may keep any state's genomes,
 sigmas and record, but never an array of its workspace.
 
+A run stops when its stall counter reaches stall_limit, or sooner, at
+the first generation where no child can reset the counter again: the
+reset fitness times (1 + STALL_GAIN) has reached rate_hi, the certified
+upper bound on every fitness of the box that oracle.solve_exact computes
+once per run.  The bound rests on convexity in log space, on a polygon
+that holds every genome the rounded tests accept, and on a rounding
+allowance (oracle._cost_floor).  Before the first generation the reset
+fitness is 0, so the stop is the gate that skips a plan with no
+profitable point, or no feasible one, before any population is drawn.
+
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
 indices, recombination masks, step-size mutations, genome perturbations),
@@ -54,8 +64,8 @@ from .milling import (
     _is_integer,
     batch_evaluate,
     compile_context,
-    cost_floor,
 )
+from .oracle import solve_exact
 
 __all__ = [
     "SIGMA_FLOOR",
@@ -97,8 +107,10 @@ class EsConfig:
     mu parents breed eta children per generation; every step size starts
     at sigma_init, and alpha weights the first parent's step sizes in
     recombination.  The run stops after stall_limit generations in a row
-    without a relative rise of the best fitness above STALL_GAIN, or at
-    MAX_GENERATIONS.  seed fixes every draw.
+    without a relative rise of the best fitness above STALL_GAIN, at
+    MAX_GENERATIONS, or at the rise after which the certified bound on
+    every fitness shows that no other can come (see run).  seed fixes
+    every draw.
     """
 
     mu: int = 15
@@ -476,26 +488,46 @@ def run(
 ) -> RunResult:
     """Optimize a plan; deterministic for a fixed (plan, config, seed).
 
-    The run sets up no population, so that generations and evaluations
-    are 0 and the observer sees no generation, when the lowest corner
-    (ctx.corner) is infeasible, and with it every point, or when the
-    certified cost floor (milling.cost_floor) reaches the sale price, so
-    that no point has a positive profit rate.  Either way the result is
-    the infeasible one that running every generation would report.
+    Before the first generation the run computes rate_hi, a certified
+    upper bound on every fitness batch_evaluate can return in the box
+    (oracle.solve_exact), without calling batch_evaluate.  step resets the
+    stall counter only on a fitness above the last reset's times
+    (1 + STALL_GAIN), so the run stops at the first generation where that
+    product reaches rate_hi: every later generation would only count
+    towards stall_limit.  The result is the one the stall counter alone
+    gives with MAX_GENERATIONS set to that generation.  The bound rests on
+    the premises solve_exact names (convexity in log space, a polygon
+    holding every genome the rounded tests accept, a rounding allowance);
+    where none is certified it is +inf and the stall counter alone stops
+    the run.
+
+    Before the first generation the reset fitness is 0, and the same test
+    is the gate: when rate_hi is 0, because the lowest corner
+    (ctx.corner) is infeasible, and with it every point, or because no
+    point has a positive profit rate, the run sets up no population, so
+    that generations and evaluations are 0 and the observer sees no
+    generation.  The result is the infeasible one that running every
+    generation would report.
 
     Raises DomainError as compile_context does.
     """
     config = config or EsConfig()
     ctx = compile_context(plan)
-    # No point is feasible unless the lowest corner is, and none is
-    # profitable once the cost floor reaches the price; a positive corner
-    # rate already shows a profit, so only a nonpositive one asks for it.
-    corner = ctx.corner
-    nothing_to_find = not corner.feasible[0] or (corner.fitness[0] <= 0.0 and cost_floor(ctx) >= ctx.sale_price)
+    rate_hi = solve_exact(ctx).rate_hi
+
+    def settled(record: BestRecord) -> bool:
+        # step resets the counter only on a fitness above this, and none
+        # is above rate_hi.
+        return record.stall_fitness * (1.0 + STALL_GAIN) >= rate_hi
+
     record, generations, evaluations = BestRecord(), 0, 0
-    if not nothing_to_find:
+    if not settled(record):
         state = initial_state(ctx, config)
-        while state.record.stall_counter < config.stall_limit and state.generation < MAX_GENERATIONS:
+        while (
+            state.record.stall_counter < config.stall_limit
+            and state.generation < MAX_GENERATIONS
+            and not settled(state.record)
+        ):
             state = step(state, ctx, config)
             if observer is not None:
                 observer(state)

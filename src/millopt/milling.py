@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,11 @@ __all__ = [
     "BatchEval",
     "PricingBuffers",
     "batch_evaluate",
-    "cost_floor",
+    "v_max",
+    "FeasiblePolygons",
+    "feasible_polygons",
+    "OperationMinima",
+    "operation_minima",
 ]
 
 
@@ -743,76 +748,183 @@ def _check_box_prices(ctx: EvalContext) -> None:
         raise DomainError(f"unit cost up to {cost} inside the speed and feed bounds: the plan overflows")
 
 
-def cost_floor(ctx: EvalContext) -> float:
-    """A lower bound on the unit cost batch_evaluate computes at any genome
-    of the box whose feeds lie at or below feed_cap, the set that holds
-    every feasible genome; the mirror of _check_box_prices' upper bound.
+def _largest_accepted(
+    start: np.ndarray, limit: np.ndarray, accepted: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Element by element, the largest double x <= limit that accepted
+    passes, for a test that passes every x up to some point and none after
+    it.  Found from start, a few doubles off, by stepping one double at a
+    time: up while the next double passes, down while x fails.  start is
+    stepped in place."""
+    x = start
+    while np.count_nonzero(grow := (x < limit) & accepted(up := np.nextafter(x, math.inf))):
+        np.copyto(x, up, where=grow)
+    while np.count_nonzero(shrink := ~accepted(x)):
+        np.copyto(x, np.nextafter(x, 0.0), where=shrink)
+    return x
 
-    Dropping the power limit only lowers the minimum.  In x = ln v and
-    y = ln f, operation i's cost phi(x, y) = rate*k1*e^(-x-y) +
-    B*e^(a*x + b*y) is a sum of exponentials of affine functions, so it is
-    convex for any signs of a and b.  Its tangent plane at any point p
-    therefore lies below it, and phi(p) + min over the four corners q of
-    the log box of grad phi(p).(q - p) bounds its minimum over the box.
 
-    p is the minimiser over the box.  For a > 0 the best v at each f is
-    (rate*k1 / (a*B*f**(b+1)))**(1/(a+1)), clipped to the speed box, and
-    for a <= 0 it is v_hi.  The cost at that v is convex in y, and on each
-    piece where the clip holds v at a bound it has one stationary point,
-    while between the two pieces it is monotone.  So its minimum over the
-    feed box lies at one of six feeds: the box ends, the two feeds where
-    the clip starts to bind and the two stationary points, each clipped to
-    the feed box.  p is the cheapest of them.
+def v_max(ctx: EvalContext, feeds: np.ndarray) -> np.ndarray:
+    """The largest double v <= v_hi that batch_evaluate's power test,
+    (c5 * v) * f**0.8 <= 1, accepts at each feed f, exact against the
+    rounded test as _feed_cap is against the finish and force tests.
+    feeds holds one feed per operation along its last axis.  The rounded
+    product grows with v, so the test accepts every speed up to v_max(f)
+    and none above it; a result below v_lo means that it accepts no speed
+    of the box at that feed."""
+    c5, v_hi = ctx.c5, ctx.upper[: ctx.m]
+    feed_powers = feeds**0.8
+    return _largest_accepted(
+        np.minimum(v_hi, 1.0 / (c5 * feed_powers)), v_hi, lambda v: c5 * v * feed_powers <= 1.0
+    )
 
-    The bound is cost_fixed plus the sum of these, less a rounding
-    allowance of 16*(m + 16) machine epsilons times the summed magnitudes
-    of the terms.  It rests on two premises: convexity, and that the
-    rounding of this computation and of batch_evaluate's cost stays within
-    that allowance.  A non-finite intermediate makes the bound -inf or
-    NaN, which no price reaches.
+
+# Which of the five edge stationary points are feeds: those on the edges
+# x = ln v_lo and x = ln v_hi and on the power edge.  The other two are the
+# speeds on the edges y = ln f_lo and y = ln f_top.
+_FEED_ROWS = np.array([True, True, False, False, True])[:, None]
+
+
+class FeasiblePolygons(NamedTuple):
+    """What operation_minima needs of a context that does not depend on the
+    multiplier, computed once per context by feasible_polygons.
+
+    In x = ln v and y = ln f, the speeds and feeds batch_evaluate accepts
+    for operation i lie in the box [ln v_lo, ln v_hi] x [ln f_lo, ln f_top]
+    cut by the power limit x + 0.8*y <= -ln c5: a polygon of at most five
+    edges.  f_top is the largest feed, at most feed_cap, that the rounded
+    power test accepts at v_lo, so each feed in [f_lo, f_top] is accepted
+    with the speeds from v_lo to v_max(f).
+
+    candidates, (4, 11, m), is operation_minima's template of its
+    candidates' speeds, feeds, machining times and wear costs.  Rows 5 to
+    10, priced as batch_evaluate prices, are (v_lo, f) and then
+    (v_max(f), f) at f = f_lo, f_top and the feed where the power limit
+    meets v_hi, clipped into [f_lo, f_top]: the polygon's vertices, some
+    of them coinciding where it has fewer than five, and one more point
+    on its edge x = ln v_lo.  Rows 0 to 4 are the edge stationary points,
+    whose free
+    coordinates, (ln|W| + numerators) / denominators, (5, m), are the feeds
+    on the edges x = ln v_lo and x = ln v_hi, the speeds on y = ln f_lo
+    and y = ln f_top, and the feed on the power edge.  The template holds
+    their other coordinates: v_lo, v_hi, f_lo, f_top, and inf, which
+    clips to v_max(f), on the power edge.
+    """
+
+    candidates: np.ndarray
+    numerators: np.ndarray
+    denominators: np.ndarray
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.candidates[:, 5:]
+
+    @property
+    def f_top(self) -> np.ndarray:
+        return self.candidates[1, 6]
+
+
+def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
+    """The polygons of ctx, whose lowest corner must be feasible.
+
+    On each edge the objective W*e^(-x-y) + B*e^(a*x + b*y) of
+    operation_minima is a sum of two exponentials of one parameter, so it
+    has at most one stationary point, in closed form when W shares its sign
+    with the edge's exponent of B: b on the edges x = X,
+    y = (ln W - ln(b*B) - (a+1)*X)/(b+1); a on y = Y,
+    x = (ln W - ln(a*B) - (b+1)*Y)/(a+1); and g = b - 0.8*a on the power
+    edge, y = (ln(0.2*W) - ln(g*B) + (a+1)*ln c5)/(g + 0.2), with 0.2 the
+    float 1 - 0.8.  Taken with absolute values these are defined for either
+    sign; where the signs differ the point is no stationary point, only one
+    more candidate.
     """
     m = ctx.m
     v_lo, v_hi = ctx.lower[:m], ctx.upper[:m]
-    f_lo, f_hi = ctx.lower[m:], ctx.feed_cap
-    a, b = ctx.speed_exponent, ctx.feed_exponent
-    x_bounds = np.log(np.array([v_lo, v_hi]))
-    y_lo, y_hi = np.log(f_lo), np.log(f_hi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # A zero price gives a log of -inf and a term of 0; a log of a
-        # nonpositive product is discarded by the where beside it.
-        log_time = np.log(ctx.rate * ctx.k1)
-        log_wear = np.log(ctx.tool_cost_coef)
-        # Best x at y: c0 - slope*y, clipped to [x_lo, x_hi].  a <= 0 gives
-        # c0 = inf, so x_hi; fmax and fmin map the NaN of two zero prices,
-        # where every point costs the same, into the box.
-        slope = (b + 1.0) / (a + 1.0)
-        c0 = np.where(a > 0.0, (log_time - np.log(a * ctx.tool_cost_coef)) / (a + 1.0), math.inf)
-        bends = (c0 - x_bounds) / slope
-        # With x held at a bound, the cost falls in y up to this point and
-        # rises after it; b <= 0 makes it fall all the way.
-        stationary = np.where(
-            b > 0.0, (log_time - np.log(b * ctx.tool_cost_coef) - (a + 1.0) * x_bounds) / (b + 1.0), math.inf
+    f_lo = ctx.lower[m:]
+    a, b, wear_coef = ctx.speed_exponent, ctx.feed_exponent, ctx.tool_cost_coef
+    corner_power = ctx.c5 * v_lo
+    power_slope = 1.0 - 0.8
+    g = b - 0.8 * a
+    # A tiny power coefficient puts the power limit's feeds out at inf, a
+    # zero tool price gives ln B = -inf and a zero exponent an infinite
+    # stationary point: the clips here and in operation_minima take them.
+    with np.errstate(divide="ignore", over="ignore"):
+        f_top = _largest_accepted(
+            np.minimum(ctx.feed_cap, corner_power**-1.25), ctx.feed_cap, lambda f: corner_power * f**0.8 <= 1.0
         )
-        candidates = np.fmin(np.fmax(np.vstack((y_lo, y_hi, bends, stationary)), y_lo), y_hi)
-        x = np.fmin(np.fmax(c0 - slope * candidates, x_bounds[0]), x_bounds[1])
-        cost = np.exp(log_time - x - candidates) + np.exp(log_wear + a * x + b * candidates)
-        cheapest = cost.argmin(axis=0), np.arange(m)
+        feeds = np.array([f_lo, f_top, np.fmin(np.fmax((ctx.c5 * v_hi) ** -1.25, f_lo), f_top)])
+        speeds = np.vstack((np.broadcast_to(v_lo, feeds.shape), v_max(ctx, feeds)))
+        log_b_coef = np.log(wear_coef)
+        numerators = np.array(
+            [
+                -np.log(abs(b)) - log_b_coef - (a + 1.0) * np.log(v_lo),
+                -np.log(abs(b)) - log_b_coef - (a + 1.0) * np.log(v_hi),
+                -np.log(abs(a)) - log_b_coef - (b + 1.0) * np.log(f_lo),
+                -np.log(abs(a)) - log_b_coef - (b + 1.0) * np.log(f_top),
+                math.log(power_slope) - np.log(abs(g)) - log_b_coef + (a + 1.0) * np.log(ctx.c5),
+            ]
+        )
+    feeds = np.vstack((feeds, feeds))
+    vertices = np.array([speeds, feeds, ctx.k1 / (speeds * feeds), speeds**a * wear_coef * feeds**b])
+    stationary = np.zeros((4, 5, m))
+    stationary[:2] = [[v_lo, v_hi, v_lo, v_lo, np.full(m, math.inf)], [f_lo, f_lo, f_lo, f_top, f_lo]]
+    return FeasiblePolygons(
+        candidates=np.concatenate((stationary, vertices), axis=1),
+        numerators=numerators,
+        denominators=np.array([b + 1.0, b + 1.0, a + 1.0, a + 1.0, g + power_slope]),
+    )
 
-        # The tangent plane at p, priced as batch_evaluate prices.
-        v = np.exp(x[cheapest])
-        f = np.exp(candidates[cheapest])
-        time_cost = ctx.k1 / (v * f) * ctx.rate
-        wear = v**a * ctx.tool_cost_coef * f**b
-        grad_x = a * wear - time_cost
-        grad_y = b * wear - time_cost
-        dx = np.log(np.array([v_lo / v, v_hi / v]))
-        dy = np.log(np.array([f_lo / f, f_hi / f]))
-        floor = time_cost + wear + (grad_x * dx).min(axis=0) + (grad_y * dy).min(axis=0)
-        magnitude = time_cost + wear
-        magnitude += (time_cost + abs(a) * wear) * (1.0 + abs(dx).sum(axis=0))
-        magnitude += (time_cost + abs(b) * wear) * (1.0 + abs(dy).sum(axis=0))
-        allowance = 16 * (m + 16) * np.finfo(float).eps * (ctx.cost_fixed + magnitude.sum())
-        return float(ctx.cost_fixed + floor.sum() - allowance)
+
+class OperationMinima(NamedTuple):
+    """Per operation, (m,) each: the speed and feed operation_minima
+    found, and their machining time and wear cost as batch_evaluate
+    computes them."""
+
+    speeds: np.ndarray
+    feeds: np.ndarray
+    machining: np.ndarray
+    wear: np.ndarray
+
+
+def operation_minima(ctx: EvalContext, polygons: FeasiblePolygons, lam: float) -> OperationMinima:
+    """For each operation, the accepted speed and feed that minimize
+    (rate + lam) * machining + wear, the operation's share of
+    unit cost + lam * unit time, for a multiplier lam of either sign.
+
+    In x = ln v and y = ln f the objective is W*e^(-x-y) + B*e^(a*x + b*y)
+    with W = (rate + lam)*k1 and B = tool_cost_coef.  A stationary point
+    inside the polygon needs a == b (or B == 0), where the objective
+    depends on x + y alone, so a minimizer lies on the boundary; on each
+    edge it is a vertex or the edge's one stationary point.  So the
+    minimum is the cheapest of the polygon's vertices and the edge
+    stationary points (feasible_polygons), which holds without convexity,
+    for either sign of W.
+
+    Each stationary point is mapped inward before it is priced: its feed
+    is clipped to [f_lo, f_top] and its speed to [v_lo, v_max(f)].  So
+    every candidate is a genome batch_evaluate accepts, and the minimum is
+    exact up to the rounding of the candidates.
+    """
+    m = ctx.m
+    v_lo, f_lo = ctx.lower[:m], ctx.lower[m:]
+    weight = ctx.rate + lam
+    candidates = polygons.candidates.copy()
+    speeds, feeds, machining, wear = candidates[:, :5]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # NaN, from ln 0 against an infinite numerator, clips to a bound.
+        stationary = np.exp((np.log(abs(weight * ctx.k1)) + polygons.numerators) / polygons.denominators)
+        np.copyto(feeds, stationary, where=_FEED_ROWS)
+        np.fmin(np.fmax(feeds, f_lo, out=feeds), polygons.f_top, out=feeds)
+        top = v_max(ctx, feeds)
+        np.copyto(speeds, stationary, where=~_FEED_ROWS)
+        np.fmin(np.fmax(speeds, v_lo, out=speeds), top, out=speeds)
+    np.divide(ctx.k1, speeds * feeds, out=machining)
+    np.multiply(speeds**ctx.speed_exponent * ctx.tool_cost_coef, feeds**ctx.feed_exponent, out=wear)
+    values = weight * candidates[2] + candidates[3]
+    # Every feed of [f_lo, f_top] is accepted at v_lo; this guards a pow
+    # that is not monotone.
+    np.copyto(values[:5], math.inf, where=top < v_lo)
+    return OperationMinima(*candidates[:, values.argmin(axis=0), np.arange(m)])
 
 
 @dataclass(frozen=True)

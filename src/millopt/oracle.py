@@ -34,6 +34,12 @@ Everything about an operation's grid that does not depend on lam (the
 axes, the staircase, the factors of the value and their extremes) is
 prepared once per solve, from the compiled model alone; each multiplier
 iteration only scans.
+
+solve_exact runs the same iteration on milling.operation_minima, which
+minimizes each operation over its continuous feasible polygon in closed
+form, and certifies the result with rate_hi, an upper bound on every
+fitness batch_evaluate can return in the box.  The strategy stops a run
+on that bound (es.run).
 """
 
 from __future__ import annotations
@@ -46,9 +52,14 @@ import numpy as np
 from .milling import (
     DecisionVector,
     EvalContext,
+    FeasiblePolygons,
     MillingPlan,
+    OperationMinima,
     _is_integer,
+    batch_evaluate,
     compile_context,
+    feasible_polygons,
+    operation_minima,
     unit_cost,
     unit_time,
 )
@@ -60,6 +71,8 @@ __all__ = [
     "OracleError",
     "per_op_grid_min",
     "dinkelbach_solve",
+    "ExactSolution",
+    "solve_exact",
 ]
 
 # Elements per chunk of the grid scan: its two float64 buffers (256 KiB
@@ -389,3 +402,180 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
         "multiplier iteration did not converge within "
         f"{MAX_DINKELBACH_ITERATIONS} iterations; trace: {trace}"
     )
+
+
+@dataclass(frozen=True)
+class ExactSolution:
+    """solve_exact's result.
+
+    genome [v_1..v_m, f_1..f_m] is the optimum found and profit_rate its
+    rate as batch_evaluate prices it; both are None when the lowest corner
+    is infeasible.  rate_hi bounds from above every fitness batch_evaluate
+    returns for a genome of the box, and is +inf where no bound could be
+    certified.  iterations counts the multiplier iterations.
+    """
+
+    genome: np.ndarray | None
+    profit_rate: float | None
+    rate_hi: float
+    iterations: int
+
+
+def solve_exact(ctx: EvalContext) -> ExactSolution:
+    """The continuous profit-rate optimum of a compiled plan, with a
+    certified upper bound on every fitness its box holds.
+
+    Dinkelbach's iteration (Management Science 13(7), 1967) runs on
+    milling.operation_minima, which solves each operation exactly, so the
+    iteration is global.  It starts from the lowest corner's rate
+    (EvalContext.corner) and stops by the grid oracle's rule: at the first
+    point equal to the previous one (the corner, before the first
+    iteration) or whose rate is not above lam.  Rates are priced from the
+    kernel's terms in batch_evaluate's order of operations.  Reaching
+    MAX_DINKELBACH_ITERATIONS ends the iteration where it is: the bound
+    holds at any multiplier.
+
+    rate_hi comes from _cost_floor at lam = max(rate, 0), with the tangent
+    planes taken at the last minimizers found, or at those of lam = 0
+    when the rate is negative.  It rests on three
+    premises, argued there: convexity in log space, a polygon that, widened
+    by a slack, holds every genome the rounded tests accept, and a rounding
+    allowance.  A bound that is not finite is +inf.  When the corner is
+    infeasible every genome is, every fitness is 0, and so is rate_hi.
+    """
+    if not ctx.corner.feasible[0]:
+        return ExactSolution(genome=None, profit_rate=None, rate_hi=0.0, iterations=0)
+    polygons = feasible_polygons(ctx)
+    lam = float(ctx.corner.fitness[0])
+    previous = ctx.lower.tolist()
+    for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
+        minima = operation_minima(ctx, polygons, lam)
+        genome = np.concatenate((minima.speeds, minima.feeds))
+        machining = np.add.reduce(minima.machining)
+        cost = ctx.cost_fixed + ctx.rate * machining + np.add.reduce(minima.wear)
+        rate = float((ctx.sale_price - cost) / (ctx.time_fixed + machining))
+        point = genome.tolist()
+        if point == previous or rate <= lam:
+            break
+        lam, previous = rate, point
+    if rate < 0.0:
+        minima = operation_minima(ctx, polygons, 0.0)
+    rate_hi = _rate_bound(ctx, max(rate, 0.0), _cost_floor(ctx, polygons, max(rate, 0.0), minima))
+    inward = _scalar_inward(ctx, point)
+    if inward != point:
+        genome = np.array(inward)
+        rate = float(batch_evaluate(ctx, genome).fitness[0])
+    return ExactSolution(
+        genome=genome,
+        profit_rate=rate,
+        rate_hi=rate_hi if math.isfinite(rate_hi) else math.inf,
+        iterations=iteration,
+    )
+
+
+def _scalar_inward(ctx: EvalContext, point: list[float]) -> list[float]:
+    """point, with each operation's speed and then its feed lowered one
+    double at a time until the scalar power margin of constraint_margins
+    accepts it, or each reaches its lower bound.  numpy's pow and the C
+    library's, which the scalar model calls, may round f**0.8 an ulp
+    apart, so a point batch_evaluate accepts may fail that margin by an
+    ulp.  Lowering never raises batch_evaluate's rounded product, so its
+    test still passes, and the feeds stay below feed_cap."""
+    m = ctx.m
+    point = list(point)
+    lower = ctx.lower.tolist()
+    for i, c5 in enumerate(ctx.c5.tolist()):
+        for k in (i, m + i):
+            while c5 * point[i] * point[m + i] ** 0.8 > 1.0 and point[k] > lower[k]:
+                point[k] = math.nextafter(point[k], 0.0)
+    return point
+
+
+def _relative_error(m: int) -> float:
+    """delta: how far batch_evaluate's unit cost and unit time, and the
+    least unit time _rate_bound computes, may lie below their exact
+    values, relatively.  Each is a sum of nonnegative terms, each term
+    within 18 machine epsilons (two pows of up to four ulps and three
+    roundings), summed in up to m + 2 more roundings: 4*(m + 16) epsilons
+    hold that with room."""
+    return 4 * (m + 16) * float(np.finfo(float).eps)
+
+
+def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangent: OperationMinima) -> float:
+    """A lower bound on unit_cost + lam * unit_time, as batch_evaluate
+    computes them, at every genome it accepts, for a multiplier lam >= 0
+    and a tangent point per operation (any, though the minimizer of
+    operation_minima at lam makes the bound tight).  At lam = 0 it is a
+    floor on every unit cost: once it reaches the sale price no genome is
+    profitable.
+
+    Convexity.  In x = ln v and y = ln f, operation i adds
+    phi(x, y) = W*e^(-x-y) + B*e^(a*x + b*y) to the exact C + lam*T, with
+    W = (rate + lam)*k1 and B = tool_cost_coef.  Both are >= 0 for
+    lam >= 0, so phi is convex (Boyd, Kim, Vandenberghe & Hassibi, "A
+    tutorial on geometric programming", Optim. Eng. 2007) and lies above
+    its tangent plane at the tangent point.  The plane is linear, so its
+    minimum over a polygon holding every accepted genome is at a vertex.
+    So cost_fixed + lam*time_fixed plus, over the operations, phi at the
+    tangent point plus the plane's least rise to a vertex is at most the
+    exact C + lam*T of every accepted genome.
+
+    Polygon.  An accepted genome passes (c5*v) * f**0.8 <= 1 as rounded,
+    so c5*v*f**0.8 <= 1 + 4*eps exactly, for a pow within two ulps.  Each
+    vertex of the true polygon so widened lies within
+    slack = 16*eps*(1 + |ln(c5*v_hi)|) of a vertex of feasible_polygons in
+    x and in y: the widening moves a vertex on the power edge by up to
+    5*eps, v_max and f_top stop within 7.5*eps of the edge, and the pow
+    with exponent -1.25 in place of -1/0.8 misses the vertex at v_hi by up
+    to (3 + 0.4*|ln(c5*v_hi)|)*eps.  So each plane's least rise is lowered
+    by (|grad_x| + |grad_y|) * slack.
+
+    Rounding.  Each term is computed within 10*eps of its magnitude, and
+    their sum within (m + 4)*eps of the summed magnitudes, so the sum is
+    lowered by 2*(m + 16)*eps times them.  batch_evaluate's unit cost and
+    unit time lie within delta (_relative_error) below the exact ones and
+    are >= 0, so the bound is (1 - delta) times the exact one.  A
+    non-finite term makes the bound -inf or NaN.
+    """
+    m = ctx.m
+    eps = float(np.finfo(float).eps)
+    weight = ctx.rate + lam
+    a, b = ctx.speed_exponent, ctx.feed_exponent
+    speeds, feeds = polygons.vertices[:2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        time_cost = weight * tangent.machining
+        wear = tangent.wear
+        grad_x = a * wear - time_cost
+        grad_y = b * wear - time_cost
+        dx = np.log(speeds / tangent.speeds)
+        dy = np.log(feeds / tangent.feeds)
+        slack = 16 * eps * (1.0 + abs(np.log(ctx.c5 * ctx.upper[:m])))
+        rise = (grad_x * dx + grad_y * dy).min(axis=0) - (abs(grad_x) + abs(grad_y)) * slack
+        magnitude = time_cost + wear
+        magnitude += (time_cost + abs(a) * wear) * (1.0 + abs(dx).max(axis=0))
+        magnitude += (time_cost + abs(b) * wear) * (1.0 + abs(dy).max(axis=0))
+        fixed = ctx.cost_fixed + lam * ctx.time_fixed
+        exact = fixed + np.add.reduce(time_cost + wear + rise) - 2 * (m + 16) * eps * (fixed + magnitude.sum())
+    return float(exact * (1.0 - _relative_error(m)))
+
+
+def _rate_bound(ctx: EvalContext, lam: float, floor: float) -> float:
+    """An upper bound on every fitness batch_evaluate returns in the box,
+    from a multiplier lam >= 0 and its _cost_floor.
+
+    At an accepted genome with computed cost C and time T, C + lam*T >=
+    floor, and T >= (1 - delta)**2 * T_lo, where T_lo = time_fixed +
+    sum(k1 / (v_hi * feed_cap)), computed, is the least unit time of the
+    box and delta, _relative_error's, covers the rounding of T and of
+    T_lo.  The fitness rounds S - C and the division once each, so
+
+        fitness <= (1 + eps)**2 * (lam + max(S - floor, 0) / ((1 - delta)**2 * T_lo)),
+
+    widened once more by 16*eps for the rounding of this formula.  An
+    infeasible genome's fitness is 0, which lam >= 0 bounds too.
+    """
+    m = ctx.m
+    eps = float(np.finfo(float).eps)
+    time_lo = ctx.time_fixed + np.add.reduce(ctx.k1 / (ctx.upper[:m] * ctx.feed_cap))
+    excess = ctx.sale_price - floor
+    return float((lam + max(excess, 0.0) / ((1.0 - _relative_error(m)) ** 2 * time_lo)) * (1.0 + 16 * eps))

@@ -43,6 +43,8 @@ from millopt.case_study import REFERENCE_ROWS
 from millopt.cli import main
 from millopt import es
 from millopt.es import SIGMA_FLOOR, learning_rates, mutate
+from millopt.milling import compile_context
+from millopt.oracle import solve_exact
 
 from conftest import consistency_gap
 
@@ -127,6 +129,7 @@ def seed_campaign(builtin_plan):
     elapsed = time.monotonic() - started
     return {
         "results": results,
+        "rate_hi": solve_exact(compile_context(builtin_plan)).rate_hi,
         "oracle_fine": oracle_fine,
         "oracle_finer": oracle_finer,
         "elapsed": elapsed,
@@ -205,6 +208,8 @@ def test_twenty_seed_best_matches_grid_oracle_within_one_percent(seed_campaign):
 
     ceiling = oracle_finer.profit_rate * 1.01
     assert all(r.profit_rate <= ceiling for r in results)
+    # and below the certified bound on every fitness, which stops each run
+    assert all(r.profit_rate <= seed_campaign["rate_hi"] for r in results)
 
     assert seed_campaign["elapsed"] < 300.0
 

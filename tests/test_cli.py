@@ -68,14 +68,14 @@ optimize report
   operations              1
   feasible                True
   profit_rate             6.8389
-  unit_cost               6.4494
-  unit_time               2.7125
-  speed_1                 61.6030
+  unit_cost               6.4463
+  unit_time               2.7129
+  speed_1                 61.4719
   feed_1                  0.4000
-  sigma_final_1           2.8177
-  sigma_final_2           2.3668
-  generations             12
-  evaluations             1260
+  sigma_final_1           3.3781
+  sigma_final_2           0.8783
+  generations             2
+  evaluations             210
   seed                    1
   config.mu               15
   config.eta              105
@@ -92,14 +92,14 @@ key,value
 operations,1
 feasible,True
 profit_rate,6.8389
-unit_cost,6.4494
-unit_time,2.7125
-speed_1,61.6030
+unit_cost,6.4463
+unit_time,2.7129
+speed_1,61.4719
 feed_1,0.4000
-sigma_final_1,2.8177
-sigma_final_2,2.3668
-generations,12
-evaluations,1260
+sigma_final_1,3.3781
+sigma_final_2,0.8783
+generations,2
+evaluations,210
 seed,1
 config.mu,15
 config.eta,105
@@ -177,7 +177,9 @@ class TestOptimizeCommand:
         assert len(report["speeds"]) == 1 and len(report["feeds"]) == 1
         assert len(report["sigmas_final"]) == 2
         assert report["seed"] == 5
-        assert report["generations"] >= 20
+        # the certified stop ends the run at its last reset, long before
+        # 20 generations without one
+        assert report["generations"] == 3
         assert report["evaluations"] == report["generations"] * 105
         assert report["config"] == {
             "mu": 15,
@@ -471,6 +473,23 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "comma-separated numbers" in err
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "equals"])
+    @pytest.mark.parametrize(
+        "flag, values",
+        [("--speeds", "-5,40,40,30,31.3"), ("--feeds", "-0.1,0.325,0.325,0.5,0.388")],
+        ids=["speeds", "feeds"],
+    )
+    def test_list_starting_with_a_negative_value_reaches_the_model_check(self, capsys, flag, values, joined):
+        # "--speeds -5,..." must not read as an option: both spellings
+        # reach the model's own check.
+        point = {"--speeds": self.SPEEDS, "--feeds": self.FEEDS, flag: values}
+        argv = []
+        for name, value in point.items():
+            argv += [f"{name}={value}"] if joined and name == flag else [name, value]
+        code, out, err = run_cli(capsys, "evaluate", "--builtin-case", *argv)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1 and err.startswith("error: cutting speed and feed must be finite and > 0")
 
 
 @pytest.mark.parametrize(

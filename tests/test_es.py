@@ -33,11 +33,12 @@ from millopt.milling import (
     BatchEval,
     batch_evaluate,
     compile_context,
-    cost_floor,
     derive_coefficients,
+    feasible_polygons,
+    operation_minima,
     plan_warnings,
 )
-from millopt.oracle import GridSpec, dinkelbach_solve
+from millopt.oracle import ExactSolution, GridSpec, _cost_floor, dinkelbach_solve, solve_exact
 
 from test_acceptance import random_plan
 
@@ -747,9 +748,11 @@ class TestRun:
 
     def test_learning_rates_are_computed_once_per_length(self, toy_single_plan):
         learning_rates.cache_clear()
-        run(toy_single_plan, EsConfig(seed=0, stall_limit=10))
+        result = run(toy_single_plan, EsConfig(seed=0, stall_limit=10))
         info = learning_rates.cache_info()
-        assert info.misses == 1 and info.hits >= 9
+        # the certified stop ends this run after 5 generations
+        assert result.generations == 5
+        assert info.misses == 1 and info.hits == result.generations - 1
 
     def test_package_root_exports_engine_api(self):
         assert millopt.__all__ == [
@@ -853,34 +856,45 @@ def test_whole_builtin_run_is_pinned_bit_for_bit(builtin_plan, seed, monkeypatch
     assert (result.generations, result.evaluations, result.sigmas_final) == WHOLE_RUNS[seed]
 
 
-# Frozen from whole runs under the default STALL_GAIN:
-# (profit_rate, generations, evaluations, sigmas_final).  Seed 0's last
-# rise of more than STALL_GAIN is at generation 206 and its last rise of
-# any size at 315, so it stops at 1206 with the record it ends with under a
-# STALL_GAIN of 0; seed 16 stops 1,102 generations earlier and gives up
-# rises worth 5.3e-9 relative.
+# Frozen from whole runs under the default STALL_GAIN and the certified
+# stop: (profit_rate, generations, evaluations, sigmas_final).  Seed 0's
+# last rise of more than STALL_GAIN is at generation 206, and seed 16's at
+# 173; at each, the reset fitness times (1 + STALL_GAIN) reaches the
+# bundled case's rate_hi, so the run stops there, 1,000 generations before
+# its stall counter would stop it, 6.2e-7 and 3.7e-7 below the optimum.
 DEFAULT_RULE_RUNS = {
     0: (
-        1.3791069731852572,
-        1206,
-        126630,
-        WHOLE_RUNS[0][2],
+        1.379106132891478,
+        206,
+        21630,
+        (
+            0.021239705676676306,
+            0.0006004661983356961,
+            0.00115488040527791,
+            0.030779165030491273,
+            0.016823409384616964,
+            1.3895783723282444e-08,
+            0.00195100495426513,
+            0.00039537275443210306,
+            0.00047533499054633305,
+            3.614795015440634e-05,
+        ),
     ),
     16: (
-        1.379106980723789,
-        1173,
-        123165,
+        1.379106485581932,
+        173,
+        18165,
         (
-            0.001720625616525347,
-            1.8990413214986608e-06,
-            3.4150950646715646e-07,
-            4.4511119365813615e-05,
-            0.0015562074019933936,
-            1e-08,
-            1.0279069152512288e-05,
-            3.577285772399347e-05,
-            4.042945400693297e-07,
-            1.927255880196256e-08,
+            0.00721368526272336,
+            0.00018550540806556211,
+            0.0006170507813290366,
+            0.006848579308471965,
+            0.017731764508234788,
+            3.8451415761012094e-08,
+            0.00030126814531556773,
+            0.0001933953955743942,
+            0.00051638876943917,
+            3.687588866687719e-07,
         ),
     ),
 }
@@ -894,49 +908,66 @@ def test_whole_builtin_run_under_the_default_stop_rule_is_pinned(builtin_plan, s
     ) == DEFAULT_RULE_RUNS[seed]
 
 
-def _replayed_stop(records: list[es.BestRecord], stall_limit: int) -> int:
+def without_bound(ctx) -> ExactSolution:
+    """solve_exact with no certificate: es.run then runs by its stall counter alone."""
+    return ExactSolution(genome=None, profit_rate=None, rate_hi=math.inf, iterations=0)
+
+
+def _replayed_stop(records: list[es.BestRecord], stall_limit: int, rate_hi: float) -> int:
     """The generation at which the default rule stops, replayed on the
-    records of a run under a STALL_GAIN of 0.  A child above the last
-    reset's fitness times (1 + STALL_GAIN) always raises the record, so the
-    records alone decide every reset."""
+    records of a run under a STALL_GAIN of 0 without the certified stop: the
+    first at which the stall counter reaches stall_limit or the last
+    reset's fitness times (1 + STALL_GAIN) reaches rate_hi, 0 when that
+    holds before any.  A child above the last reset's fitness times
+    (1 + STALL_GAIN) always raises the record, so the records alone decide
+    every reset."""
     counter, stall_fitness = 0, 0.0
-    for generation, record in enumerate(records, start=1):
+    for generation, record in enumerate(records):
+        if counter >= stall_limit or stall_fitness * (1.0 + es.STALL_GAIN) >= rate_hi:
+            return generation
         if record.fitness > stall_fitness * (1.0 + es.STALL_GAIN):
             counter, stall_fitness = 0, record.fitness
         else:
             counter += 1
-        if counter >= stall_limit:
-            return generation
+    if counter >= stall_limit or stall_fitness * (1.0 + es.STALL_GAIN) >= rate_hi:
+        return len(records)
     raise AssertionError("the run under a STALL_GAIN of 0 stopped first")
 
 
 def test_default_run_is_a_prefix_of_the_strict_rise_run(builtin_plan, monkeypatch):
     """Under the default STALL_GAIN a run stops where the replayed counter
-    first reaches stall_limit, and reports exactly what a run with a
-    STALL_GAIN of 0 reported after that many generations."""
+    first reaches stall_limit or the replayed reset fitness reaches
+    rate_hi, and reports exactly what a run with a STALL_GAIN of 0 reported
+    after that many generations, and what the stall counter alone reported
+    then."""
     rng = np.random.default_rng(20261019)
     builtin = [(builtin_plan, EsConfig(sigma_init=0.3, seed=seed)) for seed in (0, 1, 2, 3, 4, 16)]
     plans = [(random_plan(rng), EsConfig(stall_limit=200, seed=k)) for k in range(30)]
     cases = builtin + plans
-    stopped_earlier = 0
+    stopped_earlier = certified = 0
     for plan, config in cases:
+        rate_hi = solve_exact(compile_context(plan)).rate_hi
         records: list[es.BestRecord] = []
         with monkeypatch.context() as patch:
             patch.setattr(es, "STALL_GAIN", 0.0)
+            patch.setattr(es, "solve_exact", without_bound)
             strict = run(plan, config, observer=lambda s: records.append(s.record))
         assert len(records) == strict.generations
-        if not records:  # infeasible at the corner: no generation runs
-            assert run(plan, config) == strict
-            continue
-        stop = _replayed_stop(records, config.stall_limit)
+        stop = _replayed_stop(records, config.stall_limit, rate_hi)
         result = run(plan, config)
         assert result.generations == stop <= strict.generations
-        with monkeypatch.context() as patch:
-            patch.setattr(es, "STALL_GAIN", 0.0)
-            patch.setattr(es, "MAX_GENERATIONS", stop)
-            assert run(plan, config) == result
+        for gain in (0.0, es.STALL_GAIN):
+            with monkeypatch.context() as patch:
+                patch.setattr(es, "STALL_GAIN", gain)
+                patch.setattr(es, "solve_exact", without_bound)
+                patch.setattr(es, "MAX_GENERATIONS", stop)
+                assert run(plan, config) == result
         stopped_earlier += stop < strict.generations
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "solve_exact", without_bound)
+            certified += stop < run(plan, config).generations
     assert stopped_earlier >= len(builtin)
+    assert certified >= len(builtin)
 
 
 def test_run_looks_up_step_and_batch_evaluate_on_the_module_every_generation(builtin_plan, monkeypatch):
@@ -972,8 +1003,8 @@ def test_run_looks_up_step_and_batch_evaluate_on_the_module_every_generation(bui
 
 
 # Plans 11, 52 and 59 of scripts/report_digests.py: feasible at the lowest
-# corner and unprofitable everywhere, with cost floors 1.14, 2.21 and 2.15
-# times the sale price.
+# corner and unprofitable everywhere, with certified cost floors 1.14, 2.21
+# and 2.15 times the sale price.
 UNPROFITABLE_DIGEST_PLANS = {11: 1.14, 52: 2.21, 59: 2.15}
 
 
@@ -986,11 +1017,19 @@ def digest_plan(index: int):
     return random_plan(rng)
 
 
+def certified_cost_floor(ctx) -> float:
+    """The floor solve_exact certifies on every unit cost at lam = 0."""
+    polygons = feasible_polygons(ctx)
+    return _cost_floor(ctx, polygons, 0.0, operation_minima(ctx, polygons, 0.0))
+
+
 @pytest.mark.parametrize("index", sorted(UNPROFITABLE_DIGEST_PLANS))
 def test_plan_whose_floor_reaches_the_price_stops_before_the_first_generation(index, monkeypatch):
     plan = digest_plan(index)
     ctx = compile_context(plan)
-    assert cost_floor(ctx) / ctx.sale_price == pytest.approx(UNPROFITABLE_DIGEST_PLANS[index], abs=5e-3)
+    assert certified_cost_floor(ctx) / ctx.sale_price == pytest.approx(UNPROFITABLE_DIGEST_PLANS[index], abs=5e-3)
+    # the gate: at a stall fitness of 0 the certified stop already holds
+    assert solve_exact(ctx).rate_hi == 0.0
     assert dinkelbach_solve(plan, grid=GridSpec(resolution=300)).profit_rate < 0.0
 
     config = EsConfig(stall_limit=200)
@@ -1015,8 +1054,8 @@ def test_plan_whose_floor_reaches_the_price_stops_before_the_first_generation(in
     result = run(plan, config, observer=lambda s: generations.append(s.generation))
     assert result == dataclasses.replace(stepped, generations=0, evaluations=0)
     assert generations == []
-    # without the floor, the run is the stepped one
-    monkeypatch.setattr(es, "cost_floor", lambda ctx: -math.inf)
+    # without the bound, the run is the stepped one
+    monkeypatch.setattr(es, "solve_exact", without_bound)
     assert run(plan, config) == stepped
 
 

@@ -36,7 +36,7 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.es import EsConfig, initial_state, step
+from millopt.es import EsConfig, initial_state, run, step
 from millopt.milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
@@ -44,10 +44,12 @@ from millopt.milling import (
     _cutting_force as cutting_force,
     batch_evaluate,
     compile_context,
-    cost_floor,
+    feasible_polygons,
+    operation_minima,
     plan_warnings,
+    v_max,
 )
-from millopt.oracle import GridSpec, dinkelbach_solve
+from millopt.oracle import GridSpec, _cost_floor, dinkelbach_solve, solve_exact
 
 from conftest import (
     CARBIDE_FACE_MILL,
@@ -976,29 +978,45 @@ class TestBoxPriceCheck:
 
 
 def strict_cost_floor(ctx) -> float:
-    """cost_floor with every warning raised as an error."""
+    """The floor solve_exact certifies on every unit cost (its floor at a
+    multiplier of 0, the unprofitability gate's), with every warning raised
+    as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return cost_floor(ctx)
+        polygons = feasible_polygons(ctx)
+        return _cost_floor(ctx, polygons, 0.0, operation_minima(ctx, polygons, 0.0))
 
 
 def grid_cost_min(ctx, resolution: int) -> float:
     """cost_fixed plus each operation's least cost on a log-spaced grid of
-    its speed box by [f_lo, feed_cap], the power limit dropped."""
+    its speed box by [f_lo, feed_cap], among the points that pass the power
+    test as batch_evaluate rounds it, and at the fastest speed each grid
+    feed allows (milling.v_max), so that the grid reaches the power limit.
+    The feeds where the power limit meets the lowest and the highest speed
+    join the grid, so that it holds the region's corners."""
     m = ctx.m
     total = ctx.cost_fixed
     for i in range(m):
-        v = np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None]
-        f = np.geomspace(ctx.lower[m + i], ctx.feed_cap[i], resolution)[None, :]
+        f_lo, f_hi = ctx.lower[m + i], ctx.feed_cap[i]
+        with np.errstate(over="ignore"):
+            corners = np.clip((ctx.c5[i] * np.array([ctx.lower[i], ctx.upper[i]])) ** -1.25, f_lo, f_hi)
+        f = np.unique(np.concatenate((np.geomspace(f_lo, f_hi, resolution), corners)))
+        feeds = np.tile(ctx.lower[m:], (f.size, 1))
+        feeds[:, i] = f
+        fastest = v_max(ctx, feeds)[:, i]
+        speeds = np.broadcast_to(np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None], (resolution, f.size))
+        v = np.vstack((speeds, fastest[None, :]))
         wear = ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * f ** ctx.feed_exponent[i]
-        total += float((ctx.rate * ctx.k1[i] / (v * f) + wear).min())
+        accepted = (ctx.c5[i] * v * f**0.8 <= 1.0) & (v >= ctx.lower[i])
+        total += float(np.where(accepted, ctx.rate * ctx.k1[i] / (v * f) + wear, np.inf).min())
     return total
 
 
 class TestCostFloor:
-    """cost_floor bounds from below every unit cost batch_evaluate prices at
-    a genome of the box whose feeds meet their caps, and no point of a plan
-    whose floor reaches the sale price has a positive profit rate."""
+    """The certified cost floor bounds from below every unit cost
+    batch_evaluate prices at a genome it accepts, and no point of a plan
+    whose floor reaches the sale price has a positive profit rate: that
+    plan's rate_hi is 0, so es.run skips it."""
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -1016,11 +1034,14 @@ class TestCostFloor:
                 grid.best.speeds + grid.best.feeds,
             )
         )
-        assert floor <= batch_evaluate(ctx, genomes).unit_cost.min()
+        batch = batch_evaluate(ctx, genomes)
+        assert floor <= batch.unit_cost[batch.feasible].min()
         # tight, not merely below: the minimiser is exact up to rounding
         grid_min = grid_cost_min(ctx, 200)
         assert floor <= grid_min <= floor * (1.0 + 1e-3)
         if floor >= ctx.sale_price:
+            assert solve_exact(ctx).rate_hi == 0.0
+            assert run(plan, EsConfig(stall_limit=25, seed=seed)).generations == 0
             assert grid.profit_rate <= 0.0
             config = EsConfig(stall_limit=25, seed=seed)
             state = initial_state(ctx, config)
@@ -1055,8 +1076,86 @@ class TestCostFloor:
         genomes = np.vstack(
             (ctx.lower, np.random.default_rng(11).uniform(ctx.lower, ctx.feasible_upper, size=(256, 2 * plan.m)))
         )
-        assert floor <= batch_evaluate(ctx, genomes).unit_cost.min()
+        batch = batch_evaluate(ctx, genomes)
+        assert floor <= batch.unit_cost[batch.feasible].min()
         assert floor <= grid_cost_min(ctx, 200) <= floor * (1.0 + 1e-3)
+
+
+def accepted_power(ctx, speeds, feeds):
+    """batch_evaluate's power test, (c5 * v) * f**0.8 <= 1, per operation."""
+    return ctx.c5 * speeds * feeds**0.8 <= 1.0
+
+
+def dense_grid_min(ctx, i, weight, resolution=300):
+    """Operation i's least weight * machining + wear over a log grid of
+    speed by feed, and the fastest speed at each of its feeds, among the
+    points batch_evaluate accepts; and the magnitude of the values."""
+    m = ctx.m
+    f = np.geomspace(ctx.lower[m + i], ctx.feed_cap[i], resolution)
+    feeds = np.tile(ctx.lower[m:], (resolution, 1))
+    feeds[:, i] = f
+    grid_speeds = np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None]
+    speeds = np.vstack((np.broadcast_to(grid_speeds, (resolution, resolution)), v_max(ctx, feeds)[:, i]))
+    machining = ctx.k1[i] / (speeds * f)
+    wear = speeds ** ctx.speed_exponent[i] * ctx.tool_cost_coef[i] * f ** ctx.feed_exponent[i]
+    ok = (ctx.c5[i] * speeds * f**0.8 <= 1.0) & (speeds >= ctx.lower[i])
+    return np.where(ok, weight * machining + wear, np.inf).min(), abs(weight) * machining.max() + wear.max()
+
+
+def assert_minima_match_dense_grids(ctx, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minima = operation_minima(ctx, feasible_polygons(ctx), lam)
+    weight = ctx.rate + lam
+    assert batch_evaluate(ctx, np.concatenate((minima.speeds, minima.feeds))).feasible[0]
+    assert (minima.machining == ctx.k1 / (minima.speeds * minima.feeds)).all()
+    value = weight * minima.machining + minima.wear
+    for i in range(ctx.m):
+        grid, scale = dense_grid_min(ctx, i, weight)
+        assert value[i] <= grid + 1e-13 * scale
+    return minima
+
+
+class TestExactKernel:
+    """v_max is the fastest speed the rounded power test accepts, and
+    operation_minima finds each operation's minimum over the genomes
+    batch_evaluate accepts, at multipliers that make the machining weight
+    rate + lam of both signs."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_v_max_is_the_largest_accepted_speed(self, seed):
+        rng = np.random.default_rng(seed)
+        ctx = compile_context(random_plan(rng))
+        m = ctx.m
+        feeds = rng.uniform(ctx.lower[m:], ctx.upper[m:], size=(32, m))
+        fastest = v_max(ctx, feeds)
+        v_hi = ctx.upper[:m]
+        assert (fastest <= v_hi).all()
+        assert accepted_power(ctx, fastest, feeds).all()
+        above = np.nextafter(fastest, math.inf)
+        assert ((fastest == v_hi) | ~accepted_power(ctx, above, feeds)).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.3, 1.0, 3.0, -0.5, -5.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_minimum_matches_a_dense_feasible_grid(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        ctx = compile_context(random_plan(rng))
+        assume(ctx.corner.feasible[0])
+        assert_minima_match_dense_grids(ctx, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_minimum_inside_the_power_edge_matches_a_dense_grid(self, builtin_plan, lam):
+        # Wear that grows three times faster with feed than with speed
+        # (a = 1, b = 3) puts operation 3's minimum inside its power edge,
+        # where neither bound of the box holds it.
+        machine = dataclasses.replace(builtin_plan.machine, chip_area_exponent=1.2, slenderness_exponent=0.8)
+        tools = tuple(dataclasses.replace(t, life_exponent=0.5) for t in builtin_plan.tools)
+        ctx = compile_context(dataclasses.replace(builtin_plan, machine=machine, tools=tools))
+        minima = assert_minima_match_dense_grids(ctx, lam)
+        m, i = ctx.m, 2
+        assert minima.speeds[i] == v_max(ctx, minima.feeds[None, :])[0, i] < ctx.upper[i]
+        assert ctx.lower[m + i] < minima.feeds[i] < feasible_polygons(ctx).f_top[i]
 
 
 class TestWarnings:

@@ -8,9 +8,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from millopt import (
     DecisionVector,
@@ -886,3 +888,80 @@ class TestFailureModes:
         # with no tolerance to set
         result = dinkelbach_solve(toy_single_plan, grid=GridSpec(resolution=5))
         assert result.feasible
+
+
+# The bundled case's continuous optimum, from closed-form candidates.
+BUNDLED_EXACT_RATE = 1.3791069903004314
+
+
+def boundary_genomes(ctx, rng, n):
+    """Genomes on the edges of the feasible region: mixed corners of the
+    box below feasible_upper, feeds at feed_cap, and speeds at v_max of
+    random feeds."""
+    m = ctx.m
+    corners = np.where(rng.random((n, 2 * m)) < 0.5, ctx.lower, ctx.feasible_upper)
+    capped = rng.uniform(ctx.lower, ctx.upper, size=(n, 2 * m))
+    capped[:, m:] = ctx.feed_cap
+    feeds = rng.uniform(ctx.lower[m:], np.maximum(ctx.lower[m:], ctx.feed_cap), size=(n, m))
+    fastest = np.hstack((np.maximum(milling.v_max(ctx, feeds), ctx.lower[:m]), feeds))
+    return np.vstack((ctx.lower, ctx.upper, ctx.feasible_upper, corners, capped, fastest))
+
+
+class TestSolveExact:
+    def test_bundled_optimum_and_certified_width(self, builtin_plan):
+        ctx = compile_context(builtin_plan)
+        result = oracle.solve_exact(ctx)
+        assert result.profit_rate == pytest.approx(BUNDLED_EXACT_RATE, rel=1e-12, abs=0.0)
+        assert 0.0 <= (result.rate_hi - result.profit_rate) / result.profit_rate <= 1e-12
+        assert result.iterations <= 10
+        # the rate is batch_evaluate's, and the point passes the scalar margins
+        assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate
+        x = DecisionVector.from_genome(result.genome)
+        assert all(m.satisfied for m in constraint_margins(builtin_plan, x, ctx.coefficients))
+
+    @pytest.mark.parametrize("resolution", [2, 7, 60, 500])
+    def test_rate_hi_is_at_least_every_grid_optimum(self, builtin_plan, resolution):
+        result = oracle.solve_exact(compile_context(builtin_plan))
+        grid = dinkelbach_solve(builtin_plan, grid=GridSpec(resolution=resolution))
+        assert grid.profit_rate <= result.rate_hi
+        # the grid prices with the scalar model, which may round a few ulps apart
+        assert grid.profit_rate <= result.profit_rate * (1.0 + 1e-13)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_rate_hi_bounds_every_fitness_on_random_plans(self, seed):
+        rng = np.random.default_rng(seed)
+        plan = random_plan(rng)
+        ctx = compile_context(plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = oracle.solve_exact(ctx)
+        # exact feasibility is the lowest corner's
+        assert (result.genome is not None) == bool(ctx.corner.feasible[0])
+        genomes = np.vstack((rng.uniform(ctx.lower, ctx.upper, size=(256, 2 * plan.m)), boundary_genomes(ctx, rng, 64)))
+        assert batch_evaluate(ctx, genomes).fitness.max() <= result.rate_hi
+        if result.genome is None:
+            assert result.rate_hi == 0.0
+            return
+        x = DecisionVector.from_genome(result.genome)
+        assert all(m.satisfied for m in constraint_margins(plan, x, ctx.coefficients))
+        assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate <= result.rate_hi
+        for resolution in (20, 60):
+            grid = dinkelbach_solve(plan, grid=GridSpec(resolution=resolution))
+            assert grid.profit_rate <= result.rate_hi
+            assert grid.profit_rate <= result.profit_rate + 1e-13 * abs(result.profit_rate)
+        # certified to within rounding: the width scales with S / time_fixed
+        # (the excess over the floor, in cost, over the least unit time)
+        if result.profit_rate > 0.0:
+            assert result.rate_hi - result.profit_rate <= 1e-12 * ctx.sale_price / ctx.time_fixed
+        else:
+            assert result.rate_hi == 0.0
+
+    def test_iteration_guard_still_certifies(self, builtin_plan, monkeypatch):
+        # the bound holds at any multiplier, so a cut-short iteration
+        # gives a looser but still sound bound, and no error
+        ctx = compile_context(builtin_plan)
+        monkeypatch.setattr(oracle, "MAX_DINKELBACH_ITERATIONS", 1)
+        result = oracle.solve_exact(ctx)
+        assert result.iterations == 1
+        assert result.profit_rate < BUNDLED_EXACT_RATE < result.rate_hi < math.inf
