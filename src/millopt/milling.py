@@ -783,6 +783,7 @@ def v_max(ctx: EvalContext, feeds: np.ndarray) -> np.ndarray:
 # x = ln v_lo and x = ln v_hi and on the power edge.  The other two are the
 # speeds on the edges y = ln f_lo and y = ln f_top.
 _FEED_ROWS = np.array([True, True, False, False, True])[:, None]
+_SPEED_ROWS = ~_FEED_ROWS
 
 
 class FeasiblePolygons(NamedTuple):
@@ -806,7 +807,8 @@ class FeasiblePolygons(NamedTuple):
     whose free
     coordinates, (ln|W| + numerators) / denominators, (5, m), are the feeds
     on the edges x = ln v_lo and x = ln v_hi, the speeds on y = ln f_lo
-    and y = ln f_top, and the feed on the power edge.  The template holds
+    and y = ln f_top, and the feed on the power edge, with ln|W| =
+    ln|rate + lam| + ln k1 and ln k1 folded into numerators.  The template holds
     their other coordinates: v_lo, v_hi, f_lo, f_top, and inf, which
     clips to v_max(f), on the power edge.
     """
@@ -854,16 +856,14 @@ def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
         )
         feeds = np.array([f_lo, f_top, np.fmin(np.fmax((ctx.c5 * v_hi) ** -1.25, f_lo), f_top)])
         speeds = np.vstack((np.broadcast_to(v_lo, feeds.shape), v_max(ctx, feeds)))
-        log_b_coef = np.log(wear_coef)
-        numerators = np.array(
-            [
-                -np.log(abs(b)) - log_b_coef - (a + 1.0) * np.log(v_lo),
-                -np.log(abs(b)) - log_b_coef - (a + 1.0) * np.log(v_hi),
-                -np.log(abs(a)) - log_b_coef - (b + 1.0) * np.log(f_lo),
-                -np.log(abs(a)) - log_b_coef - (b + 1.0) * np.log(f_top),
-                math.log(power_slope) - np.log(abs(g)) - log_b_coef + (a + 1.0) * np.log(ctx.c5),
-            ]
-        )
+        # Per row: the edge's exponent of B, the log of the bound it holds
+        # fixed (ln c5 on the power edge) and that log's slope.  ln k1, the
+        # part of ln|W| that does not depend on lam, joins ln B.
+        exponents = np.array([b, b, a, a, g])
+        edges = np.log([v_lo, v_hi, f_lo, f_top, ctx.c5])
+        slopes = np.array([a + 1.0, a + 1.0, b + 1.0, b + 1.0, -(a + 1.0)])
+        numerators = -np.log(abs(exponents)) - (np.log(wear_coef) - np.log(ctx.k1)) - slopes * edges
+        numerators[4] += math.log(power_slope)
     feeds = np.vstack((feeds, feeds))
     vertices = np.array([speeds, feeds, ctx.k1 / (speeds * feeds), speeds**a * wear_coef * feeds**b])
     stationary = np.zeros((4, 5, m))
@@ -912,11 +912,12 @@ def operation_minima(ctx: EvalContext, polygons: FeasiblePolygons, lam: float) -
     speeds, feeds, machining, wear = candidates[:, :5]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # NaN, from ln 0 against an infinite numerator, clips to a bound.
-        stationary = np.exp((np.log(abs(weight * ctx.k1)) + polygons.numerators) / polygons.denominators)
+        log_weight = math.log(abs(weight)) if weight else -math.inf
+        stationary = np.exp((log_weight + polygons.numerators) / polygons.denominators)
         np.copyto(feeds, stationary, where=_FEED_ROWS)
         np.fmin(np.fmax(feeds, f_lo, out=feeds), polygons.f_top, out=feeds)
         top = v_max(ctx, feeds)
-        np.copyto(speeds, stationary, where=~_FEED_ROWS)
+        np.copyto(speeds, stationary, where=_SPEED_ROWS)
         np.fmin(np.fmax(speeds, v_lo, out=speeds), top, out=speeds)
     np.divide(ctx.k1, speeds * feeds, out=machining)
     np.multiply(speeds**ctx.speed_exponent * ctx.tool_cost_coef, feeds**ctx.feed_exponent, out=wear)

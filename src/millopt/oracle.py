@@ -450,11 +450,10 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
     previous = ctx.lower.tolist()
     for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
         minima = operation_minima(ctx, polygons, lam)
-        genome = np.concatenate((minima.speeds, minima.feeds))
         machining = np.add.reduce(minima.machining)
         cost = ctx.cost_fixed + ctx.rate * machining + np.add.reduce(minima.wear)
         rate = float((ctx.sale_price - cost) / (ctx.time_fixed + machining))
-        point = genome.tolist()
+        point = minima.speeds.tolist() + minima.feeds.tolist()
         if point == previous or rate <= lam:
             break
         lam, previous = rate, point
@@ -462,8 +461,8 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
         minima = operation_minima(ctx, polygons, 0.0)
     rate_hi = _rate_bound(ctx, max(rate, 0.0), _cost_floor(ctx, polygons, max(rate, 0.0), minima))
     inward = _scalar_inward(ctx, point)
+    genome = np.array(inward)
     if inward != point:
-        genome = np.array(inward)
         rate = float(batch_evaluate(ctx, genome).fitness[0])
     return ExactSolution(
         genome=genome,
