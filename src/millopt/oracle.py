@@ -457,9 +457,11 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
         if point == previous or rate <= lam:
             break
         lam, previous = rate, point
+    # The floor needs a multiplier >= 0, and is tight at its own minimizers.
+    lam = max(rate, 0.0)
     if rate < 0.0:
-        minima = operation_minima(ctx, polygons, 0.0)
-    rate_hi = _rate_bound(ctx, max(rate, 0.0), _cost_floor(ctx, polygons, max(rate, 0.0), minima))
+        minima = operation_minima(ctx, polygons, lam)
+    rate_hi = _rate_bound(ctx, lam, _cost_floor(ctx, polygons, lam, minima))
     inward = _scalar_inward(ctx, point)
     genome = np.array(inward)
     if inward != point:

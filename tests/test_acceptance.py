@@ -416,8 +416,6 @@ def test_mutation_step_size_statistics(builtin_plan):
 
 def test_long_run_invariants_hold_every_generation(builtin_plan, monkeypatch):
     started = time.monotonic()
-    from millopt.milling import compile_context
-
     ctx = compile_context(builtin_plan)
     lower, upper = ctx.lower, ctx.upper
     monkeypatch.setattr(es, "MAX_GENERATIONS", 2000)
