@@ -437,11 +437,13 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
 
     rate_hi comes from _cost_floor at lam = max(rate, 0), with the tangent
     planes taken at the last minimizers found, or at those of lam = 0
-    when the rate is negative.  It rests on three
-    premises, argued there: convexity in log space, a polygon that, widened
-    by a slack, holds every genome the rounded tests accept, and a rounding
-    allowance.  A bound that is not finite is +inf.  When the corner is
-    infeasible every genome is, every fitness is 0, and so is rate_hi.
+    when the rate is negative.  It rests on three premises, argued there:
+    convexity in log space, a polygon that, widened by a slack, holds
+    every genome the rounded tests accept, and a rounding allowance.  A
+    bound that is not finite is +inf.  When the corner is infeasible every
+    genome is, every fitness is 0, and so is rate_hi.
+
+    The returned point passes constraint_margins too (_scalar_inward).
     """
     if not ctx.corner.feasible[0]:
         return ExactSolution(genome=None, profit_rate=None, rate_hi=0.0, iterations=0)
