@@ -33,7 +33,7 @@ reset fitness times (1 + STALL_GAIN) has reached rate_hi, the certified
 upper bound on every fitness of the box that oracle.solve_exact computes
 once per run.  The bound rests on convexity in log space, on a polygon
 that holds every genome the rounded tests accept, and on a rounding
-allowance (oracle._cost_floor).  Before the first generation the reset
+allowance (milling._cost_floor).  Before the first generation the reset
 fitness is 0, so the stop is the gate that skips a plan with no
 profitable point, or no feasible one, before any population is drawn.
 

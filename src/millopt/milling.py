@@ -10,6 +10,10 @@ are minutes.
 Feasibility is expressed through normalized margins: a constraint of the
 form  coefficient * quantity <= 1  is satisfied exactly when its margin is
 <= 1.  The boundary counts as feasible.
+
+The exact kernel (operation_minima) and its certified bound (_rate_bound)
+live here too, beside the arithmetic their proofs describe, and
+oracle.solve_exact iterates on them.
 """
 
 from __future__ import annotations
@@ -52,9 +56,7 @@ __all__ = [
     "PricingBuffers",
     "batch_evaluate",
     "v_max",
-    "FeasiblePolygons",
     "feasible_polygons",
-    "OperationMinima",
     "operation_minima",
 ]
 
@@ -926,6 +928,126 @@ def operation_minima(ctx: EvalContext, polygons: FeasiblePolygons, lam: float) -
     # that is not monotone.
     np.copyto(values[:5], math.inf, where=top < v_lo)
     return OperationMinima(*candidates[:, values.argmin(axis=0), np.arange(m)])
+
+
+def _relative_error(m: int) -> float:
+    """delta: how far batch_evaluate's unit cost and unit time, and the
+    least unit time _rate_bound computes, may lie below their exact
+    values, relatively.  Each is a sum of nonnegative terms, each term
+    within 18 machine epsilons (two pows of up to four ulps and three
+    roundings), summed in up to m + 2 more roundings: 4*(m + 16) epsilons
+    hold that with room."""
+    return 4 * (m + 16) * float(np.finfo(float).eps)
+
+
+def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangent: OperationMinima) -> float:
+    """A lower bound on unit_cost + lam * unit_time, as batch_evaluate
+    computes them, at every genome it accepts, for a multiplier lam >= 0
+    and a tangent point per operation (any, though the minimizer of
+    operation_minima at lam makes the bound tight).  At lam = 0 it is a
+    floor on every unit cost: once it reaches the sale price no genome is
+    profitable.
+
+    Convexity.  In x = ln v and y = ln f, operation i adds
+    phi(x, y) = W*e^(-x-y) + B*e^(a*x + b*y) to the exact C + lam*T, with
+    W = (rate + lam)*k1 and B = tool_cost_coef.  Both are >= 0 for
+    lam >= 0, so phi is convex (Boyd, Kim, Vandenberghe & Hassibi, "A
+    tutorial on geometric programming", Optim. Eng. 2007) and lies above
+    its tangent plane at the tangent point.  The plane is linear, so its
+    minimum over a polygon holding every accepted genome is at a vertex.
+    So cost_fixed + lam*time_fixed plus, over the operations, phi at the
+    tangent point plus the plane's least rise to a vertex is at most the
+    exact C + lam*T of every accepted genome.
+
+    Polygon.  An accepted genome passes (c5*v) * f**0.8 <= 1 as rounded,
+    so c5*v*f**0.8 <= 1 + 4*eps exactly, for a pow within two ulps.  Each
+    vertex of the true polygon so widened lies within
+    slack = 16*eps*(1 + |ln(c5*v_hi)|) of a vertex of feasible_polygons in
+    x and in y: the widening moves a vertex on the power edge by up to
+    5*eps, v_max and f_top stop within 7.5*eps of the edge, and the pow
+    with exponent -1.25 in place of -1/0.8 misses the vertex at v_hi by up
+    to (3 + 0.4*|ln(c5*v_hi)|)*eps.  So each plane's least rise is lowered
+    by (|grad_x| + |grad_y|) * slack.
+
+    Rounding.  Each term is computed within 10*eps of its magnitude, and
+    their sum within (m + 4)*eps of the summed magnitudes, so the sum is
+    lowered by 2*(m + 16)*eps times them.  batch_evaluate's unit cost and
+    unit time lie within delta (_relative_error) below the exact ones and
+    are >= 0, so the bound is (1 - delta) times the exact one.  A
+    non-finite term makes the bound -inf or NaN.
+    """
+    m = ctx.m
+    eps = float(np.finfo(float).eps)
+    weight = ctx.rate + lam
+    a, b = ctx.speed_exponent, ctx.feed_exponent
+    speeds, feeds = polygons.vertices[:2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        time_cost = weight * tangent.machining
+        wear = tangent.wear
+        grad_x = a * wear - time_cost
+        grad_y = b * wear - time_cost
+        dx = np.log(speeds / tangent.speeds)
+        dy = np.log(feeds / tangent.feeds)
+        slack = 16 * eps * (1.0 + abs(np.log(ctx.c5 * ctx.upper[:m])))
+        rise = (grad_x * dx + grad_y * dy).min(axis=0) - (abs(grad_x) + abs(grad_y)) * slack
+        magnitude = time_cost + wear
+        magnitude += (time_cost + abs(a) * wear) * (1.0 + abs(dx).max(axis=0))
+        magnitude += (time_cost + abs(b) * wear) * (1.0 + abs(dy).max(axis=0))
+        fixed = ctx.cost_fixed + lam * ctx.time_fixed
+        exact = fixed + np.add.reduce(time_cost + wear + rise) - 2 * (m + 16) * eps * (fixed + magnitude.sum())
+    return float(exact * (1.0 - _relative_error(m)))
+
+
+def _rate_bound(ctx: EvalContext, polygons: FeasiblePolygons, rate: float, tangent: OperationMinima) -> float:
+    """An upper bound on every fitness batch_evaluate returns in the box,
+    from _cost_floor at lam = max(rate, 0) and the tangent points given,
+    or the minimizers of lam = 0 when rate is negative: the floor needs
+    lam >= 0, and is tight at its own minimizers.
+
+    At an accepted genome with computed cost C and time T, C + lam*T >=
+    floor, and T >= (1 - delta)**2 * T_lo, where T_lo = time_fixed +
+    sum(k1 / (v_hi * feed_cap)), computed, is the least unit time of the
+    box and delta, _relative_error's, covers the rounding of T and of
+    T_lo.  The fitness rounds S - C and the division once each, so
+
+        fitness <= (1 + eps)**2 * (lam + max(S - floor, 0) / ((1 - delta)**2 * T_lo)),
+
+    widened once more by 16*eps for the rounding of this formula.  An
+    infeasible genome's fitness is 0, which lam >= 0 bounds too.  A bound
+    that is not finite is +inf.
+    """
+    m = ctx.m
+    eps = float(np.finfo(float).eps)
+    lam = max(rate, 0.0)
+    if rate < 0.0:
+        tangent = operation_minima(ctx, polygons, lam)
+    time_lo = ctx.time_fixed + np.add.reduce(ctx.k1 / (ctx.upper[:m] * ctx.feed_cap))
+    excess = ctx.sale_price - _cost_floor(ctx, polygons, lam, tangent)
+    bound = float((lam + max(excess, 0.0) / ((1.0 - _relative_error(m)) ** 2 * time_lo)) * (1.0 + 16 * eps))
+    return bound if math.isfinite(bound) else math.inf
+
+
+def _scalar_inward(ctx: EvalContext, point: list[float], rate: float) -> tuple[np.ndarray, float]:
+    """point, an accepted genome whose fitness is rate, as a genome with
+    each operation's speed and then its feed lowered one double at a time
+    until the scalar power margin of constraint_margins accepts it, or
+    each reaches its lower bound; and its fitness, rate unless a step was
+    taken.  numpy's pow and the C library's, which the scalar model calls,
+    may round f**0.8 an ulp apart, so a point batch_evaluate accepts may
+    fail that margin by an ulp.  Lowering never raises batch_evaluate's
+    rounded product, so its test still passes, and the feeds stay below
+    feed_cap."""
+    m = ctx.m
+    inward = list(point)
+    lower = ctx.lower.tolist()
+    for i, c5 in enumerate(ctx.c5.tolist()):
+        for k in (i, m + i):
+            while c5 * inward[i] * inward[m + i] ** 0.8 > 1.0 and inward[k] > lower[k]:
+                inward[k] = math.nextafter(inward[k], 0.0)
+    genome = np.array(inward)
+    if inward != point:
+        rate = float(batch_evaluate(ctx, genome).fitness[0])
+    return genome, rate
 
 
 @dataclass(frozen=True)

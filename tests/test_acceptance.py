@@ -10,10 +10,13 @@ any edit to the stored table fails a case.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from millopt import (
     unit_cost,
     unit_time,
 )
-from millopt.case_study import REFERENCE_ROWS
+from millopt.case_study import REFERENCE_ROWS, load_document
 from millopt.cli import main
 from millopt import es
 from millopt.es import SIGMA_FLOOR, learning_rates, mutate
@@ -283,6 +286,29 @@ def random_plan(rng: np.random.Generator) -> MillingPlan:
     return MillingPlan(
         economics=economics, machine=machine, tools=tuple(tools), operations=tuple(operations)
     )
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py as a module, read from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the file runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_random_plan_draws_the_benchmark_plan_documents():
+    # scripts/report_digests.py and plan_mix draw their random plans with
+    # random_plan_document, and the tests that replay digest plans draw
+    # them with random_plan: the two must give the same plan and leave the
+    # generator in the same state
+    random_plan_document = perfbench_workloads().random_plan_document
+    for seed in range(300):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_plan(ours) == load_document(random_plan_document(theirs)).plan, seed
+        assert ours.bit_generator.state == theirs.bit_generator.state, seed
 
 
 def test_profit_identity_on_random_plans():

@@ -31,6 +31,7 @@ from millopt.es import (
 )
 from millopt.milling import (
     BatchEval,
+    _cost_floor,
     batch_evaluate,
     compile_context,
     derive_coefficients,
@@ -38,7 +39,7 @@ from millopt.milling import (
     operation_minima,
     plan_warnings,
 )
-from millopt.oracle import ExactSolution, GridSpec, _cost_floor, dinkelbach_solve, solve_exact
+from millopt.oracle import ExactSolution, GridSpec, dinkelbach_solve, solve_exact
 
 from test_acceptance import random_plan
 

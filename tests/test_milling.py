@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ from millopt.milling import (
     FEED_LIMITS,
     SPEED_LIMITS,
     PricingBuffers,
+    _cost_floor,
     _cutting_force as cutting_force,
+    _relative_error,
     batch_evaluate,
     compile_context,
     feasible_polygons,
@@ -49,7 +52,7 @@ from millopt.milling import (
     plan_warnings,
     v_max,
 )
-from millopt.oracle import GridSpec, _cost_floor, dinkelbach_solve, solve_exact
+from millopt.oracle import GridSpec, dinkelbach_solve, solve_exact
 
 from conftest import (
     CARBIDE_FACE_MILL,
@@ -1079,6 +1082,109 @@ class TestCostFloor:
         batch = batch_evaluate(ctx, genomes)
         assert floor <= batch.unit_cost[batch.feasible].min()
         assert floor <= grid_cost_min(ctx, 200) <= floor * (1.0 + 1e-3)
+
+
+# Arithmetic on doubles taken exactly (precise) and carried to 50 digits,
+# 33 past their precision, stands for exact arithmetic on them.
+FIFTY_DIGITS = Context(prec=50)
+
+
+def precise(x: float) -> Decimal:
+    return Decimal(float(x))
+
+
+def precise_prices(ctx, genome: np.ndarray) -> tuple[Decimal, Decimal]:
+    """Unit cost and unit time of one genome, by batch_evaluate's formulas
+    on the context's doubles, to 50 digits."""
+    m = ctx.m
+    with localcontext(FIFTY_DIGITS):
+        v, f = [precise(x) for x in genome[:m]], [precise(x) for x in genome[m:]]
+        machining = sum(precise(ctx.k1[i]) / (v[i] * f[i]) for i in range(m))
+        wear = sum(
+            precise(ctx.tool_cost_coef[i]) * v[i] ** precise(ctx.speed_exponent[i]) * f[i] ** precise(ctx.feed_exponent[i])
+            for i in range(m)
+        )
+        return precise(ctx.cost_fixed) + precise(ctx.rate) * machining + wear, precise(ctx.time_fixed) + machining
+
+
+def assert_prices_within_relative_error(ctx, genomes: np.ndarray) -> None:
+    batch = batch_evaluate(ctx, genomes)
+    delta = _relative_error(ctx.m)
+    for genome, cost, time in zip(genomes, batch.unit_cost.tolist(), batch.unit_time.tolist()):
+        exact_cost, exact_time = precise_prices(ctx, genome)
+        with localcontext(FIFTY_DIGITS):
+            assert abs(precise(cost) - exact_cost) <= precise(delta) * exact_cost
+            assert abs(precise(time) - exact_time) <= precise(delta) * exact_time
+
+
+class TestBoundPremises:
+    """The certified bound (milling._cost_floor, milling._rate_bound) rests
+    on premises about milling's own arithmetic besides convexity: numpy's
+    pow is within two ulps, batch_evaluate's prices are within
+    _relative_error of the exact ones, and every genome its rounded power
+    test accepts lies in the polygon widened to c5*v*f**0.8 <= 1 + 4*eps.
+    Each is checked here against 50-digit decimal arithmetic."""
+
+    @pytest.mark.parametrize(
+        "bases, exponents",
+        [((0.01, 1.0), 0.8), ((20.0, 200.0), (-0.5, 7.5)), ((0.01, 1.0), (-0.2, 3.7))],
+        ids=["f**0.8", "v**a", "f**b"],
+    )
+    def test_numpy_pow_is_within_two_ulps(self, bases, exponents):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(*bases, size=1000)
+        # f**0.8 as batch_evaluate and v_max raise to one scalar, v**a and
+        # f**b as batch_evaluate raises to an array of exponents
+        y = exponents if isinstance(exponents, float) else rng.uniform(*exponents, size=x.size)
+        powers = np.power(x, y)
+        with localcontext(FIFTY_DIGITS):
+            ulps = max(
+                abs(precise(p) - precise(b) ** precise(e)) / precise(math.ulp(p))
+                for b, e, p in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist(), powers.tolist())
+            )
+        assert ulps <= 2
+
+    def test_prices_are_within_the_relative_error_on_random_plans(self):
+        rng = np.random.default_rng(43)
+        sizes = set()
+        for _ in range(40):
+            ctx = compile_context(random_plan(rng))
+            sizes.add(ctx.m)
+            assert_prices_within_relative_error(ctx, rng.uniform(ctx.lower, ctx.upper, size=(8, 2 * ctx.m)))
+        assert sizes == {1, 2, 3, 4, 5}
+
+    def test_prices_are_within_the_relative_error_when_summed_genome_major(self, builtin_plan):
+        # ten operations: batch_evaluate sums each genome's terms through
+        # numpy's partial sums of a contiguous row
+        ops = builtin_plan.operations
+        twice = ops + tuple(dataclasses.replace(op, number=op.number + 1000) for op in ops)
+        ctx = compile_context(dataclasses.replace(builtin_plan, operations=twice))
+        assert ctx.m == 10
+        genomes = np.random.default_rng(47).uniform(ctx.lower, ctx.upper, size=(32, 20))
+        assert_prices_within_relative_error(ctx, genomes)
+
+    def test_accepted_power_limit_is_within_four_eps_of_one(self, builtin_plan):
+        # at v_max(f), the fastest speed the rounded test accepts, and at
+        # f_top, the largest feed it accepts at v_lo; f**0.8 with 0.8 the
+        # double that numpy raises to
+        rng = np.random.default_rng(53)
+        limit = 1 + 4 * precise(np.finfo(float).eps)
+        binding = 0
+        for plan in [builtin_plan, *(random_plan(rng) for _ in range(40))]:
+            ctx = compile_context(plan)
+            if not ctx.corner.feasible[0]:
+                continue
+            m = ctx.m
+            feeds = rng.uniform(ctx.lower[m:], ctx.upper[m:], size=(12, m))
+            fastest = v_max(ctx, feeds)
+            binding += int(np.count_nonzero(fastest < ctx.upper[:m]))
+            speeds = np.vstack((fastest, ctx.lower[:m]))
+            feeds = np.vstack((feeds, feasible_polygons(ctx).f_top))
+            c5 = np.broadcast_to(ctx.c5, speeds.shape)
+            with localcontext(FIFTY_DIGITS):
+                for c, v, f in zip(c5.ravel().tolist(), speeds.ravel().tolist(), feeds.ravel().tolist()):
+                    assert precise(c) * precise(v) * precise(f) ** precise(0.8) <= limit
+        assert binding >= 100
 
 
 def accepted_power(ctx, speeds, feeds):

@@ -919,6 +919,14 @@ class TestSolveExact:
         x = DecisionVector.from_genome(result.genome)
         assert all(m.satisfied for m in constraint_margins(builtin_plan, x, ctx.coefficients))
 
+    def test_bundled_result_is_pinned_bit_for_bit(self, builtin_plan):
+        # tighter than the 1e-12 checks above, which stay: a change that
+        # moves the iteration, its pricing or the bound's arithmetic shows
+        result = oracle.solve_exact(compile_context(builtin_plan))
+        assert result.profit_rate == 1.3791069903004307
+        assert result.rate_hi == 1.3791069903006286
+        assert result.iterations == 5
+
     @pytest.mark.parametrize("resolution", [2, 7, 60, 500])
     def test_rate_hi_is_at_least_every_grid_optimum(self, builtin_plan, resolution):
         result = oracle.solve_exact(compile_context(builtin_plan))
