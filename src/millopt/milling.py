@@ -766,16 +766,27 @@ def _largest_accepted(
     return x
 
 
+def _feed_powers(feeds: np.ndarray) -> np.ndarray:
+    """f**0.8 for each feed, the larger of numpy's pow, which
+    batch_evaluate calls, and the C library's, which the scalar
+    constraint_margins calls: the two may round an ulp apart.  Rounding
+    a product is monotone, so (c5 * v) * f**0.8 <= 1 with this power
+    passes both power tests."""
+    return np.maximum(feeds**0.8, np.array([f**0.8 for f in feeds.ravel().tolist()]).reshape(feeds.shape))
+
+
 def v_max(ctx: EvalContext, feeds: np.ndarray) -> np.ndarray:
-    """The largest double v <= v_hi that batch_evaluate's power test,
-    (c5 * v) * f**0.8 <= 1, accepts at each feed f, exact against the
-    rounded test as _feed_cap is against the finish and force tests.
-    feeds holds one feed per operation along its last axis.  The rounded
-    product grows with v, so the test accepts every speed up to v_max(f)
-    and none above it; a result below v_lo means that it accepts no speed
-    of the box at that feed."""
+    """The largest double v <= v_hi that both power tests accept at each
+    feed f: batch_evaluate's, (c5 * v) * f**0.8 <= 1, and the scalar
+    margin of constraint_margins, the same product with the C library's
+    pow (_feed_powers).  Exact against the rounded tests as _feed_cap is
+    against the finish and force tests.  feeds holds one feed per
+    operation along its last axis.  The rounded product grows with v, so
+    the tests accept every speed up to v_max(f) and none above it; a
+    result below v_lo means that they accept no speed of the box at that
+    feed."""
     c5, v_hi = ctx.c5, ctx.upper[: ctx.m]
-    feed_powers = feeds**0.8
+    feed_powers = _feed_powers(feeds)
     return _largest_accepted(
         np.minimum(v_hi, 1.0 / (c5 * feed_powers)), v_hi, lambda v: c5 * v * feed_powers <= 1.0
     )
@@ -795,9 +806,9 @@ class FeasiblePolygons(NamedTuple):
     In x = ln v and y = ln f, the speeds and feeds batch_evaluate accepts
     for operation i lie in the box [ln v_lo, ln v_hi] x [ln f_lo, ln f_top]
     cut by the power limit x + 0.8*y <= -ln c5: a polygon of at most five
-    edges.  f_top is the largest feed, at most feed_cap, that the rounded
-    power test accepts at v_lo, so each feed in [f_lo, f_top] is accepted
-    with the speeds from v_lo to v_max(f).
+    edges.  f_top is the largest feed, at most feed_cap, that both rounded
+    power tests of v_max accept at v_lo, so each feed in [f_lo, f_top] is
+    accepted with the speeds from v_lo to v_max(f).
 
     candidates, (4, 11, m), is operation_minima's template of its
     candidates' speeds, feeds, machining times and wear costs.  Rows 5 to
@@ -854,7 +865,9 @@ def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
     # stationary point: the clips here and in operation_minima take them.
     with np.errstate(divide="ignore", over="ignore"):
         f_top = _largest_accepted(
-            np.minimum(ctx.feed_cap, corner_power**-1.25), ctx.feed_cap, lambda f: corner_power * f**0.8 <= 1.0
+            np.minimum(ctx.feed_cap, corner_power**-1.25),
+            ctx.feed_cap,
+            lambda f: corner_power * _feed_powers(f) <= 1.0,
         )
         feeds = np.array([f_lo, f_top, np.fmin(np.fmax((ctx.c5 * v_hi) ** -1.25, f_lo), f_top)])
         speeds = np.vstack((np.broadcast_to(v_lo, feeds.shape), v_max(ctx, feeds)))
@@ -904,8 +917,9 @@ def operation_minima(ctx: EvalContext, polygons: FeasiblePolygons, lam: float) -
 
     Each stationary point is mapped inward before it is priced: its feed
     is clipped to [f_lo, f_top] and its speed to [v_lo, v_max(f)].  So
-    every candidate is a genome batch_evaluate accepts, and the minimum is
-    exact up to the rounding of the candidates.
+    every candidate is a genome that batch_evaluate and the scalar
+    constraint_margins both accept, and the minimum is exact up to the
+    rounding of the candidates.
     """
     m = ctx.m
     v_lo, f_lo = ctx.lower[:m], ctx.lower[m:]
@@ -960,14 +974,15 @@ def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangen
     exact C + lam*T of every accepted genome.
 
     Polygon.  An accepted genome passes (c5*v) * f**0.8 <= 1 as rounded,
-    so c5*v*f**0.8 <= 1 + 4*eps exactly, for a pow within two ulps.  Each
-    vertex of the true polygon so widened lies within
+    so c5*v*f**0.8 <= 1 + 4*eps exactly, for numpy's pow within two ulps.
+    Each vertex of the true polygon so widened lies within
     slack = 16*eps*(1 + |ln(c5*v_hi)|) of a vertex of feasible_polygons in
     x and in y: the widening moves a vertex on the power edge by up to
-    5*eps, v_max and f_top stop within 7.5*eps of the edge, and the pow
-    with exponent -1.25 in place of -1/0.8 misses the vertex at v_hi by up
-    to (3 + 0.4*|ln(c5*v_hi)|)*eps.  So each plane's least rise is lowered
-    by (|grad_x| + |grad_y|) * slack.
+    5*eps; v_max and f_top, whose power is the larger of numpy's pow and
+    the C library's, each within two ulps, stop within 7.5*eps of the
+    edge; and the pow with exponent -1.25 in place of -1/0.8 misses the
+    vertex at v_hi by up to (3 + 0.4*|ln(c5*v_hi)|)*eps.  So each plane's
+    least rise is lowered by (|grad_x| + |grad_y|) * slack.
 
     Rounding.  Each term is computed within 10*eps of its magnitude, and
     their sum within (m + 4)*eps of the summed magnitudes, so the sum is
@@ -1025,29 +1040,6 @@ def _rate_bound(ctx: EvalContext, polygons: FeasiblePolygons, rate: float, tange
     excess = ctx.sale_price - _cost_floor(ctx, polygons, lam, tangent)
     bound = float((lam + max(excess, 0.0) / ((1.0 - _relative_error(m)) ** 2 * time_lo)) * (1.0 + 16 * eps))
     return bound if math.isfinite(bound) else math.inf
-
-
-def _scalar_inward(ctx: EvalContext, point: list[float], rate: float) -> tuple[np.ndarray, float]:
-    """point, an accepted genome whose fitness is rate, as a genome with
-    each operation's speed and then its feed lowered one double at a time
-    until the scalar power margin of constraint_margins accepts it, or
-    each reaches its lower bound; and its fitness, rate unless a step was
-    taken.  numpy's pow and the C library's, which the scalar model calls,
-    may round f**0.8 an ulp apart, so a point batch_evaluate accepts may
-    fail that margin by an ulp.  Lowering never raises batch_evaluate's
-    rounded product, so its test still passes, and the feeds stay below
-    feed_cap."""
-    m = ctx.m
-    inward = list(point)
-    lower = ctx.lower.tolist()
-    for i, c5 in enumerate(ctx.c5.tolist()):
-        for k in (i, m + i):
-            while c5 * inward[i] * inward[m + i] ** 0.8 > 1.0 and inward[k] > lower[k]:
-                inward[k] = math.nextafter(inward[k], 0.0)
-    genome = np.array(inward)
-    if inward != point:
-        rate = float(batch_evaluate(ctx, genome).fitness[0])
-    return genome, rate
 
 
 @dataclass(frozen=True)

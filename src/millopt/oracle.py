@@ -39,7 +39,11 @@ solve_exact runs the same iteration on milling.operation_minima, which
 minimizes each operation over its continuous feasible polygon in closed
 form, and certifies the result with milling's rate_hi, an upper bound on
 every fitness batch_evaluate can return in the box, proved beside the
-arithmetic it rests on.  The strategy stops a run on it (es.run).
+arithmetic it rests on.  The strategy stops a run on it (es.run).  The
+polygon's power edge is found under numpy's pow and the C library's at
+once, so the point solve_exact returns passes the scalar
+constraint_margins as well as batch_evaluate's tests, with no correction
+afterwards, whenever the lowest corner does.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .milling import (
     MillingPlan,
     _is_integer,
     _rate_bound,
-    _scalar_inward,
     compile_context,
     feasible_polygons,
     operation_minima,
@@ -440,7 +443,9 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
     milling's arithmetic and are argued and tested there.  When the corner
     is infeasible every genome is, every fitness is 0, and so is rate_hi.
 
-    The returned point passes constraint_margins too (milling._scalar_inward).
+    The last iterate is returned as it is: its point is the kernel's, on
+    the power edge that both pows accept (milling.v_max), so it passes the
+    scalar constraint_margins too wherever the lowest corner does.
     """
     if not ctx.corner.feasible[0]:
         return ExactSolution(genome=None, profit_rate=None, rate_hi=0.0, iterations=0)
@@ -457,5 +462,4 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
             break
         lam, previous = rate, point
     rate_hi = _rate_bound(ctx, polygons, rate, minima)
-    genome, rate = _scalar_inward(ctx, point, rate)
-    return ExactSolution(genome=genome, profit_rate=rate, rate_hi=rate_hi, iterations=iteration)
+    return ExactSolution(genome=np.array(point), profit_rate=rate, rate_hi=rate_hi, iterations=iteration)

@@ -1,12 +1,15 @@
 """Shared fixtures: the bundled plan plus small hand-checkable instances,
-and the test helpers that write plans out and check published rows."""
+the test helpers that write plans out and check published rows, and
+those that find batch_evaluate's own power edge."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from enum import Enum
 from typing import Any
 
+import numpy as np
 import pytest
 
 from millopt import (
@@ -22,6 +25,7 @@ from millopt import (
     derive_coefficients,
 )
 from millopt.case_study import _RENAMED, ReferenceRow
+from millopt.milling import v_max
 
 STANDARD_ECONOMICS = EconomicConstants(
     sale_price=25.0,
@@ -210,6 +214,27 @@ def consistency_gap(row: ReferenceRow, sale_price: float) -> float:
     rows of ``REFERENCE_ROWS`` exceed that as printed in the sources.
     """
     return (sale_price - row.unit_cost) / row.unit_time - row.profit_rate
+
+
+def accepted_power(ctx, speeds, feeds):
+    """batch_evaluate's power test, (c5 * v) * f**0.8 <= 1, per operation."""
+    return ctx.c5 * speeds * feeds**0.8 <= 1.0
+
+
+def step_up_while(x, limit, accepted):
+    """x stepped up one double at a time, element by element, while the
+    next double is at most limit and accepted passes it."""
+    x = x.copy()
+    while np.count_nonzero(grow := (x < limit) & accepted(up := np.nextafter(x, math.inf))):
+        np.copyto(x, up, where=grow)
+    return x
+
+
+def batch_v_max(ctx, feeds):
+    """The fastest speed, at most v_hi, that batch_evaluate's power test
+    accepts at each feed: milling.v_max, which the C library's pow must
+    accept too, stepped up while numpy's alone still does."""
+    return step_up_while(v_max(ctx, feeds), ctx.upper[: ctx.m], lambda v: accepted_power(ctx, v, feeds))
 
 
 @pytest.fixture(scope="session")

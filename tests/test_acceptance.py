@@ -10,6 +10,7 @@ any edit to the stored table fails a case.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -23,16 +24,9 @@ import pytest
 
 from millopt import (
     DecisionVector,
-    EconomicConstants,
     EsConfig,
     GridSpec,
-    MachineSpec,
     MillingPlan,
-    OperationKind,
-    OperationSpec,
-    ToolKind,
-    ToolQuality,
-    ToolSpec,
     constraint_margins,
     derive_coefficients,
     dinkelbach_solve,
@@ -224,70 +218,7 @@ def test_twenty_seed_best_matches_grid_oracle_within_one_percent(seed_campaign):
 # ---------------------------------------------------------------------------
 
 
-def random_plan(rng: np.random.Generator) -> MillingPlan:
-    economics = EconomicConstants(
-        sale_price=float(rng.uniform(20.0, 40.0)),
-        material_cost=float(rng.uniform(0.1, 2.0)),
-        labor_rate=float(rng.uniform(0.2, 1.0)),
-        overhead_rate=float(rng.uniform(0.5, 2.0)),
-        setup_time=float(rng.uniform(0.5, 4.0)),
-    )
-    machine = MachineSpec(
-        motor_power=float(rng.uniform(4.0, 12.0)),
-        efficiency=float(rng.uniform(0.7, 0.99)),
-        power_constant=float(rng.uniform(1.0, 3.0)),
-        wear_factor=float(rng.uniform(0.8, 1.3)),
-        chip_area_exponent=float(rng.uniform(0.2, 0.35)),
-        slenderness_exponent=float(rng.uniform(0.1, 0.2)),
-    )
-    tools = []
-    for tool_id in range(1, int(rng.integers(1, 4)) + 1):
-        face = bool(rng.integers(0, 2))
-        tools.append(
-            ToolSpec(
-                id=tool_id,
-                kind=ToolKind.FACE_MILL if face else ToolKind.END_MILL,
-                quality=ToolQuality.CARBIDE if rng.integers(0, 2) else ToolQuality.HSS,
-                diameter=float(rng.uniform(8.0, 60.0)),
-                teeth=int(rng.integers(2, 9)),
-                price=float(rng.uniform(5.0, 60.0)),
-                lead_angle=float(rng.uniform(15.0, 60.0)) if face else 0.0,
-                clearance_angle=float(rng.uniform(3.0, 10.0)),
-                taylor_constant=float(rng.uniform(20.0, 120.0)),
-                life_exponent=float(rng.uniform(0.12, 0.35)),
-                change_time=float(rng.uniform(0.2, 1.0)),
-                permitted_force=float(rng.uniform(2000.0, 9000.0))
-                if rng.integers(0, 2)
-                else None,
-            )
-        )
-    operations = []
-    for number in range(1, int(rng.integers(1, 6)) + 1):
-        tool = tools[int(rng.integers(0, len(tools)))]
-        speed_low = float(rng.uniform(30.0, 80.0))
-        feed_low = float(rng.uniform(0.05, 0.1))
-        operations.append(
-            OperationSpec(
-                number=number,
-                kind=OperationKind(
-                    ("face", "corner", "pocket", "slot")[int(rng.integers(0, 4))]
-                ),
-                tool_id=tool.id,
-                axial_depth=float(rng.uniform(2.0, 12.0)),
-                radial_depth=float(tool.diameter * rng.uniform(0.2, 1.0)),
-                travel=float(rng.uniform(20.0, 500.0)),
-                speed_bounds=(speed_low, speed_low + float(rng.uniform(10.0, 60.0))),
-                feed_bounds=(feed_low, feed_low + float(rng.uniform(0.1, 0.4))),
-                surface_finish_req=float(rng.uniform(1.0, 6.0))
-                if rng.integers(0, 2)
-                else None,
-            )
-        )
-    return MillingPlan(
-        economics=economics, machine=machine, tools=tuple(tools), operations=tuple(operations)
-    )
-
-
+@functools.cache
 def perfbench_workloads():
     """perfbench/workloads.py as a module, read from this checkout."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -299,16 +230,11 @@ def perfbench_workloads():
     return module
 
 
-def test_random_plan_draws_the_benchmark_plan_documents():
-    # scripts/report_digests.py and plan_mix draw their random plans with
-    # random_plan_document, and the tests that replay digest plans draw
-    # them with random_plan: the two must give the same plan and leave the
-    # generator in the same state
-    random_plan_document = perfbench_workloads().random_plan_document
-    for seed in range(300):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert random_plan(ours) == load_document(random_plan_document(theirs)).plan, seed
-        assert ours.bit_generator.state == theirs.bit_generator.state, seed
+def random_plan(rng: np.random.Generator) -> MillingPlan:
+    """A random plan of 1-5 operations and 1-3 tools, loaded from the
+    document that the benchmark's plan_mix and scripts/report_digests.py
+    draw from the same generator."""
+    return load_document(perfbench_workloads().random_plan_document(rng)).plan
 
 
 def test_profit_identity_on_random_plans():

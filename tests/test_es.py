@@ -1011,7 +1011,7 @@ UNPROFITABLE_DIGEST_PLANS = {11: 1.14, 52: 2.21, 59: 2.15}
 
 def digest_plan(index: int):
     """Random plan number index of scripts/report_digests.py, which draws
-    its documents from rng [7, 3] with the same draws as random_plan."""
+    its documents from rng [7, 3] as random_plan draws them."""
     rng = np.random.default_rng([7, 3])
     for _ in range(index):
         random_plan(rng)

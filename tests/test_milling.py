@@ -58,7 +58,10 @@ from conftest import (
     CARBIDE_FACE_MILL,
     STANDARD_ECONOMICS,
     STANDARD_MACHINE,
+    accepted_power,
+    batch_v_max,
     single_face_plan,
+    step_up_while,
     two_op_plan,
 )
 from test_acceptance import random_plan
@@ -994,7 +997,7 @@ def grid_cost_min(ctx, resolution: int) -> float:
     """cost_fixed plus each operation's least cost on a log-spaced grid of
     its speed box by [f_lo, feed_cap], among the points that pass the power
     test as batch_evaluate rounds it, and at the fastest speed each grid
-    feed allows (milling.v_max), so that the grid reaches the power limit.
+    feed allows (batch_v_max), so that the grid reaches the power limit.
     The feeds where the power limit meets the lowest and the highest speed
     join the grid, so that it holds the region's corners."""
     m = ctx.m
@@ -1006,7 +1009,7 @@ def grid_cost_min(ctx, resolution: int) -> float:
         f = np.unique(np.concatenate((np.geomspace(f_lo, f_hi, resolution), corners)))
         feeds = np.tile(ctx.lower[m:], (f.size, 1))
         feeds[:, i] = f
-        fastest = v_max(ctx, feeds)[:, i]
+        fastest = batch_v_max(ctx, feeds)[:, i]
         speeds = np.broadcast_to(np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None], (resolution, f.size))
         v = np.vstack((speeds, fastest[None, :]))
         wear = ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * f ** ctx.feed_exponent[i]
@@ -1120,10 +1123,11 @@ def assert_prices_within_relative_error(ctx, genomes: np.ndarray) -> None:
 class TestBoundPremises:
     """The certified bound (milling._cost_floor, milling._rate_bound) rests
     on premises about milling's own arithmetic besides convexity: numpy's
-    pow is within two ulps, batch_evaluate's prices are within
-    _relative_error of the exact ones, and every genome its rounded power
-    test accepts lies in the polygon widened to c5*v*f**0.8 <= 1 + 4*eps.
-    Each is checked here against 50-digit decimal arithmetic."""
+    pow and the C library's are within two ulps, batch_evaluate's prices
+    are within _relative_error of the exact ones, and every genome its
+    rounded power test accepts lies in the polygon widened to
+    c5*v*f**0.8 <= 1 + 4*eps.  Each is checked here against 50-digit
+    decimal arithmetic."""
 
     @pytest.mark.parametrize(
         "bases, exponents",
@@ -1136,11 +1140,16 @@ class TestBoundPremises:
         # f**0.8 as batch_evaluate and v_max raise to one scalar, v**a and
         # f**b as batch_evaluate raises to an array of exponents
         y = exponents if isinstance(exponents, float) else rng.uniform(*exponents, size=x.size)
-        powers = np.power(x, y)
+        pows = [np.power(x, y).tolist()]
+        if isinstance(exponents, float):
+            # and as v_max and f_top also raise it, with the C library's
+            # pow, which Python's float ** calls
+            pows.append([b**exponents for b in x.tolist()])
         with localcontext(FIFTY_DIGITS):
             ulps = max(
                 abs(precise(p) - precise(b) ** precise(e)) / precise(math.ulp(p))
-                for b, e, p in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist(), powers.tolist())
+                for powers in pows
+                for b, e, p in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist(), powers)
             )
         assert ulps <= 2
 
@@ -1164,9 +1173,10 @@ class TestBoundPremises:
         assert_prices_within_relative_error(ctx, genomes)
 
     def test_accepted_power_limit_is_within_four_eps_of_one(self, builtin_plan):
-        # at v_max(f), the fastest speed the rounded test accepts, and at
-        # f_top, the largest feed it accepts at v_lo; f**0.8 with 0.8 the
-        # double that numpy raises to
+        # at the fastest speed the rounded test accepts at f, and at the
+        # largest feed it accepts at v_lo, each stepped up from the edge
+        # both pows accept (v_max, f_top); f**0.8 with 0.8 the double that
+        # numpy raises to
         rng = np.random.default_rng(53)
         limit = 1 + 4 * precise(np.finfo(float).eps)
         binding = 0
@@ -1176,10 +1186,12 @@ class TestBoundPremises:
                 continue
             m = ctx.m
             feeds = rng.uniform(ctx.lower[m:], ctx.upper[m:], size=(12, m))
-            fastest = v_max(ctx, feeds)
+            fastest = batch_v_max(ctx, feeds)
             binding += int(np.count_nonzero(fastest < ctx.upper[:m]))
-            speeds = np.vstack((fastest, ctx.lower[:m]))
-            feeds = np.vstack((feeds, feasible_polygons(ctx).f_top))
+            v_lo = ctx.lower[:m]
+            f_top = step_up_while(feasible_polygons(ctx).f_top, ctx.feed_cap, lambda f: accepted_power(ctx, v_lo, f))
+            speeds = np.vstack((fastest, v_lo))
+            feeds = np.vstack((feeds, f_top))
             c5 = np.broadcast_to(ctx.c5, speeds.shape)
             with localcontext(FIFTY_DIGITS):
                 for c, v, f in zip(c5.ravel().tolist(), speeds.ravel().tolist(), feeds.ravel().tolist()):
@@ -1187,9 +1199,15 @@ class TestBoundPremises:
         assert binding >= 100
 
 
-def accepted_power(ctx, speeds, feeds):
-    """batch_evaluate's power test, (c5 * v) * f**0.8 <= 1, per operation."""
-    return ctx.c5 * speeds * feeds**0.8 <= 1.0
+def both_power_tests(plan, ctx, speeds, feeds):
+    """Per operation, whether batch_evaluate's power test and the power
+    margin of constraint_margins, whose f**0.8 is the C library's pow, both
+    accept each row of speeds and feeds."""
+    scalar = [
+        [margin.power_ok for margin in constraint_margins(plan, DecisionVector(v, f), ctx.coefficients)]
+        for v, f in zip(map(tuple, speeds.tolist()), map(tuple, feeds.tolist()))
+    ]
+    return accepted_power(ctx, speeds, feeds) & np.array(scalar)
 
 
 def dense_grid_min(ctx, i, weight, resolution=300):
@@ -1201,7 +1219,7 @@ def dense_grid_min(ctx, i, weight, resolution=300):
     feeds = np.tile(ctx.lower[m:], (resolution, 1))
     feeds[:, i] = f
     grid_speeds = np.geomspace(ctx.lower[i], ctx.upper[i], resolution)[:, None]
-    speeds = np.vstack((np.broadcast_to(grid_speeds, (resolution, resolution)), v_max(ctx, feeds)[:, i]))
+    speeds = np.vstack((np.broadcast_to(grid_speeds, (resolution, resolution)), batch_v_max(ctx, feeds)[:, i]))
     machining = ctx.k1[i] / (speeds * f)
     wear = speeds ** ctx.speed_exponent[i] * ctx.tool_cost_coef[i] * f ** ctx.feed_exponent[i]
     ok = (ctx.c5[i] * speeds * f**0.8 <= 1.0) & (speeds >= ctx.lower[i])
@@ -1223,24 +1241,38 @@ def assert_minima_match_dense_grids(ctx, lam):
 
 
 class TestExactKernel:
-    """v_max is the fastest speed the rounded power test accepts, and
-    operation_minima finds each operation's minimum over the genomes
-    batch_evaluate accepts, at multipliers that make the machining weight
-    rate + lam of both signs."""
+    """v_max is the fastest speed, and f_top the largest feed at v_lo, that
+    both rounded power tests accept, batch_evaluate's and the scalar
+    constraint_margins'; operation_minima finds each operation's minimum
+    over the genomes batch_evaluate accepts, at multipliers that make the
+    machining weight rate + lam of both signs."""
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_v_max_is_the_largest_accepted_speed(self, seed):
         rng = np.random.default_rng(seed)
-        ctx = compile_context(random_plan(rng))
+        plan = random_plan(rng)
+        ctx = compile_context(plan)
         m = ctx.m
         feeds = rng.uniform(ctx.lower[m:], ctx.upper[m:], size=(32, m))
         fastest = v_max(ctx, feeds)
         v_hi = ctx.upper[:m]
         assert (fastest <= v_hi).all()
-        assert accepted_power(ctx, fastest, feeds).all()
+        assert both_power_tests(plan, ctx, fastest, feeds).all()
         above = np.nextafter(fastest, math.inf)
-        assert ((fastest == v_hi) | ~accepted_power(ctx, above, feeds)).all()
+        assert ((fastest == v_hi) | ~both_power_tests(plan, ctx, above, feeds)).all()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_f_top_is_the_largest_feed_accepted_at_v_lo(self, seed):
+        plan = random_plan(np.random.default_rng(seed))
+        ctx = compile_context(plan)
+        m = ctx.m
+        f_top, v_lo = feasible_polygons(ctx).f_top, ctx.lower[None, :m]
+        assert (f_top <= ctx.feed_cap).all()
+        assert both_power_tests(plan, ctx, v_lo, f_top[None]).all()
+        above = np.nextafter(f_top, math.inf)[None]
+        assert ((f_top == ctx.feed_cap) | ~both_power_tests(plan, ctx, v_lo, above)).all()
 
     @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.3, 1.0, 3.0, -0.5, -5.0]))
     @settings(max_examples=60, deadline=None)

@@ -32,7 +32,7 @@ from millopt.milling import batch_evaluate, compile_context
 from millopt import milling, oracle
 from millopt.oracle import per_op_grid_min, prepare_op_grid
 
-from conftest import single_face_plan, two_op_plan
+from conftest import batch_v_max, single_face_plan, two_op_plan
 from test_acceptance import random_plan
 
 
@@ -896,14 +896,14 @@ BUNDLED_EXACT_RATE = 1.3791069903004314
 
 def boundary_genomes(ctx, rng, n):
     """Genomes on the edges of the feasible region: mixed corners of the
-    box below feasible_upper, feeds at feed_cap, and speeds at v_max of
-    random feeds."""
+    box below feasible_upper, feeds at feed_cap, and at random feeds the
+    fastest speeds batch_evaluate accepts (batch_v_max)."""
     m = ctx.m
     corners = np.where(rng.random((n, 2 * m)) < 0.5, ctx.lower, ctx.feasible_upper)
     capped = rng.uniform(ctx.lower, ctx.upper, size=(n, 2 * m))
     capped[:, m:] = ctx.feed_cap
     feeds = rng.uniform(ctx.lower[m:], np.maximum(ctx.lower[m:], ctx.feed_cap), size=(n, m))
-    fastest = np.hstack((np.maximum(milling.v_max(ctx, feeds), ctx.lower[:m]), feeds))
+    fastest = np.hstack((np.maximum(batch_v_max(ctx, feeds), ctx.lower[:m]), feeds))
     return np.vstack((ctx.lower, ctx.upper, ctx.feasible_upper, corners, capped, fastest))
 
 
@@ -964,6 +964,36 @@ class TestSolveExact:
             assert result.rate_hi - result.profit_rate <= 1e-12 * ctx.sale_price / ctx.time_fixed
         else:
             assert result.rate_hi == 0.0
+
+    def test_points_pass_both_power_tests_on_digest_and_random_plans(self, monkeypatch):
+        # the kernel searches the power edge under numpy's pow and the C
+        # library's at once, so no returned point is corrected and
+        # re-priced: each passes constraint_margins, at the rate the
+        # kernel's own terms give, which is batch_evaluate's
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return batch_evaluate(*args)
+
+        monkeypatch.setattr(milling, "batch_evaluate", counted)
+        points = 0
+        for seed, count in (([7, 3], 60), (11, 400)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                plan = random_plan(rng)
+                ctx = compile_context(plan)
+                calls.clear()
+                result = oracle.solve_exact(ctx)
+                assert calls == []
+                if result.genome is None:
+                    continue
+                points += 1
+                x = DecisionVector.from_genome(result.genome)
+                assert all(m.satisfied for m in constraint_margins(plan, x, ctx.coefficients))
+                assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate
+        # the corner-feasible plans: 45 digest plans and 302 from rng 11
+        assert points == 347
 
     def test_iteration_guard_still_certifies(self, builtin_plan, monkeypatch):
         # the bound holds at any multiplier, so a cut-short iteration

@@ -28,6 +28,17 @@ def _by_label(lines: list[str]) -> dict[str, str]:
     return {line.split("\t", 1)[0]: line for line in lines}
 
 
+def _power_loop() -> str:
+    """The CPU target numpy dispatches its float64 power loop to, or
+    "unknown" where numpy cannot say."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    loops = opt_func_info(func_name="^power$", signature="float64").get("power", {})
+    return ", ".join(loop["current"] for loop in loops.values()) or "unknown"
+
+
 def test_every_report_digest_matches_the_checked_in_file():
     done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
@@ -35,14 +46,16 @@ def test_every_report_digest_matches_the_checked_in_file():
     expected = EXPECTED.read_text(encoding="utf-8").splitlines()
     if actual == expected:
         return
-    # Float formatting and the PCG64 stream come from numpy and Python, so
-    # a move seen under other versions may be the environment's, not the
-    # program's.
+    # Float formatting and the PCG64 stream come from numpy and Python, and
+    # batch prices from the CPU target of numpy's float64 power loop, so a
+    # move seen under other versions or on another CPU may be the
+    # environment's, not the program's.
     now, then = _by_label(actual), _by_label(expected)
     moved = [label for label in then if label in now and now[label] != then[label]]
     report = [
         f"report digests differ from {EXPECTED.relative_to(ROOT)} "
-        f"(numpy {np.__version__}, Python {platform.python_version()}):",
+        f"(numpy {np.__version__}, Python {platform.python_version()}, "
+        f"numpy float64 power loop {_power_loop()}):",
         *(f"  moved: {label}" for label in moved),
         *(f"  missing: {label}" for label in then if label not in now),
         *(f"  new: {label}" for label in now if label not in then),
