@@ -7,9 +7,9 @@ Run it on two checkouts and diff the outputs to see which reports changed:
 
 The script imports millopt from the checkout it lives in (``src/``), and
 the random plan generator from that checkout's ``perfbench/workloads.py``.
-Every report but the last fourteen is JSON, so full precision counts; the
-last fourteen are text and csv, which round, so their key order, widths
-and rows count.  The set:
+Every report but the fourteen before the last run is JSON, so full
+precision counts; those fourteen are text and csv, which round, so their
+key order, widths and rows count.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-19 (every
@@ -67,7 +67,9 @@ and rows count.  The set:
     first feed of 0.3, where the first operation's power and finish
     margins are violated; compare on the bundled case (seed 0), whose text
     ends in the gap line, on random plan 11, which has no strategy row,
-    and on random plan 19, which has no computed rows.
+    and on random plan 19, which has no computed rows;
+  * optimize on the bundled document with its sale price given twice, 25
+    and then 2500, which is rejected with one error line.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -289,6 +291,12 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             yield f"compare plan={k} out={fmt}", (
                 "compare", "--config", str(workdir / f"plan_{k}.json"), *out,
             )
+
+    # Appended last, after the text and csv runs.
+    text = builtin_document_bytes().decode("utf-8")
+    path = workdir / "duplicate_sale_price.json"
+    path.write_text(text.replace('"sale_price": 25.0,', '"sale_price": 25.0, "sale_price": 2500.0,'), encoding="utf-8")
+    yield "optimize economics.sale_price twice", ("optimize", "--config", str(path), "--out", "json")
 
 
 def digest(text: str) -> str:

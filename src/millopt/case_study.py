@@ -7,9 +7,9 @@ of the dataclass it fills (``EsConfig`` and ``GridSpec`` for the solver
 sections), except that an operation names its tool as ``tool``, and each
 key is read by the one reader of its field's annotation: ``float``, ``int``,
 ``float | None``, ``bool``, ``tuple[float, float]`` or an enum.  Loading
-is strict: unknown keys are rejected by name so typos cannot silently
-change a run, and an entry with several faults reports the first in field
-order.
+is strict: unknown keys, and in a document file a key repeated within one
+object, are rejected by name so typos cannot silently change a run, and an
+entry with several faults reports the first in field order.
 
 The bundled case ships with nine published comparison results for the
 same part; they are stored exactly as printed, two decimals each.
@@ -18,11 +18,12 @@ same part; they are stored exactly as printed, two decimals each.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Container, Mapping
+from typing import Any, Callable
 
 from .es import EsConfig
 from .milling import (
@@ -84,39 +85,49 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 # The one document key that differs from the dataclass field it fills.
 _RENAMED = {"tool_id": "tool"}
 
+# The sections a plan document may have.
+_SECTIONS = dict.fromkeys(("economics", "machine", "tools", "operations", "es", "oracle"))
+
+# Stands for a key the section does not have.
+_ABSENT = object()
+
 
 def _expect_mapping(value: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise PlanError(f"{where} must be an object")
+    if value.__class__ is _Repeated:
+        raise PlanError(f"duplicate key '{value.key}' in {where}")
     return value
 
 
-def _reject_unknown(section: Mapping[str, Any], allowed: Container[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise PlanError(f"unknown key '{key}' in {where}")
+def _reject_unknown(section: Mapping[str, Any], allowed: Mapping[str, Any], where: str) -> None:
+    if not section.keys() <= allowed.keys():
+        key = next(key for key in section if key not in allowed)
+        raise PlanError(f"unknown key '{key}' in {where}")
 
 
 def _number(section: Mapping[str, Any], key: str, where: str) -> float:
-    if key not in section:
+    value = section.get(key, _ABSENT)
+    if value.__class__ is float:
+        return value
+    if value is _ABSENT:
         raise PlanError(f"missing required key '{key}' in {where}")
-    value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise PlanError(f"'{key}' in {where} must be a number")
     return float(value)
 
 
 def _integer(section: Mapping[str, Any], key: str, where: str) -> int:
-    if key not in section:
+    value = section.get(key, _ABSENT)
+    if value is _ABSENT:
         raise PlanError(f"missing required key '{key}' in {where}")
-    value = section[key]
     if not _is_integer(value):
         raise PlanError(f"'{key}' in {where} must be an integer")
     return value
 
 
 def _optional_number(section: Mapping[str, Any], key: str, where: str) -> float | None:
-    if key not in section or section[key] is None:
+    if section.get(key) is None:
         return None
     return _number(section, key, where)
 
@@ -140,9 +151,9 @@ def _enum(enum_cls: type, section: Mapping[str, Any], key: str, where: str):
 
 
 def _bounds_pair(section: Mapping[str, Any], key: str, where: str) -> tuple[float, float] | None:
-    if key not in section or section[key] is None:
+    raw = section.get(key)
+    if raw is None:
         return None
-    raw = section[key]
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise PlanError(f"'{key}' in {where} must be a two-element [lower, upper] list")
     low, high = raw
@@ -177,10 +188,13 @@ def _layout(cls: type) -> dict[str, tuple[str, Reader]]:
 
 def _load_fields(section: Any, cls: type, where: str) -> dict[str, Any]:
     """Each field of cls, read under its document key by the reader of its
-    annotation, in field order; unknown keys are rejected first."""
+    annotation, in field order; unknown keys are rejected first.  The
+    values are in field order, so they can be passed to cls by position,
+    which costs less than by keyword."""
     section = _expect_mapping(section, where)
-    _reject_unknown(section, _layout(cls), where)
-    return {name: read(section, key, where) for key, (name, read) in _layout(cls).items()}
+    layout = _layout(cls)
+    _reject_unknown(section, layout, where)
+    return {name: read(section, key, where) for key, (name, read) in layout.items()}
 
 
 def _load_operation(section: Any, where: str) -> OperationSpec:
@@ -188,7 +202,7 @@ def _load_operation(section: Any, where: str) -> OperationSpec:
     values = _load_fields(section, OperationSpec, where)
     values["speed_bounds"] = values["speed_bounds"] or SPEED_LIMITS[values["kind"]]
     values["feed_bounds"] = values["feed_bounds"] or FEED_LIMITS[values["kind"]]
-    return OperationSpec(**values)
+    return OperationSpec(*values.values())
 
 
 def _load_overrides(document: Mapping[str, Any], name: str, cls: type) -> dict[str, Any]:
@@ -223,19 +237,17 @@ class LoadedDocument:
 def load_document(document: Mapping[str, Any]) -> LoadedDocument:
     """Parse and validate a plan document given as a mapping."""
     document = _expect_mapping(document, "plan document")
-    _reject_unknown(
-        document, ("economics", "machine", "tools", "operations", "es", "oracle"), "plan document"
-    )
+    _reject_unknown(document, _SECTIONS, "plan document")
     for required in ("economics", "machine", "tools", "operations"):
         if required not in document:
             raise PlanError(f"missing required section '{required}' in plan document")
 
     economics = EconomicConstants(
-        **_load_fields(document["economics"], EconomicConstants, "section 'economics'")
+        *_load_fields(document["economics"], EconomicConstants, "section 'economics'").values()
     )
-    machine = MachineSpec(**_load_fields(document["machine"], MachineSpec, "section 'machine'"))
+    machine = MachineSpec(*_load_fields(document["machine"], MachineSpec, "section 'machine'").values())
     tools = _load_list(
-        document, "tools", lambda entry, where: ToolSpec(**_load_fields(entry, ToolSpec, where))
+        document, "tools", lambda entry, where: ToolSpec(*_load_fields(entry, ToolSpec, where).values())
     )
     operations = _load_list(document, "operations", _load_operation)
 
@@ -247,10 +259,29 @@ def load_document(document: Mapping[str, Any]) -> LoadedDocument:
     )
 
 
+class _Repeated(dict):
+    """A JSON object that gives a key more than once, with the last value,
+    as json keeps it; the loader rejects it where it reads it."""
+
+    key: str
+
+
+def _members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object of a document file as a dict, or as a _Repeated
+    naming its first repeated key."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen: set[str] = set()
+        members = _Repeated(members)
+        members.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return members
+
+
 def load_document_file(path: str | Path) -> LoadedDocument:
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_members)
     except (json.JSONDecodeError, RecursionError) as exc:
         # json's decoder recurses once per nesting level.
         raise PlanError(f"{path} is not valid JSON: {exc}") from exc

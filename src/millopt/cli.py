@@ -24,7 +24,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -123,9 +123,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on first use: parsing leaves it as it was."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser main uses, built on first use, and its commands' parsers
+    by name: parsing leaves them as they were."""
+    parser = build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return parser, commands.choices
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """What the parser main uses returns, or the SystemExit it raises, for
+    argv.  When argv starts with a command, that command's parser reads
+    the rest: the main parser would hand it every argument after the name
+    and reject what it leaves over, and its own pass over them costs as
+    much as the command parser's."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_input(args: argparse.Namespace) -> tuple[case_study.LoadedDocument, bool]:
@@ -304,7 +325,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
         evaluations=result.evaluations,
         seed=result.seed,
         config={
-            **{name: value for name, value in asdict(config).items() if name != "seed"},
+            **{name: value for name, value in vars(config).items() if name != "seed"},
             "max_generations": es.MAX_GENERATIONS,
             "sigma_floor": es.SIGMA_FLOOR,
         },
@@ -364,7 +385,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
         speeds=list(x.speeds),
         feeds=list(x.feeds),
         margins=[
-            {**asdict(m), "power_ok": m.power_ok, "finish_ok": m.finish_ok, "force_ok": m.force_ok}
+            {**vars(m), "power_ok": m.power_ok, "finish_ok": m.finish_ok, "force_ok": m.force_ok}
             for m in margins
         ],
     )
@@ -438,7 +459,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

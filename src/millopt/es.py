@@ -126,7 +126,7 @@ class EsConfig:
         if not (_is_integer(self.eta) and self.eta > self.mu):
             raise ValueError("eta must be an integer > mu")
         if not (_finite(self.sigma_init) and self.sigma_init > 0.0):
-            raise ValueError("sigma_init must be > 0")
+            raise ValueError("sigma_init must be finite and > 0")
         if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be strictly between 0 and 1")
         if not (_is_integer(self.stall_limit) and self.stall_limit >= 1):
@@ -337,7 +337,7 @@ def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
         evaluations=0,
         rng=rng,
         workspace=Workspace(
-            box=(np.tile(ctx.lower, (config.eta, 1)), np.tile(ctx.upper, (config.eta, 1))),
+            box=(ctx.lower[None].repeat(config.eta, axis=0), ctx.upper[None].repeat(config.eta, axis=0)),
             parents=tuple(parents),
             mating=MatingDraws(config.mu, config.eta, length),
             draws=NormalDraws.empty(config.eta, length),

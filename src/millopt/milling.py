@@ -111,11 +111,6 @@ FEED_LIMITS: dict[OperationKind, tuple[float, float]] = {
 }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PlanError(message)
-
-
 def _finite(value: float) -> bool:
     return (isinstance(value, float) or _is_integer(value)) and math.isfinite(value)
 
@@ -145,11 +140,10 @@ class EconomicConstants:
     def __post_init__(self) -> None:
         for name in ("sale_price", "material_cost", "labor_rate", "overhead_rate", "setup_time"):
             value = getattr(self, name)
-            _require(_finite(value) and value >= 0.0, f"economics.{name} must be finite and >= 0")
-        _require(
-            self.sale_price > self.material_cost,
-            "economics.sale_price must exceed economics.material_cost",
-        )
+            if not (_finite(value) and value >= 0.0):
+                raise PlanError(f"economics.{name} must be finite and >= 0")
+        if not self.sale_price > self.material_cost:
+            raise PlanError("economics.sale_price must exceed economics.material_cost")
 
     @property
     def minute_rate(self) -> float:
@@ -177,14 +171,14 @@ class MachineSpec:
     slenderness_exponent: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.motor_power) and self.motor_power > 0.0, "machine.motor_power must be > 0")
-        _require(
-            _finite(self.efficiency) and 0.0 < self.efficiency <= 1.0,
-            "machine.efficiency must be in (0, 1]",
-        )
+        if not (_finite(self.motor_power) and self.motor_power > 0.0):
+            raise PlanError("machine.motor_power must be > 0")
+        if not (_finite(self.efficiency) and 0.0 < self.efficiency <= 1.0):
+            raise PlanError("machine.efficiency must be in (0, 1]")
         for name in ("power_constant", "wear_factor", "chip_area_exponent", "slenderness_exponent"):
             value = getattr(self, name)
-            _require(_finite(value) and value > 0.0, f"machine.{name} must be finite and > 0")
+            if not (_finite(value) and value > 0.0):
+                raise PlanError(f"machine.{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -211,35 +205,27 @@ class ToolSpec:
     permitted_force: float | None = None
 
     def __post_init__(self) -> None:
-        _require(_is_integer(self.id) and self.id >= 0, "tool.id must be a non-negative integer")
-        _require(_finite(self.diameter) and self.diameter > 0.0, f"tool {self.id}: diameter must be > 0")
-        _require(_is_integer(self.teeth) and self.teeth >= 1, f"tool {self.id}: teeth must be an integer >= 1")
-        _require(_finite(self.price) and self.price >= 0.0, f"tool {self.id}: price must be >= 0")
-        _require(
-            _finite(self.lead_angle) and 0.0 <= self.lead_angle < 90.0,
-            f"tool {self.id}: lead_angle must be in [0, 90) degrees",
-        )
-        _require(
-            _finite(self.clearance_angle) and 0.0 < self.clearance_angle < 90.0,
-            f"tool {self.id}: clearance_angle must be in (0, 90) degrees",
-        )
-        _require(
-            _finite(self.taylor_constant) and self.taylor_constant > 0.0,
-            f"tool {self.id}: taylor_constant must be > 0",
-        )
-        _require(
-            _finite(self.life_exponent) and self.life_exponent > 0.0,
-            f"tool {self.id}: life_exponent must be > 0",
-        )
-        _require(
-            _finite(self.change_time) and self.change_time >= 0.0,
-            f"tool {self.id}: change_time must be >= 0",
-        )
-        if self.permitted_force is not None:
-            _require(
-                _finite(self.permitted_force) and self.permitted_force > 0.0,
-                f"tool {self.id}: permitted_force must be > 0 when given",
-            )
+        if not (_is_integer(self.id) and self.id >= 0):
+            raise PlanError("tool.id must be a non-negative integer")
+        # Each test is guarded by its type test, so all are made at once and the first failure named.
+        force = self.permitted_force
+        for name, ok, rule in (
+            ("diameter", _finite(self.diameter) and self.diameter > 0.0, "must be > 0"),
+            ("teeth", _is_integer(self.teeth) and self.teeth >= 1, "must be an integer >= 1"),
+            ("price", _finite(self.price) and self.price >= 0.0, "must be >= 0"),
+            ("lead_angle", _finite(self.lead_angle) and 0.0 <= self.lead_angle < 90.0, "must be in [0, 90) degrees"),
+            (
+                "clearance_angle",
+                _finite(self.clearance_angle) and 0.0 < self.clearance_angle < 90.0,
+                "must be in (0, 90) degrees",
+            ),
+            ("taylor_constant", _finite(self.taylor_constant) and self.taylor_constant > 0.0, "must be > 0"),
+            ("life_exponent", _finite(self.life_exponent) and self.life_exponent > 0.0, "must be > 0"),
+            ("change_time", _finite(self.change_time) and self.change_time >= 0.0, "must be >= 0"),
+            ("permitted_force", force is None or _finite(force) and force > 0.0, "must be > 0 when given"),
+        ):
+            if not ok:
+                raise PlanError(f"tool {self.id}: {name} {rule}")
 
 
 @dataclass(frozen=True)
@@ -267,33 +253,26 @@ class OperationSpec:
     k3_override: float | None = None
 
     def __post_init__(self) -> None:
-        _require(_is_integer(self.number) and self.number >= 0, "operation.number must be a non-negative integer")
+        if not (_is_integer(self.number) and self.number >= 0):
+            raise PlanError("operation.number must be a non-negative integer")
         label = f"operation {self.number}"
-        _require(_is_integer(self.tool_id), f"{label}: tool_id must be an integer")
-        _require(_finite(self.axial_depth) and self.axial_depth > 0.0, f"{label}: axial_depth must be > 0")
-        _require(_finite(self.radial_depth) and self.radial_depth > 0.0, f"{label}: radial_depth must be > 0")
-        _require(_finite(self.travel) and self.travel > 0.0, f"{label}: travel must be > 0")
+        if not _is_integer(self.tool_id):
+            raise PlanError(f"{label}: tool_id must be an integer")
+        for name in ("axial_depth", "radial_depth", "travel"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise PlanError(f"{label}: {name} must be > 0")
         for name in ("speed_bounds", "feed_bounds"):
             bounds = getattr(self, name)
-            _require(
-                isinstance(bounds, tuple) and len(bounds) == 2,
-                f"{label}: {name} must be a (lower, upper) pair",
-            )
+            if not (isinstance(bounds, tuple) and len(bounds) == 2):
+                raise PlanError(f"{label}: {name} must be a (lower, upper) pair")
             low, high = bounds
-            _require(
-                _finite(low) and _finite(high) and 0.0 < low <= high,
-                f"{label}: {name} must satisfy 0 < lower <= upper",
-            )
-        if self.surface_finish_req is not None:
-            _require(
-                _finite(self.surface_finish_req) and self.surface_finish_req > 0.0,
-                f"{label}: surface_finish_req must be > 0 when given",
-            )
-        if self.k3_override is not None:
-            _require(
-                _finite(self.k3_override) and self.k3_override > 0.0,
-                f"{label}: k3_override must be > 0 when given",
-            )
+            if not (_finite(low) and _finite(high) and 0.0 < low <= high):
+                raise PlanError(f"{label}: {name} must satisfy 0 < lower <= upper")
+        for name in ("surface_finish_req", "k3_override"):
+            value = getattr(self, name)
+            if value is not None and not (_finite(value) and value > 0.0):
+                raise PlanError(f"{label}: {name} must be > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -307,15 +286,15 @@ class MillingPlan:
 
     def __post_init__(self) -> None:
         tool_ids = [tool.id for tool in self.tools]
-        _require(len(set(tool_ids)) == len(tool_ids), "tool ids must be unique")
+        if len(set(tool_ids)) != len(tool_ids):
+            raise PlanError("tool ids must be unique")
         numbers = [op.number for op in self.operations]
-        _require(len(set(numbers)) == len(numbers), "operation numbers must be unique")
+        if len(set(numbers)) != len(numbers):
+            raise PlanError("operation numbers must be unique")
         known = set(tool_ids)
         for op in self.operations:
-            _require(
-                op.tool_id in known,
-                f"operation {op.number} references unknown tool id {op.tool_id}",
-            )
+            if op.tool_id not in known:
+                raise PlanError(f"operation {op.number} references unknown tool id {op.tool_id}")
 
     @property
     def m(self) -> int:
@@ -349,17 +328,16 @@ class DerivedCoefficients:
     c8: float | None = None
 
     def __post_init__(self) -> None:
-        _require(_finite(self.k1) and self.k1 > 0.0, "k1 must be > 0")
-        _require(_finite(self.k3) and self.k3 > 0.0, "k3 must be > 0")
-        _require(_finite(self.c5) and self.c5 > 0.0, "c5 must be > 0")
-        _require(
-            self.c6 is None or self.c7 is None,
-            "at most one finish coefficient may be present",
-        )
+        for name in ("k1", "k3", "c5"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise PlanError(f"{name} must be > 0")
+        if not (self.c6 is None or self.c7 is None):
+            raise PlanError("at most one finish coefficient may be present")
         for name in ("c6", "c7", "c8"):
             value = getattr(self, name)
-            if value is not None:
-                _require(_finite(value) and value > 0.0, f"{name} must be > 0 when present")
+            if value is not None and not (_finite(value) and value > 0.0):
+                raise PlanError(f"{name} must be > 0 when present")
 
 
 @dataclass(frozen=True)
@@ -857,6 +835,7 @@ def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
     v_lo, v_hi = ctx.lower[:m], ctx.upper[:m]
     f_lo = ctx.lower[m:]
     a, b, wear_coef = ctx.speed_exponent, ctx.feed_exponent, ctx.tool_cost_coef
+    a1, b1 = a + 1.0, b + 1.0
     corner_power = ctx.c5 * v_lo
     power_slope = 1.0 - 0.8
     g = b - 0.8 * a
@@ -870,24 +849,24 @@ def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
             lambda f: corner_power * _feed_powers(f) <= 1.0,
         )
         feeds = np.array([f_lo, f_top, np.fmin(np.fmax((ctx.c5 * v_hi) ** -1.25, f_lo), f_top)])
-        speeds = np.vstack((np.broadcast_to(v_lo, feeds.shape), v_max(ctx, feeds)))
+        # The stationary points' template, then the vertices.
+        candidates = np.zeros((4, 11, m))
+        candidates[:2] = (
+            [v_lo, v_hi, v_lo, v_lo, np.full(m, math.inf), v_lo, v_lo, v_lo, *v_max(ctx, feeds)],
+            [f_lo, f_lo, f_lo, f_top, f_lo, *feeds, *feeds],
+        )
         # Per row: the edge's exponent of B, the log of the bound it holds
         # fixed (ln c5 on the power edge) and that log's slope.  ln k1, the
         # part of ln|W| that does not depend on lam, joins ln B.
         exponents = np.array([b, b, a, a, g])
         edges = np.log([v_lo, v_hi, f_lo, f_top, ctx.c5])
-        slopes = np.array([a + 1.0, a + 1.0, b + 1.0, b + 1.0, -(a + 1.0)])
+        slopes = np.array([a1, a1, b1, b1, -a1])
         numerators = -np.log(abs(exponents)) - (np.log(wear_coef) - np.log(ctx.k1)) - slopes * edges
         numerators[4] += math.log(power_slope)
-    feeds = np.vstack((feeds, feeds))
-    vertices = np.array([speeds, feeds, ctx.k1 / (speeds * feeds), speeds**a * wear_coef * feeds**b])
-    stationary = np.zeros((4, 5, m))
-    stationary[:2] = [[v_lo, v_hi, v_lo, v_lo, np.full(m, math.inf)], [f_lo, f_lo, f_lo, f_top, f_lo]]
-    return FeasiblePolygons(
-        candidates=np.concatenate((stationary, vertices), axis=1),
-        numerators=numerators,
-        denominators=np.array([b + 1.0, b + 1.0, a + 1.0, a + 1.0, g + power_slope]),
-    )
+    speeds, feeds, machining, wear = candidates[:, 5:]
+    np.divide(ctx.k1, speeds * feeds, out=machining)
+    np.multiply(speeds**a * wear_coef, feeds**b, out=wear)
+    return FeasiblePolygons(candidates, numerators, np.array([b1, b1, a1, a1, g + power_slope]))
 
 
 class OperationMinima(NamedTuple):
@@ -951,7 +930,7 @@ def _relative_error(m: int) -> float:
     within 18 machine epsilons (two pows of up to four ulps and three
     roundings), summed in up to m + 2 more roundings: 4*(m + 16) epsilons
     hold that with room."""
-    return 4 * (m + 16) * float(np.finfo(float).eps)
+    return 4 * (m + 16) * math.ulp(1.0)
 
 
 def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangent: OperationMinima) -> float:
@@ -992,7 +971,7 @@ def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangen
     non-finite term makes the bound -inf or NaN.
     """
     m = ctx.m
-    eps = float(np.finfo(float).eps)
+    eps = math.ulp(1.0)
     weight = ctx.rate + lam
     a, b = ctx.speed_exponent, ctx.feed_exponent
     speeds, feeds = polygons.vertices[:2]
@@ -1032,7 +1011,7 @@ def _rate_bound(ctx: EvalContext, polygons: FeasiblePolygons, rate: float, tange
     that is not finite is +inf.
     """
     m = ctx.m
-    eps = float(np.finfo(float).eps)
+    eps = math.ulp(1.0)
     lam = max(rate, 0.0)
     if rate < 0.0:
         tangent = operation_minima(ctx, polygons, lam)
@@ -1082,8 +1061,14 @@ class PricingBuffers:
         m = ctx.m
         mn = m * n
         self.ctx = ctx
-        for name in self._REPEATED:
-            setattr(self, name, np.repeat(getattr(ctx, name), n))
+        # One repeat of the constants laid end to end, viewed per constant.
+        constants = [getattr(ctx, name) for name in self._REPEATED]
+        repeated = np.concatenate(constants).repeat(n)
+        start = 0
+        for name, values in zip(self._REPEATED, constants):
+            end = start + values.size * n
+            setattr(self, name, repeated[start:end])
+            start = end
         self.flat = np.empty(2 * mn)
         self.by_operation = self.flat.reshape(2 * m, n)
         self.speeds, self.feeds = self.flat[:mn], self.flat[mn:]

@@ -445,7 +445,12 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
 
     The last iterate is returned as it is: its point is the kernel's, on
     the power edge that both pows accept (milling.v_max), so it passes the
-    scalar constraint_margins too wherever the lowest corner does.
+    scalar constraint_margins too wherever the lowest corner does.  Where
+    the lowest corner passes batch_evaluate's power test but the C
+    library's f**0.8 puts it one rounding over the scalar limit, no speed
+    and feed of that operation passes both tests: its f_top and v_max fall
+    below the box, its point stays at the corner, and that point fails the
+    scalar power margin by the one rounding.
     """
     if not ctx.corner.feasible[0]:
         return ExactSolution(genome=None, profit_rate=None, rate_hi=0.0, iterations=0)

@@ -412,6 +412,17 @@ class TestLoaderErrors:
         with pytest.raises(PlanError, match="not valid JSON"):
             load_document_file(path)
 
+    def test_duplicate_key_in_a_file_is_named(self, tmp_path):
+        # json keeps the last value of a repeated key: read as a mapping,
+        # this document would sell at 2500
+        text = builtin_document_bytes().decode("utf-8")
+        text = text.replace('"sale_price": 25.0,', '"sale_price": 25.0, "sale_price": 2500.0,')
+        assert load_document(json.loads(text)).plan.economics.sale_price == 2500.0
+        path = tmp_path / "duplicate.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PlanError, match=exactly("duplicate key 'sale_price' in section 'economics'")):
+            load_document_file(path)
+
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_document_file(tmp_path / "absent.json")

@@ -4,6 +4,7 @@ and stderr logging."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millopt import EsConfig, GridSpec, PlanError, cli, es, milling, oracle
+from millopt import EsConfig, GridSpec, PlanError, case_study, cli, es, milling, oracle
 from millopt.case_study import builtin_document_bytes, load_document
 from millopt.cli import main
 
@@ -518,6 +519,69 @@ def test_each_command_derives_the_coefficients_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+# Digest plans (scripts/report_digests.py): profitable, feasible at the
+# lowest corner but unprofitable everywhere, and infeasible at it.
+CALL_COUNT_PLANS = {"profitable": 13, "unprofitable": 11, "corner-infeasible": 19}
+
+
+@pytest.mark.parametrize("plan", sorted(CALL_COUNT_PLANS))
+@pytest.mark.parametrize("command", ["optimize", "oracle", "evaluate"])
+def test_each_command_loads_compiles_and_prices_the_corner_once(capsys, monkeypatch, tmp_path, command, plan):
+    # The fixed work of a call, done once: what a second load, compile or
+    # corner pricing would cost every call is what this keeps out.
+    digest = digest_plan(CALL_COUNT_PLANS[plan])
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(dump_plan(digest)), encoding="utf-8")
+    counts = collections.Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    for module, name in (
+        (case_study, "load_document_file"),
+        (case_study, "load_document"),
+        (milling, "compile_context"),
+        (es, "compile_context"),
+        (oracle, "compile_context"),
+        (es, "solve_exact"),
+        (oracle, "solve_exact"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    batch_evaluate = milling.batch_evaluate
+
+    def pricing(ctx, genomes, buffers=None):
+        if np.array_equal(np.ravel(genomes), ctx.lower):
+            counts["corner"] += 1
+        return batch_evaluate(ctx, genomes, buffers)
+
+    monkeypatch.setattr(milling, "batch_evaluate", pricing)
+    monkeypatch.setattr(es, "batch_evaluate", pricing)
+    extra = {
+        "optimize": ("--stall", "20"),
+        "oracle": ("--grid-resolution", "30"),
+        "evaluate": (
+            "--speeds", ",".join(repr(op.speed_bounds[0]) for op in digest.operations),
+            "--feeds", ",".join(repr(op.feed_bounds[0]) for op in digest.operations),
+        ),
+    }[command]
+    code, _, err = run_cli(capsys, command, "--config", str(path), *extra, "--out", "json")
+    assert err == ""
+    # the grid reports a feasible point however unprofitable
+    found = plan == "profitable" or plan == "unprofitable" and command == "oracle"
+    assert code == (0 if found or command == "evaluate" else 3)
+    assert counts == {
+        "load_document_file": 1,
+        "load_document": 1,
+        "compile_context": 1,
+        "corner": 1,
+        **({"solve_exact": 1} if command == "optimize" else {}),
+    }
+
+
 class TestCompareCommand:
     def test_builtin_json_report(self, capsys):
         code, report = run_json(
@@ -831,6 +895,70 @@ class TestUsageAndErrors:
         code, _, err = run_cli(capsys, "optimize", "--config", str(path))
         assert code == 2
         assert "unknown key 'notes'" in err
+
+    @pytest.mark.parametrize(
+        ("place", "key", "where"),
+        [
+            ((), "economics", "plan document"),
+            (("economics",), "sale_price", "section 'economics'"),
+            (("machine",), "efficiency", "section 'machine'"),
+            (("tools", 0), "price", "tools[0]"),
+            (("operations", 1), "travel", "operations[1]"),
+            (("es",), "mu", "section 'es'"),
+            (("oracle",), "resolution", "section 'oracle'"),
+        ],
+    )
+    def test_duplicate_key_exits_two_naming_it(self, capsys, tmp_path, place, key, where):
+        document = json.loads(builtin_document_bytes().decode("utf-8"))
+        document.update(es={"mu": 10}, oracle={"resolution": 50})
+        section = document
+        for step in place:
+            section = section[step]
+        # the key again, after the first, with the same value
+        section["DUPLICATE"] = section[key]
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(document).replace('"DUPLICATE"', json.dumps(key)), encoding="utf-8")
+        command = "oracle" if place == ("oracle",) else "optimize"
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: duplicate key '{key}' in {where}\n")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sigma_init_exits_two(self, capsys, value):
+        code, out, err = run_cli(capsys, "optimize", "--builtin-case", "--sigma-init", value)
+        assert (code, out, err) == (2, "", "error: sigma_init must be finite and > 0\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--builtin-case", "--seed", "3", "--out", "json"),
+            ("evaluate", "--builtin-case", "--speeds", "-5,40", "--feeds", "0.1,0.2"),
+            ("oracle", "--builtin-case", "--grid-resolution", "bogus"),
+            ("optimize", "--builtin-case", "--foo", "bar"),
+            ("optimize", "--builtin-case", "extra"),
+            ("optimize", "--builtin", "--sig", "0.3"),
+            ("optimize", "--builtin-case", "--", "--seed", "2"),
+            ("compare", "--config", "plan.json", "--builtin-case"),
+            ("optimize", "-h"),
+            ("optimize",),
+            ("polish",),
+            ("--help",),
+            (),
+        ],
+    )
+    def test_command_parser_reads_what_the_main_parser_would(self, capsys, argv):
+        # main hands a call that starts with a command to that command's
+        # parser alone; the namespace, or the exit and its output, are
+        # those of the main parser
+        parser, _ = cli._parser()
+
+        def outcome(parse):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        assert outcome(cli._parse_args) == outcome(parser.parse_args)
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

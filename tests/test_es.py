@@ -120,6 +120,11 @@ class TestEsConfig:
         with pytest.raises(ValueError):
             EsConfig(**overrides)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_sigma_init_message_names_both_conditions(self, value):
+        with pytest.raises(ValueError, match=r"^sigma_init must be finite and > 0$"):
+            EsConfig(sigma_init=value)
+
     def test_resolved_taus_for_length_ten(self):
         tau_g, tau_l = learning_rates(10)
         assert tau_g == pytest.approx(1.0 / math.sqrt(20.0), rel=1e-15)

@@ -995,6 +995,40 @@ class TestSolveExact:
         # the corner-feasible plans: 45 digest plans and 302 from rng 11
         assert points == 347
 
+    def test_corner_that_only_numpy_pow_accepts(self, builtin_plan):
+        # Operation 1's lowest corner passes batch_evaluate's power test,
+        # whose f**0.8 is numpy's, at the largest c5 that test accepts, and
+        # fails by one rounding the scalar margin, whose pow is the C
+        # library's.  No speed and feed of its box passes both, so f_top
+        # and v_max fall below the box and the corner is returned as it is.
+        ctx = compile_context(builtin_plan)
+        m, v_lo, f_lo = ctx.m, ctx.lower[0], 0.05000000000000118
+        numpy_power = (np.array([f_lo]) ** 0.8)[0]
+        c5 = 1.0 / (v_lo * numpy_power)
+        while (math.nextafter(c5, math.inf) * v_lo) * numpy_power <= 1.0:
+            c5 = math.nextafter(c5, math.inf)
+        while (c5 * v_lo) * numpy_power > 1.0:
+            c5 = math.nextafter(c5, 0.0)
+        lower = ctx.lower.copy()
+        lower[m] = f_lo
+        edge = dataclasses.replace(ctx, lower=lower, c5=np.concatenate(([c5], ctx.c5[1:])))
+
+        def both_accept(v, f):
+            v, f = float(v), float(f)
+            return (c5 * v) * (np.array([f]) ** 0.8)[0] <= 1.0 and (c5 * v) * f**0.8 <= 1.0
+
+        assert edge.corner.feasible[0] and not both_accept(v_lo, f_lo)
+        result = oracle.solve_exact(edge)
+        assert (result.genome[0], result.genome[m]) == (v_lo, f_lo)
+        fitness = batch_evaluate(edge, result.genome).fitness[0]
+        assert fitness == result.profit_rate == 0.7167028589576497
+        assert result.rate_hi >= fitness
+        # each edge is still the largest value both pows accept, here below the box
+        f_top = milling.feasible_polygons(edge).f_top[0]
+        assert f_top < f_lo and both_accept(v_lo, f_top) and not both_accept(v_lo, math.nextafter(f_top, math.inf))
+        top = milling.v_max(edge, lower[None, m:])[0, 0]
+        assert top < v_lo and both_accept(top, f_lo) and not both_accept(math.nextafter(top, math.inf), f_lo)
+
     def test_iteration_guard_still_certifies(self, builtin_plan, monkeypatch):
         # the bound holds at any multiplier, so a cut-short iteration
         # gives a looser but still sound bound, and no error
