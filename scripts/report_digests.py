@@ -60,8 +60,8 @@ key order, widths and rows count.  The set:
     a batch size other than 105 and 1.
   * optimize on the bundled case with --sigma-init 0.3 --stall 50 at
     --mu 2 --lambda 3, where the second parent takes no draw and each
-    generation draws an odd number of 32-bit halves, and at --mu 3
-    --lambda 7, an odd number of children.
+    generation's raw block leaves its last 32-bit half unused, and at
+    --mu 3 --lambda 7, an odd number of children.
   * in --out text and then --out csv: optimize (seed 0) and oracle on the
     bundled case; evaluate on it at the box midpoints and there with a
     first feed of 0.3, where the first operation's power and finish

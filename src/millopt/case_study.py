@@ -21,7 +21,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
 
@@ -48,6 +47,7 @@ __all__ = [
     "LoadedDocument",
     "load_document",
     "load_document_file",
+    "BUILTIN_DOCUMENT",
     "builtin_case",
     "builtin_document_bytes",
 ]
@@ -288,12 +288,15 @@ def load_document_file(path: str | Path) -> LoadedDocument:
     return load_document(raw)
 
 
+# The bundled case-study document, shipped beside this module.
+BUILTIN_DOCUMENT = Path(__file__).with_name("data") / "case_study.json"
+
+
 def builtin_document_bytes() -> bytes:
     """Raw bytes of the bundled case-study document, as shipped."""
-    return resources.files("millopt").joinpath("data/case_study.json").read_bytes()
+    return BUILTIN_DOCUMENT.read_bytes()
 
 
 def builtin_case() -> tuple[MillingPlan, tuple[ReferenceRow, ...]]:
     """The bundled five-operation part and its published comparison rows."""
-    plan = load_document(json.loads(builtin_document_bytes().decode("utf-8"))).plan
-    return plan, REFERENCE_ROWS
+    return load_document_file(BUILTIN_DOCUMENT).plan, REFERENCE_ROWS

@@ -149,11 +149,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def _load_input(args: argparse.Namespace) -> tuple[case_study.LoadedDocument, bool]:
-    if args.builtin_case:
-        document = json.loads(case_study.builtin_document_bytes().decode("utf-8"))
-        return case_study.load_document(document), True
-    return case_study.load_document_file(args.config), False
+def _load_input(args: argparse.Namespace) -> case_study.LoadedDocument:
+    return case_study.load_document_file(case_study.BUILTIN_DOCUMENT if args.builtin_case else args.config)
 
 
 def _settings(cls: type, args: argparse.Namespace, overrides: dict[str, Any]) -> Any:
@@ -312,7 +309,7 @@ def _render_compare(report: dict[str, Any], fmt: str) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
-    loaded, _ = _load_input(args)
+    loaded = _load_input(args)
     config = _settings(es.EsConfig, args, loaded.es_overrides)
     observer = _improvement_logger(sys.stderr) if args.verbose else None
     result = es.run(loaded.plan, config, observer=observer)
@@ -334,7 +331,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
-    loaded, _ = _load_input(args)
+    loaded = _load_input(args)
     grid = _settings(oracle.GridSpec, args, loaded.oracle_overrides)
     result = oracle.dinkelbach_solve(loaded.plan, grid=grid)
     report = _solution_report(
@@ -361,7 +358,7 @@ def _parse_values(raw: str, name: str, expected: int) -> tuple[float, ...]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> tuple[str, int]:
-    loaded, _ = _load_input(args)
+    loaded = _load_input(args)
     plan = loaded.plan
     x = milling.DecisionVector(
         speeds=_parse_values(args.speeds, "speeds", plan.m),
@@ -402,7 +399,7 @@ def _compare_row(method: str, result: Any, source: str) -> dict[str, Any]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
-    loaded, is_builtin = _load_input(args)
+    loaded = _load_input(args)
     plan = loaded.plan
     config = _settings(es.EsConfig, args, loaded.es_overrides)
     grid = _settings(oracle.GridSpec, args, loaded.oracle_overrides)
@@ -411,7 +408,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     run_result = es.run(plan, config, observer=observer)
     oracle_result = oracle.dinkelbach_solve(plan, grid=grid)
 
-    published = case_study.REFERENCE_ROWS if is_builtin else ()
+    published = case_study.REFERENCE_ROWS if args.builtin_case else ()
     computed = (
         ("Evolutionary strategy (this implementation)", run_result),
         ("Oracle (grid)", oracle_result),

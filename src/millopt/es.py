@@ -40,9 +40,8 @@ profitable point, or no feasible one, before any population is drawn.
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
 indices, recombination masks, step-size mutations, genome perturbations),
-so runs are reproducible bit for bit.  The parent indices and masks are
-the values, and take the words, that numpy's integers calls for them
-give, but come from one block of raw generator output (MatingDraws).
+so runs are reproducible bit for bit.  The parent indices and masks come
+from one block of raw generator output (MatingDraws).
 """
 
 from __future__ import annotations
@@ -193,34 +192,26 @@ class MatingDraws:
     each child's first and second parent index among mu, below 2**32,
     and its crossover mask, drawn in buffers made once per run.
 
-    draw gives the values that numpy's integers(0, mu, eta),
+    draw splits a block of the PCG64 generator's 64-bit words into 32-bit
+    halves u, low half first, as many words as the halves need.  A parent
+    index below a bound k is (u * k) >> 32 (Lemire's multiply-shift, ACM
+    TOMACS 29(1), 2019), and takes no half for k = 1; a mask bit is
+    u >= 2**31; a last odd half is left unused.  Lemire's method rejects u
+    when the low 32 bits of u * k fall below 2**32 % k, and a block with a
+    rejected index is dropped whole and the next one drawn.  Each half is
+    accepted or not on its own, so every value stays uniform.  When the
+    halves fill whole words and the block rejects nothing, these are the
+    values, and the words, of numpy's integers(0, mu, eta),
     integers(0, mu - 1, eta) and integers(0, 2, (eta, L)).astype(bool)
-    give, and leaves the generator where they leave it.  For a bound k
-    below 2**32, integers takes each value from the next 32-bit half u of
-    the PCG64 generator's 64-bit words, low half first, as (u * k) >> 32
-    (Lemire's multiply-shift, ACM TOMACS 29(1), 2019).  It takes no half
-    for k = 1, takes another when the low 32 bits of u * k fall below
-    2**32 % k, and keeps an unused high half as a spare for the next
-    32-bit draw.  So when no spare is held and the halves fill whole
-    words, one random_raw block holds them all, a mask bit being
-    u >= 2**31.  A block with a rejected draw is rewound and the
-    generation drawn by numpy's own calls, as is every generation while
-    a spare is held or when the halves are odd in number (for an even L,
-    mu == 2 with an odd eta).  The spare is looked up only after such a
-    generation, so nothing else may draw 32-bit values from the
-    generator between two draws.
+    on a generator holding no spare half.
     """
 
     def __init__(self, mu: int, eta: int, length: int) -> None:
         bounds = [k for k in (mu, mu - 1) if k > 1]
         parents = eta * len(bounds)
-        halves = parents + eta * length
-        self.mu, self.eta, self.shape = mu, eta, (eta, length)
-        self.words = halves // 2
-        # Whether the raw block may be tried: while the halves fill whole
-        # words and no spare is held, as none is by a fresh generator.
-        self.whole = halves % 2 == 0
-        self.raw = self.whole
+        self.mu = mu
+        self.halves = parents + eta * length
+        self.words = -(-self.halves // 2)
         self.bounds = np.repeat(np.array(bounds, dtype=np.uint32), eta)
         self.thresholds = np.repeat(np.array([2**32 % k for k in bounds], dtype=np.uint32), eta)
         self.products = np.empty(parents, dtype=np.uint64)
@@ -233,39 +224,29 @@ class MatingDraws:
         self.first, self.second_drawn = indices
         self.shifted = indices.view(np.uint64).reshape(-1)[:parents]
         self.second = np.zeros(eta, dtype=np.int64)
-        self.mask = np.empty(self.shape, dtype=bool)
+        self.mask = np.empty((eta, length), dtype=bool)
         self.mask_bits = self.mask.reshape(-1)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(first, second, take_a): two distinct parents per child,
         uniform over the population (both 0 when mu == 1), and which
         genome components come from the first.  The arrays are this
-        object's buffers or fresh, and the next draw may overwrite them."""
-        bits = rng.bit_generator
-        if self.raw:
+        object's buffers, which the next draw overwrites."""
+        while True:
             # The halves in the generator's order, whatever this machine's.
-            halves = bits.random_raw(self.words).astype("<u8", copy=False).view("<u4")
+            halves = rng.bit_generator.random_raw(self.words).astype("<u8", copy=False).view("<u4")
             drawn = halves[: self.low.size]
             np.multiply(drawn, self.bounds, out=self.low)  # mod 2**32
             np.less(self.low, self.thresholds, out=self.rejected)
             if not np.count_nonzero(self.rejected):
-                np.multiply(drawn, self.bounds, out=self.products, dtype=np.uint64)
-                np.right_shift(self.products, 32, out=self.shifted)
-                if self.mu > 1:
-                    np.greater_equal(self.second_drawn, self.first, out=self.second)
-                    self.second += self.second_drawn
-                np.greater_equal(halves[drawn.size :], 2**31, out=self.mask_bits)
-                return self.first, self.second, self.mask
-            bits.advance(-self.words)
-        first = rng.integers(0, self.mu, size=self.eta)
+                break
+        np.multiply(drawn, self.bounds, out=self.products, dtype=np.uint64)
+        np.right_shift(self.products, 32, out=self.shifted)
         if self.mu > 1:
-            second = rng.integers(0, self.mu - 1, size=self.eta)
-            second += second >= first
-        else:
-            second = np.zeros(self.eta, dtype=int)
-        take_a = rng.integers(0, 2, size=self.shape).astype(bool)
-        self.raw = self.whole and not bits.state["has_uint32"]
-        return first, second, take_a
+            np.greater_equal(self.second_drawn, self.first, out=self.second)
+            self.second += self.second_drawn
+        np.greater_equal(halves[drawn.size : self.halves], 2**31, out=self.mask_bits)
+        return self.first, self.second, self.mask
 
 
 class Workspace(NamedTuple):
@@ -434,9 +415,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
 
     Draw order within the generation: parent indices, recombination
     masks, step-size mutation draws, genome perturbation draws.  The
-    first two are the draws of numpy's integers calls, taken in one raw
-    block (MatingDraws), so nothing but step may draw 32-bit values from
-    state.rng.
+    first two are taken in one raw block (MatingDraws).
     The children are bred and priced in state.workspace, which state
     must have from initial_state(ctx, config).
     """

@@ -451,12 +451,12 @@ def unit_cost(plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoeffic
         _check_positive_pair(v, f)
         tool = plan.tool_for(op)
         total += rate * (coeffs[i].k1 / (v * f))
-        life_inv = 1.0 / tool.life_exponent
+        # compile_context's form of the exponents, so both round them alike.
         total += (
             tool.price
             * coeffs[i].k3
-            * v ** (life_inv - 1.0)
-            * f ** (feed_exponent_base * life_inv - 1.0)
+            * v ** (1.0 / tool.life_exponent - 1.0)
+            * f ** (feed_exponent_base / tool.life_exponent - 1.0)
         )
         total += rate * tool.change_time
     return total

@@ -235,6 +235,7 @@ class TestBuiltinCase:
         plan, rows = builtin_case()
         assert rows is REFERENCE_ROWS
         assert plan.m == 5
+        assert plan == load_document(builtin_document()).plan
 
     def test_document_bytes_stable_and_parseable(self):
         first = builtin_document_bytes()

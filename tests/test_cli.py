@@ -582,6 +582,32 @@ def test_each_command_loads_compiles_and_prices_the_corner_once(capsys, monkeypa
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "--stall", "5"),
+        ("oracle", "--grid-resolution", "30"),
+        ("evaluate", "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388"),
+        ("compare", "--stall", "5", "--grid-resolution", "30"),
+    ],
+    ids=["optimize", "oracle", "evaluate", "compare"],
+)
+def test_builtin_case_is_read_by_the_document_file_loader(capsys, monkeypatch, argv):
+    # the bundled document gets every check a document file gets, the
+    # duplicate-key check included
+    paths = []
+    load_document_file = case_study.load_document_file
+
+    def counted(path):
+        paths.append(path)
+        return load_document_file(path)
+
+    monkeypatch.setattr(case_study, "load_document_file", counted)
+    code, _, err = run_cli(capsys, argv[0], "--builtin-case", *argv[1:], "--out", "json")
+    assert (code, err) == (0, "")
+    assert paths == [case_study.BUILTIN_DOCUMENT]
+
+
 class TestCompareCommand:
     def test_builtin_json_report(self, capsys):
         code, report = run_json(

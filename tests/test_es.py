@@ -303,7 +303,8 @@ class TestRecombine:
 
 def numpy_mating(rng, mu, eta, length):
     """A generation's parents and crossover mask from numpy's integers
-    calls: the reference that MatingDraws.draw must equal."""
+    calls: the reference that MatingDraws.draw must equal while the halves
+    fill whole words and no draw is rejected."""
     first = rng.integers(0, mu, size=eta)
     if mu > 1:
         second = rng.integers(0, mu - 1, size=eta)
@@ -313,78 +314,106 @@ def numpy_mating(rng, mu, eta, length):
     return first, second, rng.integers(0, 2, size=(eta, length)).astype(bool)
 
 
-def live_state(bits):
-    """A bit generator's state, without the spare 32-bit half that numpy
-    keeps after it was used: no draw reads it again."""
-    state = bits.state
-    return state if state["has_uint32"] else {**state, "uinteger": None}
+def reference_mating(bits, mu, eta, length):
+    """A generation's parents and crossover mask by MatingDraws' rule, one
+    Python int at a time, and the number of raw blocks it took: each block
+    is split into 32-bit halves, low half first, and drawn again whole
+    while a parent half is rejected."""
+    bounds = [k for k in (mu, mu - 1) if k > 1 for _ in range(eta)]
+    halves = len(bounds) + eta * length
+    blocks = 0
+    while True:
+        blocks += 1
+        words = bits.random_raw((halves + 1) // 2).tolist()
+        us = [word >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)][:halves]
+        products = [u * k for u, k in zip(us, bounds)]
+        if all(p & 0xFFFFFFFF >= 2**32 % k for p, k in zip(products, bounds)):
+            break
+    drawn = [p >> 32 for p in products] + [0] * (2 * eta - len(products))
+    first, second = np.array(drawn[:eta]), np.array(drawn[eta:])
+    if mu > 1:
+        second += second >= first
+    mask = np.array([u >= 2**31 for u in us[len(bounds) :]]).reshape(eta, length)
+    return (first, second, mask), blocks
 
 
 class TestMatingDraws:
     @pytest.mark.parametrize(
         "mu, eta, length",
-        [(15, 105, 10), (1, 7, 2), (2, 3, 2), (3, 7, 20), (4, 9, 20)],
-        ids=["default", "one-parent", "odd-halves", "three", "four"],
+        [(15, 105, 10), (1, 7, 2), (3, 7, 20), (4, 9, 20)],
+        ids=["default", "one-parent", "three", "four"],
     )
     def test_draws_are_the_stream_of_numpys_calls(self, mu, eta, length):
         mating = es.MatingDraws(mu, eta, length)
-        drawn, twin = np.random.default_rng(4), np.random.default_rng(4)
+        drawn, twin, moved = (np.random.default_rng(4) for _ in range(3))
         for _ in range(60):
             got = mating.draw(drawn)
             expected = numpy_mating(twin, mu, eta, length)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
             assert got[2].dtype == bool
+            # one block of mating.words words, and no spare half held
+            moved.bit_generator.random_raw(mating.words)
+            assert drawn.bit_generator.state == moved.bit_generator.state
+            assert not drawn.bit_generator.state["has_uint32"]
             # mutate's normals come between two generations' mating draws
-            drawn.standard_normal(eta * (1 + 2 * length))
-            twin.standard_normal(eta * (1 + 2 * length))
-        # an odd number of halves per generation never takes the raw block
-        assert mating.raw == (eta * ((mu > 1) + (mu > 2) + length) % 2 == 0)
-        assert live_state(drawn.bit_generator) == live_state(twin.bit_generator)
+            for rng in (drawn, twin, moved):
+                rng.standard_normal(eta * (1 + 2 * length))
         assert drawn.standard_normal() == twin.standard_normal()
         assert drawn.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
 
-    def test_rejected_draws_rewind_to_the_stream_of_numpys_calls(self):
-        # Lemire's method rejects about half the draws below 2**31 + 1, so
-        # blocks are rewound, numpy's calls leave spare halves, and raw
-        # blocks come between them.
+    def test_odd_halves_leave_the_last_half_unused(self):
+        # mu 2 draws no second parent, so 3 + 3 * 2 halves take 5 words
+        mu, eta, length = 2, 3, 2
+        mating = es.MatingDraws(mu, eta, length)
+        assert mating.words == 5
+        drawn, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(60):
+            got = mating.draw(drawn)
+            expected, blocks = reference_mating(twin.bit_generator, mu, eta, length)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert blocks == 1  # mu 2 rejects no half
+            assert drawn.bit_generator.state == twin.bit_generator.state
+            drawn.standard_normal(3)
+            twin.standard_normal(3)
+
+    def test_rejected_blocks_are_drawn_again_whole(self):
+        # Lemire's method rejects about half the draws below 2**31 + 1
         mu, eta, length = 2**31 + 1, 2, 2
         mating = es.MatingDraws(mu, eta, length)
         drawn, twin = np.random.default_rng(9), np.random.default_rng(9)
-        seen = {"raw": 0, "rewound": 0, "spare": 0, "after rewound": 0}
-        rewound = False
+        redrawn = 0
         for _ in range(300):
-            tried, spare = mating.raw, twin.bit_generator.state["has_uint32"]
             got = mating.draw(drawn)
-            expected = numpy_mating(twin, mu, eta, length)
+            expected, blocks = reference_mating(twin.bit_generator, mu, eta, length)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-            assert not (spare and tried)  # a spare half is never skipped
-            from_block = got[0] is mating.first
-            seen["raw"] += from_block
-            seen["spare"] += spare
-            seen["after rewound"] += rewound
-            rewound = tried and not from_block
-            seen["rewound"] += rewound
+            assert got[0] is mating.first
+            redrawn += blocks - 1
+            # the generator moves by whole blocks only
+            assert drawn.bit_generator.state == twin.bit_generator.state
             drawn.standard_normal(3)
             twin.standard_normal(3)
-            assert live_state(drawn.bit_generator) == live_state(twin.bit_generator)
-        assert min(seen.values()) >= 20, seen
+        assert redrawn >= 20
         assert drawn.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
 
     def test_step_makes_no_integers_call_on_the_raw_path(self, builtin_plan):
-        class NoIntegers:
-            def __init__(self, rng):
-                self.rng = rng
+        class Forbidding:
+            """Passes on every attribute it is not given but the forbidden."""
+
+            def __init__(self, wrapped, forbidden, **given):
+                self.wrapped, self.forbidden = wrapped, forbidden
+                vars(self).update(given)
 
             def __getattr__(self, name):
-                if name == "integers":
-                    raise AssertionError("integers called")
-                return getattr(self.rng, name)
+                if name in self.forbidden:
+                    raise AssertionError(f"{name} used")
+                return getattr(self.wrapped, name)
 
         cfg = EsConfig(sigma_init=0.3, seed=3)
         ctx = compile_context(builtin_plan)
         plain = initial_state(ctx, cfg)
         watched = initial_state(ctx, cfg)
-        watched = dataclasses.replace(watched, rng=NoIntegers(watched.rng))
+        bits = Forbidding(watched.rng.bit_generator, {"advance", "state"})
+        watched = dataclasses.replace(watched, rng=Forbidding(watched.rng, {"integers"}, bit_generator=bits))
         for _ in range(30):
             plain, watched = step(plain, ctx, cfg), step(watched, ctx, cfg)
         assert np.array_equal(watched.genomes, plain.genomes)
