@@ -926,6 +926,18 @@ class TestSolveExact:
         assert result.profit_rate == 1.3791069903004307
         assert result.rate_hi == 1.3791069903006286
         assert result.iterations == 5
+        assert result.genome.tolist() == [
+            91.13488278121908,
+            40.0,
+            40.0,
+            30.0,
+            31.257329437323737,
+            0.07817642957711536,
+            0.32528539602542644,
+            0.3252853960254269,
+            0.5,
+            0.38851434494290565,
+        ]
 
     @pytest.mark.parametrize("resolution", [2, 7, 60, 500])
     def test_rate_hi_is_at_least_every_grid_optimum(self, builtin_plan, resolution):
