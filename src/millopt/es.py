@@ -469,16 +469,16 @@ def run(
 
     Before the first generation the run computes rate_hi, a certified
     upper bound on every fitness batch_evaluate can return in the box
-    (oracle.solve_exact), without calling batch_evaluate.  step resets the
-    stall counter only on a fitness above the last reset's times
-    (1 + STALL_GAIN), so the run stops at the first generation where that
-    product reaches rate_hi: every later generation would only count
-    towards stall_limit.  The result is the one the stall counter alone
-    gives with MAX_GENERATIONS set to that generation.  The bound rests on
-    the premises solve_exact names (convexity in log space, a polygon
-    holding every genome the rounded tests accept, a rounding allowance);
-    where none is certified it is +inf and the stall counter alone stops
-    the run.
+    (the rate_hi of oracle.solve_exact's OracleResult), without calling
+    batch_evaluate.  step resets the stall counter only on a fitness above
+    the last reset's times (1 + STALL_GAIN), so the run stops at the first
+    generation where that product reaches rate_hi: every later generation
+    would only count towards stall_limit.  The result is the one the stall
+    counter alone gives with MAX_GENERATIONS set to that generation.  The
+    bound rests on the premises solve_exact names (convexity in log space,
+    a polygon holding every genome the rounded tests accept, a rounding
+    allowance); where none is certified it is +inf and the stall counter
+    alone stops the run.
 
     Before the first generation the reset fitness is 0, and the same test
     is the gate: when rate_hi is 0, because the lowest corner
@@ -488,7 +488,8 @@ def run(
     generation.  The result is the infeasible one that running every
     generation would report.
 
-    Raises DomainError as compile_context does.
+    Raises DomainError as compile_context does, and OracleError as
+    solve_exact does, when its iteration does not settle.
     """
     config = config or EsConfig()
     ctx = compile_context(plan)

@@ -35,21 +35,22 @@ axes, the staircase, the factors of the value and their extremes) is
 prepared once per solve, from the compiled model alone; each multiplier
 iteration only scans.
 
-solve_exact runs the same iteration on milling.operation_minima, which
-minimizes each operation over its continuous feasible polygon in closed
-form, and certifies the result with milling's rate_hi, an upper bound on
-every fitness batch_evaluate can return in the box, proved beside the
-arithmetic it rests on.  The strategy stops a run on it (es.run).  The
-polygon's power edge is found under numpy's pow and the C library's at
-once, so the point solve_exact returns passes the scalar
-constraint_margins as well as batch_evaluate's tests, with no correction
-afterwards, whenever the lowest corner does.
+solve_exact runs the same iteration, the one loop of _iterate, on
+milling.operation_minima, which minimizes each operation over its
+continuous feasible polygon in closed form, and certifies the result with
+milling's rate_hi, an upper bound on every fitness batch_evaluate can
+return in the box, proved beside the arithmetic it rests on.  The
+strategy stops a run on it (es.run).  The polygon's power edge is found
+under numpy's pow and the C library's at once, so the point solve_exact
+returns passes the scalar constraint_margins as well as batch_evaluate's
+tests, with no correction afterwards, whenever the lowest corner does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -73,7 +74,6 @@ __all__ = [
     "OracleError",
     "per_op_grid_min",
     "dinkelbach_solve",
-    "ExactSolution",
     "solve_exact",
 ]
 
@@ -87,7 +87,7 @@ _BAND = 64
 
 
 # Guard on the multiplier iteration.  On the bundled case and on random
-# plans it stops within 5 iterations; reaching the guard is a fault.
+# plans it stops within 7 iterations; reaching it is a fault on either path.
 MAX_DINKELBACH_ITERATIONS = 100
 
 
@@ -109,7 +109,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum of the profit rate over the product grid."""
+    """Exact profit-rate optimum over the grid (dinkelbach_solve) or the
+    box (solve_exact), as that solver prices it.  rate_hi is None from the
+    grid; from solve_exact it bounds every fitness batch_evaluate returns
+    in the box from above, and is +inf where none could be certified."""
 
     feasible: bool
     best: DecisionVector | None
@@ -118,6 +121,7 @@ class OracleResult:
     unit_time: float | None
     iterations: int
     lambda_trace: tuple[float, ...]
+    rate_hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -341,101 +345,75 @@ def _power_widths(power: np.ndarray, feeds_pow: np.ndarray) -> np.ndarray:
         widths[grow] = np.searchsorted(feeds_pow, feeds_pow[widths[grow]], side="right")
 
 
-def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleResult:
-    """Exact profit-rate optimum over the product grid.
+def _iterate(ctx: EvalContext, prepare: Callable[[], Callable[[float], tuple]]) -> OracleResult:
+    """Dinkelbach's iteration (Management Science 13(7), 1967).  prepare,
+    called once the box's lowest corner is known feasible, returns the
+    step: from a multiplier lam, the point of the solver's per-operation
+    minimizers of cost + lam * time, with its unit cost and unit time.
 
-    The multiplier lam starts at the profit rate of the box's lowest
-    corner, as the compiled context priced it (EvalContext.corner).  Each
-    iteration takes, per operation, the grid point minimizing cost + lam *
-    time, and the whole point's rate as the next lam.  It stops at the
-    first point that equals the previous one (the corner, before the first
-    iteration) or whose rate is not above lam: that point is a fixed point
-    of the iteration and the grid optimum.  While it goes on, lam rises
-    strictly, so no point recurs and the iteration ends on a finite grid
-    without a tolerance.
-
-    Returns an infeasible result, before any iteration, when the corner is
-    infeasible; raises DomainError as compile_context does, and OracleError
-    with the multiplier trace if the iteration does not stop within
-    MAX_DINKELBACH_ITERATIONS.
+    lam starts at the corner's profit rate, as the compiled context priced
+    it (EvalContext.corner), and each iteration takes the rate of the
+    step's point as the next lam.  It stops at the first point that equals
+    the previous one (the corner, before the first iteration) or whose rate
+    is not above lam: a fixed point of the iteration, and the step's
+    optimum.  Until then lam rises strictly, so no point recurs and the
+    iteration ends on a finite set of points without a tolerance.  An
+    infeasible corner gives an infeasible result; an iteration that does
+    not stop within MAX_DINKELBACH_ITERATIONS raises OracleError with the
+    multiplier trace.
     """
-    ctx = compile_context(plan)
-    grid = grid or GridSpec()
-    # The lowest corner is a grid point, so when it is feasible with a
-    # finite value every per-operation scan finds a finite feasible point.
     if not ctx.corner.feasible[0]:
-        return OracleResult(
-            feasible=False,
-            best=None,
-            profit_rate=None,
-            unit_cost=None,
-            unit_time=None,
-            iterations=0,
-            lambda_trace=(),
-        )
+        return OracleResult(False, None, None, None, None, iterations=0, lambda_trace=())
     lam = float(ctx.corner.fitness[0])
-    ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
-    # The reports price with the scalar model, which the frozen yardsticks
-    # pin to the last bit.
-    coeffs = ctx.coefficients
+    step = prepare()
     previous = DecisionVector.from_genome(ctx.lower)
     trace: list[float] = [lam]
-
     for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
-        points = [per_op_grid_min(op, lam) for op in ops]
-        x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
-        cost = unit_cost(plan, x, coeffs)
-        time = unit_time(plan, x, coeffs)
-        lam_next = (plan.economics.sale_price - cost) / time
+        x, cost, time = step(lam)
+        lam_next = (ctx.sale_price - cost) / time
         trace.append(lam_next)
         if x == previous or lam_next <= lam:
-            return OracleResult(
-                feasible=True,
-                best=x,
-                profit_rate=lam_next,
-                unit_cost=cost,
-                unit_time=time,
-                iterations=iteration,
-                lambda_trace=tuple(trace),
-            )
+            return OracleResult(True, x, lam_next, cost, time, iteration, tuple(trace))
         lam, previous = lam_next, x
-
     raise OracleError(
         "multiplier iteration did not converge within "
         f"{MAX_DINKELBACH_ITERATIONS} iterations; trace: {trace}"
     )
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """solve_exact's result.
-
-    genome [v_1..v_m, f_1..f_m] is the optimum found and profit_rate its
-    rate as batch_evaluate prices it; both are None when the lowest corner
-    is infeasible.  rate_hi bounds from above every fitness batch_evaluate
-    returns for a genome of the box, and is +inf where no bound could be
-    certified.  iterations counts the multiplier iterations.
+def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleResult:
+    """Exact profit-rate optimum over the product grid: _iterate, whose step
+    takes per operation the grid point minimizing cost + lam * time
+    (per_op_grid_min).  The lowest corner is a grid point, so when it is
+    feasible with a finite value every scan finds a finite feasible point.
+    Points are priced with the scalar model, which the frozen yardsticks
+    pin to the last bit.  Raises DomainError as compile_context does, and
+    OracleError as _iterate.
     """
+    ctx = compile_context(plan)
+    grid = grid or GridSpec()
 
-    genome: np.ndarray | None
-    profit_rate: float | None
-    rate_hi: float
-    iterations: int
+    def prepare() -> Callable[[float], tuple]:
+        ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+
+        def step(lam: float) -> tuple[DecisionVector, float, float]:
+            points = [per_op_grid_min(op, lam) for op in ops]
+            x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
+            return x, unit_cost(plan, x, ctx.coefficients), unit_time(plan, x, ctx.coefficients)
+
+        return step
+
+    return _iterate(ctx, prepare)
 
 
-def solve_exact(ctx: EvalContext) -> ExactSolution:
+def solve_exact(ctx: EvalContext) -> OracleResult:
     """The continuous profit-rate optimum of a compiled plan, with a
     certified upper bound on every fitness its box holds.
 
-    Dinkelbach's iteration (Management Science 13(7), 1967) runs on
-    milling.operation_minima, which solves each operation exactly, so the
-    iteration is global.  It starts from the lowest corner's rate
-    (EvalContext.corner) and stops by the grid oracle's rule: at the first
-    point equal to the previous one (the corner, before the first
-    iteration) or whose rate is not above lam.  Rates are priced from the
-    kernel's terms in batch_evaluate's order of operations.  Reaching
-    MAX_DINKELBACH_ITERATIONS ends the iteration where it is: the bound
-    holds at any multiplier.
+    _iterate runs on milling.operation_minima, which solves each operation
+    exactly, so the iteration is global.  Cost and time are summed from the
+    kernel's terms in batch_evaluate's order, so they and the rate are
+    batch_evaluate's.  It raises OracleError as _iterate does.
 
     rate_hi is milling._rate_bound at the last rate and minimizers found.
     Its three premises (convexity in log space, a polygon that holds every
@@ -452,19 +430,21 @@ def solve_exact(ctx: EvalContext) -> ExactSolution:
     below the box, its point stays at the corner, and that point fails the
     scalar power margin by the one rounding.
     """
-    if not ctx.corner.feasible[0]:
-        return ExactSolution(genome=None, profit_rate=None, rate_hi=0.0, iterations=0)
-    polygons = feasible_polygons(ctx)
-    lam = float(ctx.corner.fitness[0])
-    previous = ctx.lower.tolist()
-    for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
+    polygons = minima = None
+
+    def prepare() -> Callable[[float], tuple]:
+        nonlocal polygons
+        polygons = feasible_polygons(ctx)
+        return step
+
+    def step(lam: float) -> tuple[DecisionVector, float, float]:
+        nonlocal minima
         minima = operation_minima(ctx, polygons, lam)
         machining = np.add.reduce(minima.machining)
         cost = ctx.cost_fixed + ctx.rate * machining + np.add.reduce(minima.wear)
-        rate = float((ctx.sale_price - cost) / (ctx.time_fixed + machining))
-        point = minima.speeds.tolist() + minima.feeds.tolist()
-        if point == previous or rate <= lam:
-            break
-        lam, previous = rate, point
-    rate_hi = _rate_bound(ctx, polygons, rate, minima)
-    return ExactSolution(genome=np.array(point), profit_rate=rate, rate_hi=rate_hi, iterations=iteration)
+        x = DecisionVector(speeds=tuple(minima.speeds.tolist()), feeds=tuple(minima.feeds.tolist()))
+        return x, float(cost), float(ctx.time_fixed + machining)
+
+    result = _iterate(ctx, prepare)
+    rate_hi = _rate_bound(ctx, polygons, result.profit_rate, minima) if result.feasible else 0.0
+    return replace(result, rate_hi=rate_hi)

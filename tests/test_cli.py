@@ -273,6 +273,16 @@ class TestOptimizeCommand:
         assert report["feasible"] is False and report["profit_rate"] is None
         assert report["generations"] == 0 and report["evaluations"] == 0
 
+    def test_unconverged_certificate_iteration_exits_one(self, capsys, monkeypatch):
+        # the run's bound comes from the exact iteration, which raises at
+        # the guard as the grid oracle's does
+        monkeypatch.setattr(oracle, "MAX_DINKELBACH_ITERATIONS", 1)
+        code, out, err = run_cli(capsys, "optimize", "--builtin-case", "--stall", "5")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "did not converge" in err
+
     def test_verbose_logs_improvements_to_stderr(self, capsys, toy_config_path):
         code, out, err = run_cli(
             capsys,

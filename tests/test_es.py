@@ -6,6 +6,7 @@ whole-run behavior including determinism."""
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -39,7 +40,7 @@ from millopt.milling import (
     operation_minima,
     plan_warnings,
 )
-from millopt.oracle import ExactSolution, GridSpec, dinkelbach_solve, solve_exact
+from millopt.oracle import GridSpec, OracleResult, dinkelbach_solve, solve_exact
 
 from test_acceptance import random_plan
 
@@ -831,6 +832,12 @@ class TestRun:
             assert not hasattr(millopt, name), name
         for name in ("mutate", "recombine", "select", "step"):
             assert callable(getattr(es, name)), name
+        # every module's star import works: a stale entry, say of a class
+        # that is gone, would raise here
+        for name in ("millopt.es", "millopt.milling", "millopt.oracle", "millopt.case_study", "millopt.cli"):
+            exported = importlib.import_module(name).__all__
+            assert len(set(exported)) == len(exported), name
+            exec(f"from {name} import *", {})
 
 
 def _reference_rates() -> dict[int, float]:
@@ -943,9 +950,9 @@ def test_whole_builtin_run_under_the_default_stop_rule_is_pinned(builtin_plan, s
     ) == DEFAULT_RULE_RUNS[seed]
 
 
-def without_bound(ctx) -> ExactSolution:
+def without_bound(ctx) -> OracleResult:
     """solve_exact with no certificate: es.run then runs by its stall counter alone."""
-    return ExactSolution(genome=None, profit_rate=None, rate_hi=math.inf, iterations=0)
+    return OracleResult(False, None, None, None, None, 0, (), rate_hi=math.inf)
 
 
 def _replayed_stop(records: list[es.BestRecord], stall_limit: int, rate_hi: float) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from millopt import (
     unit_time,
 )
 from millopt.milling import batch_evaluate, compile_context
-from millopt import milling, oracle
+from millopt import cli, milling, oracle
 from millopt.oracle import per_op_grid_min, prepare_op_grid
 
 from conftest import batch_v_max, single_face_plan, two_op_plan
@@ -894,6 +895,11 @@ class TestFailureModes:
 BUNDLED_EXACT_RATE = 1.3791069903004314
 
 
+def genome(result):
+    """The flat [v_1..v_m, f_1..f_m] genome of a result's best point."""
+    return np.array(result.best.speeds + result.best.feeds)
+
+
 def boundary_genomes(ctx, rng, n):
     """Genomes on the edges of the feasible region: mixed corners of the
     box below feasible_upper, feeds at feed_cap, and at random feeds the
@@ -915,9 +921,8 @@ class TestSolveExact:
         assert 0.0 <= (result.rate_hi - result.profit_rate) / result.profit_rate <= 1e-12
         assert result.iterations <= 10
         # the rate is batch_evaluate's, and the point passes the scalar margins
-        assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate
-        x = DecisionVector.from_genome(result.genome)
-        assert all(m.satisfied for m in constraint_margins(builtin_plan, x, ctx.coefficients))
+        assert batch_evaluate(ctx, genome(result)).fitness[0] == result.profit_rate
+        assert all(m.satisfied for m in constraint_margins(builtin_plan, result.best, ctx.coefficients))
 
     def test_bundled_result_is_pinned_bit_for_bit(self, builtin_plan):
         # tighter than the 1e-12 checks above, which stay: a change that
@@ -926,18 +931,18 @@ class TestSolveExact:
         assert result.profit_rate == 1.3791069903004307
         assert result.rate_hi == 1.3791069903006286
         assert result.iterations == 5
-        assert result.genome.tolist() == [
-            91.13488278121908,
-            40.0,
-            40.0,
-            30.0,
-            31.257329437323737,
-            0.07817642957711536,
-            0.32528539602542644,
-            0.3252853960254269,
-            0.5,
-            0.38851434494290565,
-        ]
+        assert result.best == DecisionVector(
+            speeds=(91.13488278121908, 40.0, 40.0, 30.0, 31.257329437323737),
+            feeds=(
+                0.07817642957711536,
+                0.32528539602542644,
+                0.3252853960254269,
+                0.5,
+                0.38851434494290565,
+            ),
+        )
+        # Python floats, as the grid's points are, not numpy scalars
+        assert {type(value) for value in result.best.speeds + result.best.feeds} == {float}
 
     @pytest.mark.parametrize("resolution", [2, 7, 60, 500])
     def test_rate_hi_is_at_least_every_grid_optimum(self, builtin_plan, resolution):
@@ -957,17 +962,25 @@ class TestSolveExact:
             warnings.simplefilter("error")
             result = oracle.solve_exact(ctx)
         # exact feasibility is the lowest corner's
-        assert (result.genome is not None) == bool(ctx.corner.feasible[0])
+        assert result.feasible == (result.best is not None) == bool(ctx.corner.feasible[0])
         genomes = np.vstack((rng.uniform(ctx.lower, ctx.upper, size=(256, 2 * plan.m)), boundary_genomes(ctx, rng, 64)))
         assert batch_evaluate(ctx, genomes).fitness.max() <= result.rate_hi
-        if result.genome is None:
+        if result.best is None:
             assert result.rate_hi == 0.0
+            assert (result.iterations, result.lambda_trace) == (0, ())
             return
-        x = DecisionVector.from_genome(result.genome)
-        assert all(m.satisfied for m in constraint_margins(plan, x, ctx.coefficients))
-        assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate <= result.rate_hi
+        assert all(m.satisfied for m in constraint_margins(plan, result.best, ctx.coefficients))
+        evaluation = batch_evaluate(ctx, genome(result))
+        assert evaluation.fitness[0] == result.profit_rate <= result.rate_hi
+        # cost and time are batch_evaluate's too, bit for bit
+        assert (evaluation.unit_cost[0], evaluation.unit_time[0]) == (result.unit_cost, result.unit_time)
+        # the corner's rate, then one per iteration, rising strictly until the last
+        trace = result.lambda_trace
+        assert len(trace) == result.iterations + 1 and trace[-1] == result.profit_rate
+        assert all(a < b for a, b in zip(trace[:-2], trace[1:-1]))
         for resolution in (20, 60):
             grid = dinkelbach_solve(plan, grid=GridSpec(resolution=resolution))
+            assert grid.rate_hi is None
             assert grid.profit_rate <= result.rate_hi
             assert grid.profit_rate <= result.profit_rate + 1e-13 * abs(result.profit_rate)
         # certified to within rounding: the width scales with S / time_fixed
@@ -998,12 +1011,11 @@ class TestSolveExact:
                 calls.clear()
                 result = oracle.solve_exact(ctx)
                 assert calls == []
-                if result.genome is None:
+                if result.best is None:
                     continue
                 points += 1
-                x = DecisionVector.from_genome(result.genome)
-                assert all(m.satisfied for m in constraint_margins(plan, x, ctx.coefficients))
-                assert batch_evaluate(ctx, result.genome).fitness[0] == result.profit_rate
+                assert all(m.satisfied for m in constraint_margins(plan, result.best, ctx.coefficients))
+                assert batch_evaluate(ctx, genome(result)).fitness[0] == result.profit_rate
         # the corner-feasible plans: 45 digest plans and 302 from rng 11
         assert points == 347
 
@@ -1031,8 +1043,8 @@ class TestSolveExact:
 
         assert edge.corner.feasible[0] and not both_accept(v_lo, f_lo)
         result = oracle.solve_exact(edge)
-        assert (result.genome[0], result.genome[m]) == (v_lo, f_lo)
-        fitness = batch_evaluate(edge, result.genome).fitness[0]
+        assert (result.best.speeds[0], result.best.feeds[0]) == (v_lo, f_lo)
+        fitness = batch_evaluate(edge, genome(result)).fitness[0]
         assert fitness == result.profit_rate == 0.7167028589576497
         assert result.rate_hi >= fitness
         # each edge is still the largest value both pows accept, here below the box
@@ -1041,11 +1053,41 @@ class TestSolveExact:
         top = milling.v_max(edge, lower[None, m:])[0, 0]
         assert top < v_lo and both_accept(top, f_lo) and not both_accept(math.nextafter(top, math.inf), f_lo)
 
-    def test_iteration_guard_still_certifies(self, builtin_plan, monkeypatch):
-        # the bound holds at any multiplier, so a cut-short iteration
-        # gives a looser but still sound bound, and no error
+    def test_iteration_guard_raises_with_trace(self, builtin_plan, monkeypatch):
+        # an unsettled iterate is no optimum: the exact path raises at the
+        # guard as the grid's does
         ctx = compile_context(builtin_plan)
         monkeypatch.setattr(oracle, "MAX_DINKELBACH_ITERATIONS", 1)
-        result = oracle.solve_exact(ctx)
-        assert result.iterations == 1
-        assert result.profit_rate < BUNDLED_EXACT_RATE < result.rate_hi < math.inf
+        with pytest.raises(OracleError) as excinfo:
+            oracle.solve_exact(ctx)
+        message = str(excinfo.value)
+        assert "within 1 iterations" in message
+        assert f"trace: [{float(ctx.corner.fitness[0])!r}, " in message
+
+
+def test_solvers_look_up_the_grid_scan_and_solve_on_the_module(builtin_plan, monkeypatch, capsys):
+    """perfbench/tracing.py times the grid oracle by wrapping
+    oracle.per_op_grid_min and oracle.dinkelbach_solve, and reads
+    OracleResult.iterations; a solve or command that bound either function
+    once would go untimed."""
+    calls = {"per_op_grid_min": 0, "dinkelbach_solve": 0}
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+
+    counting("per_op_grid_min")
+    result = dinkelbach_solve(builtin_plan, grid=GridSpec(resolution=40))
+    assert calls == {"per_op_grid_min": builtin_plan.m * result.iterations, "dinkelbach_solve": 0}
+
+    counting("dinkelbach_solve")
+    calls.update(per_op_grid_min=0)
+    assert cli.main(["oracle", "--builtin-case", "--grid-resolution", "40", "--out", "json"]) == 0
+    iterations = json.loads(capsys.readouterr().out)["iterations"]
+    assert calls == {"per_op_grid_min": builtin_plan.m * iterations, "dinkelbach_solve": 1}
+    assert "iterations" in {f.name for f in dataclasses.fields(OracleResult)}
