@@ -7,9 +7,9 @@ Run it on two checkouts and diff the outputs to see which reports changed:
 
 The script imports millopt from the checkout it lives in (``src/``), and
 the random plan generator from that checkout's ``perfbench/workloads.py``.
-Every report but the fourteen before the last run is JSON, so full
-precision counts; those fourteen are text and csv, which round, so their
-key order, widths and rows count.  The set:
+Every report but the fourteen before the last three runs is JSON, so
+full precision counts; those fourteen are text and csv, which round, so
+their key order, widths and rows count.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
   * optimize on the bundled case with --sigma-init 0.3, seeds 0-19 (every
@@ -70,6 +70,11 @@ key order, widths and rows count.  The set:
     and on random plan 19, which has no computed rows;
   * optimize on the bundled document with its sale price given twice, 25
     and then 2500, which is rejected with one error line.
+  * evaluate on the bundled case at a first feed of 0.0634 and the fastest
+    first speed numpy's rounded power test accepts there, where the C
+    library's f**0.8 rounds the power margin over 1, so the report shows
+    which pow the margin takes; and with a first feed of -0.1, which is
+    rejected with one error line and no numpy warning before it.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -297,6 +302,14 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
     path = workdir / "duplicate_sale_price.json"
     path.write_text(text.replace('"sale_price": 25.0,', '"sale_price": 25.0, "sale_price": 2500.0,'), encoding="utf-8")
     yield "optimize economics.sale_price twice", ("optimize", "--config", str(path), "--out", "json")
+    yield "evaluate builtin power edge", (
+        "evaluate", *builtin,
+        "--speeds", "119.91836296192835,40,40,30,31.3", "--feeds", "0.0634,0.325,0.325,0.5,0.388",
+    )
+    yield "evaluate builtin feed=-0.1", (
+        "evaluate", *builtin,
+        "--speeds", "91.1,40,40,30,31.3", "--feeds", "-0.1,0.325,0.325,0.5,0.388",
+    )
 
 
 def digest(text: str) -> str:

@@ -540,13 +540,18 @@ def _finish_and_force(
 def constraint_margins(
     plan: MillingPlan, x: DecisionVector, coeffs: tuple[DerivedCoefficients, ...]
 ) -> tuple[OperationMargins, ...]:
-    """Evaluate every constraint of every operation at the point x."""
+    """Evaluate every constraint of every operation at the point x.
+
+    The power margin takes numpy's f**0.8, as batch_evaluate does, so
+    both judge every point alike."""
     _check_dimensions(plan, x, coeffs)
+    for v, f in zip(x.speeds, x.feeds):
+        _check_positive_pair(v, f)
+    feed_powers = (np.array(x.feeds, dtype=float) ** 0.8).tolist()
     out: list[OperationMargins] = []
     for i, op in enumerate(plan.operations):
         v, f = x.speeds[i], x.feeds[i]
-        _check_positive_pair(v, f)
-        power = coeffs[i].c5 * v * f**0.8
+        power = coeffs[i].c5 * v * feed_powers[i]
         finish, force = _finish_and_force(plan, i, coeffs[i], f)
         speed_ok = op.speed_bounds[0] <= v <= op.speed_bounds[1]
         feed_ok = op.feed_bounds[0] <= f <= op.feed_bounds[1]
@@ -744,27 +749,16 @@ def _largest_accepted(
     return x
 
 
-def _feed_powers(feeds: np.ndarray) -> np.ndarray:
-    """f**0.8 for each feed, the larger of numpy's pow, which
-    batch_evaluate calls, and the C library's, which the scalar
-    constraint_margins calls: the two may round an ulp apart.  Rounding
-    a product is monotone, so (c5 * v) * f**0.8 <= 1 with this power
-    passes both power tests."""
-    return np.maximum(feeds**0.8, np.array([f**0.8 for f in feeds.ravel().tolist()]).reshape(feeds.shape))
-
-
 def v_max(ctx: EvalContext, feeds: np.ndarray) -> np.ndarray:
-    """The largest double v <= v_hi that both power tests accept at each
-    feed f: batch_evaluate's, (c5 * v) * f**0.8 <= 1, and the scalar
-    margin of constraint_margins, the same product with the C library's
-    pow (_feed_powers).  Exact against the rounded tests as _feed_cap is
-    against the finish and force tests.  feeds holds one feed per
-    operation along its last axis.  The rounded product grows with v, so
-    the tests accept every speed up to v_max(f) and none above it; a
-    result below v_lo means that they accept no speed of the box at that
-    feed."""
+    """The largest double v <= v_hi that the power test,
+    (c5 * v) * f**0.8 <= 1, accepts at each feed f.  Exact against the
+    rounded test as _feed_cap is against the finish and force tests.
+    feeds holds one feed per operation along its last axis.  The rounded
+    product grows with v, so the test accepts every speed up to v_max(f)
+    and none above it; a result below v_lo means that it accepts no speed
+    of the box at that feed."""
     c5, v_hi = ctx.c5, ctx.upper[: ctx.m]
-    feed_powers = _feed_powers(feeds)
+    feed_powers = feeds**0.8
     return _largest_accepted(
         np.minimum(v_hi, 1.0 / (c5 * feed_powers)), v_hi, lambda v: c5 * v * feed_powers <= 1.0
     )
@@ -784,8 +778,8 @@ class FeasiblePolygons(NamedTuple):
     In x = ln v and y = ln f, the speeds and feeds batch_evaluate accepts
     for operation i lie in the box [ln v_lo, ln v_hi] x [ln f_lo, ln f_top]
     cut by the power limit x + 0.8*y <= -ln c5: a polygon of at most five
-    edges.  f_top is the largest feed, at most feed_cap, that both rounded
-    power tests of v_max accept at v_lo, so each feed in [f_lo, f_top] is
+    edges.  f_top is the largest feed, at most feed_cap, that the rounded
+    power test of v_max accepts at v_lo, so each feed in [f_lo, f_top] is
     accepted with the speeds from v_lo to v_max(f).
 
     candidates, (4, 11, m), is operation_minima's template of its
@@ -846,7 +840,7 @@ def feasible_polygons(ctx: EvalContext) -> FeasiblePolygons:
         f_top = _largest_accepted(
             np.minimum(ctx.feed_cap, corner_power**-1.25),
             ctx.feed_cap,
-            lambda f: corner_power * _feed_powers(f) <= 1.0,
+            lambda f: corner_power * f**0.8 <= 1.0,
         )
         feeds = np.array([f_lo, f_top, np.fmin(np.fmax((ctx.c5 * v_hi) ** -1.25, f_lo), f_top)])
         # The stationary points' template, then the vertices.
@@ -896,9 +890,8 @@ def operation_minima(ctx: EvalContext, polygons: FeasiblePolygons, lam: float) -
 
     Each stationary point is mapped inward before it is priced: its feed
     is clipped to [f_lo, f_top] and its speed to [v_lo, v_max(f)].  So
-    every candidate is a genome that batch_evaluate and the scalar
-    constraint_margins both accept, and the minimum is exact up to the
-    rounding of the candidates.
+    every candidate is a genome that batch_evaluate accepts, and the
+    minimum is exact up to the rounding of the candidates.
     """
     m = ctx.m
     v_lo, f_lo = ctx.lower[:m], ctx.lower[m:]
@@ -957,11 +950,10 @@ def _cost_floor(ctx: EvalContext, polygons: FeasiblePolygons, lam: float, tangen
     Each vertex of the true polygon so widened lies within
     slack = 16*eps*(1 + |ln(c5*v_hi)|) of a vertex of feasible_polygons in
     x and in y: the widening moves a vertex on the power edge by up to
-    5*eps; v_max and f_top, whose power is the larger of numpy's pow and
-    the C library's, each within two ulps, stop within 7.5*eps of the
-    edge; and the pow with exponent -1.25 in place of -1/0.8 misses the
-    vertex at v_hi by up to (3 + 0.4*|ln(c5*v_hi)|)*eps.  So each plane's
-    least rise is lowered by (|grad_x| + |grad_y|) * slack.
+    5*eps; v_max and f_top, which take numpy's pow too, stop within
+    7.5*eps of the edge; and the pow with exponent -1.25 in place of
+    -1/0.8 misses the vertex at v_hi by up to (3 + 0.4*|ln(c5*v_hi)|)*eps.
+    So each plane's least rise is lowered by (|grad_x| + |grad_y|) * slack.
 
     Rounding.  Each term is computed within 10*eps of its magnitude, and
     their sum within (m + 4)*eps of the summed magnitudes, so the sum is

@@ -40,10 +40,9 @@ milling.operation_minima, which minimizes each operation over its
 continuous feasible polygon in closed form, and certifies the result with
 milling's rate_hi, an upper bound on every fitness batch_evaluate can
 return in the box, proved beside the arithmetic it rests on.  The
-strategy stops a run on it (es.run).  The polygon's power edge is found
-under numpy's pow and the C library's at once, so the point solve_exact
-returns passes the scalar constraint_margins as well as batch_evaluate's
-tests, with no correction afterwards, whenever the lowest corner does.
+strategy stops a run on it (es.run).  Every power test takes numpy's
+f**0.8, so the point solve_exact returns passes the scalar
+constraint_margins whenever the lowest corner does.
 """
 
 from __future__ import annotations
@@ -422,13 +421,8 @@ def solve_exact(ctx: EvalContext) -> OracleResult:
     is infeasible every genome is, every fitness is 0, and so is rate_hi.
 
     The last iterate is returned as it is: its point is the kernel's, on
-    the power edge that both pows accept (milling.v_max), so it passes the
-    scalar constraint_margins too wherever the lowest corner does.  Where
-    the lowest corner passes batch_evaluate's power test but the C
-    library's f**0.8 puts it one rounding over the scalar limit, no speed
-    and feed of that operation passes both tests: its f_top and v_max fall
-    below the box, its point stays at the corner, and that point fails the
-    scalar power margin by the one rounding.
+    the power edge (milling.v_max), so it passes the scalar
+    constraint_margins too wherever the lowest corner does.
     """
     polygons = minima = None
 

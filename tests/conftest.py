@@ -232,8 +232,9 @@ def step_up_while(x, limit, accepted):
 
 def batch_v_max(ctx, feeds):
     """The fastest speed, at most v_hi, that batch_evaluate's power test
-    accepts at each feed: milling.v_max, which the C library's pow must
-    accept too, stepped up while numpy's alone still does."""
+    accepts at each feed: milling.v_max, stepped up while that test still
+    accepts the next double, so that a v_max stopping short of the edge
+    still yields the test's own edge."""
     return step_up_while(v_max(ctx, feeds), ctx.upper[: ctx.m], lambda v: accepted_power(ctx, v, feeds))
 
 

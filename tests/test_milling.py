@@ -727,6 +727,30 @@ class TestBatchEvaluate:
         # the one-ulp step decides feasibility through every kind of cap
         assert set(flips) == FEED_LIMITS_NAMED | {"feed_box"}
 
+    def test_scalar_and_batch_feasibility_agree_on_the_power_edge(self):
+        # at the fastest speed numpy's rounded power test accepts at each
+        # feed, and at the next double above it, constraint_margins judges
+        # every point as batch_evaluate does: both take numpy's f**0.8
+        rng = np.random.default_rng(5)
+        disagree, checked = [], 0
+        for k in range(400):
+            plan = random_plan(rng)
+            ctx = compile_context(plan)
+            if not ctx.corner.feasible[0]:
+                continue
+            m = ctx.m
+            feeds = rng.uniform(ctx.lower[m:], ctx.feed_cap, size=(5, m))
+            fastest = batch_v_max(ctx, feeds)
+            for speeds in (fastest, np.nextafter(fastest, math.inf)):
+                batch = batch_evaluate(ctx, np.hstack((speeds, feeds))).feasible
+                for row, (v, f) in enumerate(zip(speeds.tolist(), feeds.tolist())):
+                    margins = constraint_margins(plan, DecisionVector(tuple(v), tuple(f)), ctx.coefficients)
+                    checked += 1
+                    if all(margin.satisfied for margin in margins) != batch[row]:
+                        disagree.append((k, row, v, f))
+        assert disagree == []
+        assert checked == 2970
+
     def test_rejects_wrong_width(self, builtin_plan):
         ctx = compile_context(builtin_plan)
         with pytest.raises(ContractError):
@@ -1123,7 +1147,8 @@ def assert_prices_within_relative_error(ctx, genomes: np.ndarray) -> None:
 class TestBoundPremises:
     """The certified bound (milling._cost_floor, milling._rate_bound) rests
     on premises about milling's own arithmetic besides convexity: numpy's
-    pow and the C library's are within two ulps, batch_evaluate's prices
+    pow, and the C library's that the scalar model calls, are within two
+    ulps, batch_evaluate's prices
     are within _relative_error of the exact ones, and every genome its
     rounded power test accepts lies in the polygon widened to
     c5*v*f**0.8 <= 1 + 4*eps.  Each is checked here against 50-digit
@@ -1142,8 +1167,8 @@ class TestBoundPremises:
         y = exponents if isinstance(exponents, float) else rng.uniform(*exponents, size=x.size)
         pows = [np.power(x, y).tolist()]
         if isinstance(exponents, float):
-            # and as v_max and f_top also raise it, with the C library's
-            # pow, which Python's float ** calls
+            # and as the scalar force margin raises it, with the C
+            # library's pow, which Python's float ** calls
             pows.append([b**exponents for b in x.tolist()])
         with localcontext(FIFTY_DIGITS):
             ulps = max(
@@ -1174,9 +1199,9 @@ class TestBoundPremises:
 
     def test_accepted_power_limit_is_within_four_eps_of_one(self, builtin_plan):
         # at the fastest speed the rounded test accepts at f, and at the
-        # largest feed it accepts at v_lo, each stepped up from the edge
-        # both pows accept (v_max, f_top); f**0.8 with 0.8 the double that
-        # numpy raises to
+        # largest feed it accepts at v_lo, each stepped up from v_max and
+        # f_top while the test still accepts; f**0.8 with 0.8 the double
+        # that numpy raises to
         rng = np.random.default_rng(53)
         limit = 1 + 4 * precise(np.finfo(float).eps)
         binding = 0
@@ -1201,8 +1226,8 @@ class TestBoundPremises:
 
 def both_power_tests(plan, ctx, speeds, feeds):
     """Per operation, whether batch_evaluate's power test and the power
-    margin of constraint_margins, whose f**0.8 is the C library's pow, both
-    accept each row of speeds and feeds."""
+    margin of constraint_margins both accept each row of speeds and
+    feeds."""
     scalar = [
         [margin.power_ok for margin in constraint_margins(plan, DecisionVector(v, f), ctx.coefficients)]
         for v, f in zip(map(tuple, speeds.tolist()), map(tuple, feeds.tolist()))

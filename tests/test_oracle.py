@@ -991,10 +991,10 @@ class TestSolveExact:
             assert result.rate_hi == 0.0
 
     def test_points_pass_both_power_tests_on_digest_and_random_plans(self, monkeypatch):
-        # the kernel searches the power edge under numpy's pow and the C
-        # library's at once, so no returned point is corrected and
-        # re-priced: each passes constraint_margins, at the rate the
-        # kernel's own terms give, which is batch_evaluate's
+        # the kernel's power edge and constraint_margins take the same
+        # pow, so no returned point is corrected and re-priced: each
+        # passes constraint_margins wherever the corner is feasible, at
+        # the rate the kernel's own terms give, which is batch_evaluate's
         calls = []
 
         def counted(*args):
@@ -1003,7 +1003,7 @@ class TestSolveExact:
 
         monkeypatch.setattr(milling, "batch_evaluate", counted)
         points = 0
-        for seed, count in (([7, 3], 60), (11, 400)):
+        for seed, count in (([7, 3], 60), (11, 400), (5, 400)):
             rng = np.random.default_rng(seed)
             for _ in range(count):
                 plan = random_plan(rng)
@@ -1016,42 +1016,47 @@ class TestSolveExact:
                 points += 1
                 assert all(m.satisfied for m in constraint_margins(plan, result.best, ctx.coefficients))
                 assert batch_evaluate(ctx, genome(result)).fitness[0] == result.profit_rate
-        # the corner-feasible plans: 45 digest plans and 302 from rng 11
-        assert points == 347
+        # the corner-feasible plans: 45 digest plans, 302 from rng 11 and
+        # 306 from rng 5
+        assert points == 653
 
     def test_corner_that_only_numpy_pow_accepts(self, builtin_plan):
-        # Operation 1's lowest corner passes batch_evaluate's power test,
-        # whose f**0.8 is numpy's, at the largest c5 that test accepts, and
-        # fails by one rounding the scalar margin, whose pow is the C
-        # library's.  No speed and feed of its box passes both, so f_top
-        # and v_max fall below the box and the corner is returned as it is.
-        ctx = compile_context(builtin_plan)
-        m, v_lo, f_lo = ctx.m, ctx.lower[0], 0.05000000000000118
+        # Operation 1's lowest corner at the largest c5 that numpy's f**0.8
+        # accepts there, at a feed where the C library's pow rounds the
+        # product one rounding over the limit.  The scalar margins take
+        # numpy's pow too, so they accept that corner as ctx.corner does,
+        # and so does the point solve_exact returns, which stays there.
+        ops = builtin_plan.operations
+        f_lo = 0.05000000000000118
+        plan = dataclasses.replace(
+            builtin_plan,
+            operations=(dataclasses.replace(ops[0], feed_bounds=(f_lo, ops[0].feed_bounds[1])), *ops[1:]),
+        )
+        ctx = compile_context(plan)
+        m, v_lo = ctx.m, ctx.lower[0]
         numpy_power = (np.array([f_lo]) ** 0.8)[0]
         c5 = 1.0 / (v_lo * numpy_power)
         while (math.nextafter(c5, math.inf) * v_lo) * numpy_power <= 1.0:
             c5 = math.nextafter(c5, math.inf)
         while (c5 * v_lo) * numpy_power > 1.0:
             c5 = math.nextafter(c5, 0.0)
-        lower = ctx.lower.copy()
-        lower[m] = f_lo
-        edge = dataclasses.replace(ctx, lower=lower, c5=np.concatenate(([c5], ctx.c5[1:])))
-
-        def both_accept(v, f):
-            v, f = float(v), float(f)
-            return (c5 * v) * (np.array([f]) ** 0.8)[0] <= 1.0 and (c5 * v) * f**0.8 <= 1.0
-
-        assert edge.corner.feasible[0] and not both_accept(v_lo, f_lo)
+        assert (c5 * v_lo) * f_lo**0.8 > 1.0
+        coefficients = (dataclasses.replace(ctx.coefficients[0], c5=c5), *ctx.coefficients[1:])
+        edge = dataclasses.replace(ctx, c5=np.concatenate(([c5], ctx.c5[1:])), coefficients=coefficients)
+        corner = DecisionVector.from_genome(edge.lower)
+        assert edge.corner.feasible[0]
+        assert all(margin.satisfied for margin in constraint_margins(plan, corner, coefficients))
         result = oracle.solve_exact(edge)
         assert (result.best.speeds[0], result.best.feeds[0]) == (v_lo, f_lo)
+        assert all(margin.satisfied for margin in constraint_margins(plan, result.best, coefficients))
         fitness = batch_evaluate(edge, genome(result)).fitness[0]
         assert fitness == result.profit_rate == 0.7167028589576497
         assert result.rate_hi >= fitness
-        # each edge is still the largest value both pows accept, here below the box
-        f_top = milling.feasible_polygons(edge).f_top[0]
-        assert f_top < f_lo and both_accept(v_lo, f_top) and not both_accept(v_lo, math.nextafter(f_top, math.inf))
-        top = milling.v_max(edge, lower[None, m:])[0, 0]
-        assert top < v_lo and both_accept(top, f_lo) and not both_accept(math.nextafter(top, math.inf), f_lo)
+        # the power edge runs through the corner: no larger feed passes at
+        # v_lo, and v_max(f_lo), inside the box, is numpy's edge exactly
+        assert milling.feasible_polygons(edge).f_top[0] == f_lo
+        top = milling.v_max(edge, edge.lower[None, m:])[0, 0]
+        assert v_lo <= top and (c5 * top) * numpy_power <= 1.0 < (c5 * math.nextafter(top, math.inf)) * numpy_power
 
     def test_iteration_guard_raises_with_trace(self, builtin_plan, monkeypatch):
         # an unsettled iterate is no optimum: the exact path raises at the
