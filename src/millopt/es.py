@@ -28,13 +28,15 @@ record's row is copied, so an observer may keep any state's genomes,
 sigmas and record, but never an array of its workspace.
 
 A run stops when its stall counter reaches stall_limit, or sooner, at
-the first generation where no child can reset the counter again: the
-reset fitness times (1 + STALL_GAIN) has reached rate_hi, the certified
-upper bound on every fitness of the box that oracle.solve_exact computes
-once per run.  The bound rests on convexity in log space, on a polygon
-that holds every genome the rounded tests accept, and on a rounding
-allowance (milling._cost_floor).  Before the first generation the reset
-fitness is 0, so the stop is the gate that skips a plan with no
+the first generation whose record is certified within STALL_GAIN of the
+optimum: the record's fitness times (1 + STALL_GAIN) has reached
+rate_hi, the certified upper bound on every fitness of the box that
+oracle.solve_exact computes once per run.  No child can then raise the
+record by more than STALL_GAIN, the relative gain the stall counter
+counts as progress.  The bound rests on convexity in log space, on a
+polygon that holds every genome the rounded tests accept, and on a
+rounding allowance (milling._cost_floor).  Before the first generation
+the record is 0, so the stop is the gate that skips a plan with no
 profitable point, or no feasible one, before any population is drawn.
 
 All randomness flows through a single numpy Generator; for a fixed seed
@@ -95,7 +97,8 @@ MAX_GENERATIONS = 100_000
 
 # A generation counts as progress, and resets the stall counter, only when
 # the best fitness rises above the last reset's fitness by more than this
-# relative gain.  Smaller rises still update the record.
+# relative gain.  Smaller rises still update the record.  run stops once
+# the record is certified within this relative gain of the optimum.
 STALL_GAIN = 1e-6
 
 
@@ -107,9 +110,9 @@ class EsConfig:
     at sigma_init, and alpha weights the first parent's step sizes in
     recombination.  The run stops after stall_limit generations in a row
     without a relative rise of the best fitness above STALL_GAIN, at
-    MAX_GENERATIONS, or at the rise after which the certified bound on
-    every fitness shows that no other can come (see run).  seed fixes
-    every draw.
+    MAX_GENERATIONS, or at the first generation whose record the certified
+    bound on every fitness puts within STALL_GAIN of the optimum (see
+    run).  seed fixes every draw.
     """
 
     mu: int = 15
@@ -154,7 +157,8 @@ class BestRecord:
     stay None until one is.  Every strict rise updates the record.
     stall_fitness is the fitness when stall_counter last reset: the
     counter resets only on a rise above stall_fitness * (1 + STALL_GAIN),
-    and counts every other generation.
+    and counts every other generation.  run's certified stop tests
+    fitness, not stall_fitness.
     """
 
     genome: np.ndarray | None = None
@@ -470,21 +474,22 @@ def run(
     Before the first generation the run computes rate_hi, a certified
     upper bound on every fitness batch_evaluate can return in the box
     (the rate_hi of oracle.solve_exact's OracleResult), without calling
-    batch_evaluate.  step resets the stall counter only on a fitness above
-    the last reset's times (1 + STALL_GAIN), so the run stops at the first
-    generation where that product reaches rate_hi: every later generation
-    would only count towards stall_limit.  The result is the one the stall
+    batch_evaluate.  The run stops at the first generation whose record's
+    fitness times (1 + STALL_GAIN) reaches rate_hi: the record is then
+    certified within a relative STALL_GAIN of every fitness of the box, so
+    no later child could raise it by more than STALL_GAIN, the relative
+    gain that step counts as progress.  The result is the one the stall
     counter alone gives with MAX_GENERATIONS set to that generation.  The
     bound rests on the premises solve_exact names (convexity in log space,
     a polygon holding every genome the rounded tests accept, a rounding
     allowance); where none is certified it is +inf and the stall counter
     alone stops the run.
 
-    Before the first generation the reset fitness is 0, and the same test
-    is the gate: when rate_hi is 0, because the lowest corner
-    (ctx.corner) is infeasible, and with it every point, or because no
-    point has a positive profit rate, the run sets up no population, so
-    that generations and evaluations are 0 and the observer sees no
+    Before the first generation the record is 0, and the same test is the
+    gate: when rate_hi is 0, because the lowest corner (ctx.corner) is
+    infeasible, and with it every point, or because no point has a
+    positive profit rate, the run sets up no population, so that
+    generations and evaluations are 0 and the observer sees no
     generation.  The result is the infeasible one that running every
     generation would report.
 
@@ -496,9 +501,9 @@ def run(
     rate_hi = solve_exact(ctx).rate_hi
 
     def settled(record: BestRecord) -> bool:
-        # step resets the counter only on a fitness above this, and none
-        # is above rate_hi.
-        return record.stall_fitness * (1.0 + STALL_GAIN) >= rate_hi
+        # The record is within STALL_GAIN of rate_hi, and no fitness is
+        # above rate_hi.
+        return record.fitness * (1.0 + STALL_GAIN) >= rate_hi
 
     record, generations, evaluations = BestRecord(), 0, 0
     if not settled(record):

@@ -178,8 +178,9 @@ class TestOptimizeCommand:
         assert len(report["speeds"]) == 1 and len(report["feeds"]) == 1
         assert len(report["sigmas_final"]) == 2
         assert report["seed"] == 5
-        # the certified stop ends the run at its last reset, long before
-        # 20 generations without one
+        # the certified stop ends the run once its best is within
+        # STALL_GAIN of the optimum, long before 20 generations without a
+        # reset
         assert report["generations"] == 3
         assert report["evaluations"] == report["generations"] * 105
         assert report["config"] == {
