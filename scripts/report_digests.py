@@ -75,6 +75,12 @@ their key order, widths and rows count.  The set:
     library's f**0.8 rounds the power margin over 1, so the report shows
     which pow the margin takes; and with a first feed of -0.1, which is
     rejected with one error line and no numpy warning before it.
+  * optimize and evaluate on the bundled document with one entry of its
+    first tool, operation or the machine set so far out that a derived
+    coefficient overflows (each rejected with one error line
+    naming the operation), or that no positive feed passes the force limit
+    (permitted_force 1e-300; the plan is infeasible), and at 1e-254, where
+    some still does.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -146,6 +152,33 @@ INVALID_ENTRIES = (
     ("optimize", "tools", "permitted_force", "x"),
     ("optimize", "tools", "teeth", MISSING),
 )
+# (section, key, value) set in the first entry of the bundled document: a
+# force limit under which no positive feed passes, one just above it, and
+# entries that overflow a derived coefficient.
+EDGE_ENTRIES = (
+    ("tools", "permitted_force", 1e-300),
+    ("tools", "permitted_force", 1e-254),
+    ("operations", "travel", 1e308),
+    ("operations", "axial_depth", 1e308),
+    ("machine", "motor_power", 1e-320),
+    ("operations", "surface_finish_req", 1e-310),
+    ("tools", "taylor_constant", 1e-300),
+)
+
+
+def edited_builtin(path: Path, section: str, key: str, value: object) -> Path:
+    """Write the bundled document to path with value at key in its section,
+    or in the section's first entry where the section is a list; MISSING
+    deletes the key."""
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    entry = document.setdefault(section, {})
+    entry = entry[0] if isinstance(entry, list) else entry
+    if value is MISSING:
+        del entry[key]
+    else:
+        entry[key] = value
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
 
 
 def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
@@ -252,15 +285,7 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         yield f"{command} help", (command, "--help")
 
     for command, section, key, value in INVALID_ENTRIES:
-        document = json.loads(builtin_document_bytes().decode("utf-8"))
-        entry = document.setdefault(section, {})
-        entry = entry[0] if isinstance(entry, list) else entry
-        if value is MISSING:
-            del entry[key]
-        else:
-            entry[key] = value
-        path = workdir / f"invalid_{section}_{key}.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
+        path = edited_builtin(workdir / f"invalid_{section}_{key}.json", section, key, value)
         shown = " missing" if value is MISSING else f"={json.dumps(value)}"
         yield f"{command} {section}.{key}{shown}", (
             command, "--config", str(path), "--out", "json",
@@ -310,6 +335,17 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
         "evaluate", *builtin,
         "--speeds", "91.1,40,40,30,31.3", "--feeds", "-0.1,0.325,0.325,0.5,0.388",
     )
+
+    # Appended last: documents that fail in a derived coefficient or a
+    # feed cap, each edited in one entry.
+    for section, key, value in EDGE_ENTRIES:
+        path = edited_builtin(workdir / f"edge_{section}_{key}_{value!r}.json", section, key, value)
+        edge = ("--config", str(path), "--out", "json")
+        yield f"optimize {section}.{key}={value!r}", ("optimize", *edge)
+        yield f"evaluate {section}.{key}={value!r}", (
+            "evaluate", *edge,
+            "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
+        )
 
 
 def digest(text: str) -> str:

@@ -377,36 +377,48 @@ def derive_coefficients(plan: MillingPlan) -> tuple[DerivedCoefficients, ...]:
 
     k3 = k1 * (wear_factor / taylor_constant)**(1/life_exponent) feeds the
     tool-cost term unless the operation overrides it.
+
+    Raises PlanError naming the operation when one of its coefficients is
+    not a finite positive number, or cannot be computed.
     """
-    machine = plan.machine
     out: list[DerivedCoefficients] = []
     for op in plan.operations:
         tool = plan.tool_for(op)
-        k1 = math.pi * tool.diameter * op.travel / (1000.0 * tool.teeth)
-        if op.k3_override is not None:
-            k3 = op.k3_override
-        else:
-            k3 = k1 * (machine.wear_factor / tool.taylor_constant) ** (1.0 / tool.life_exponent)
-        c5 = (
-            0.78
-            * machine.power_constant
-            * machine.wear_factor
-            * tool.teeth
-            * op.radial_depth
-            * op.axial_depth
-            / (60.0 * math.pi * tool.diameter * machine.efficiency * machine.motor_power)
-        )
-        c6 = c7 = None
-        if op.surface_finish_req is not None:
-            if tool.kind == ToolKind.FACE_MILL:
-                tan_lead = math.tan(math.radians(tool.lead_angle))
-                tan_clear = math.tan(math.radians(tool.clearance_angle))
-                c6 = 318.0 / ((tan_lead + 1.0 / tan_clear) * op.surface_finish_req)
-            else:
-                c7 = 318.0 / (4.0 * tool.diameter * op.surface_finish_req)
-        c8 = None if tool.permitted_force is None else 1.0 / tool.permitted_force
-        out.append(DerivedCoefficients(k1=k1, k3=k3, c5=c5, c6=c6, c7=c7, c8=c8))
+        try:
+            out.append(_operation_coefficients(plan.machine, op, tool))
+        except ArithmeticError as exc:
+            raise PlanError(f"operation {op.number}: {type(exc).__name__} while deriving its coefficients") from exc
+        except PlanError as exc:
+            raise PlanError(f"operation {op.number}: {exc}") from exc
     return tuple(out)
+
+
+def _operation_coefficients(machine: MachineSpec, op: OperationSpec, tool: ToolSpec) -> DerivedCoefficients:
+    """derive_coefficients for one operation."""
+    k1 = math.pi * tool.diameter * op.travel / (1000.0 * tool.teeth)
+    if op.k3_override is not None:
+        k3 = op.k3_override
+    else:
+        k3 = k1 * (machine.wear_factor / tool.taylor_constant) ** (1.0 / tool.life_exponent)
+    c5 = (
+        0.78
+        * machine.power_constant
+        * machine.wear_factor
+        * tool.teeth
+        * op.radial_depth
+        * op.axial_depth
+        / (60.0 * math.pi * tool.diameter * machine.efficiency * machine.motor_power)
+    )
+    c6 = c7 = None
+    if op.surface_finish_req is not None:
+        if tool.kind == ToolKind.FACE_MILL:
+            tan_lead = math.tan(math.radians(tool.lead_angle))
+            tan_clear = math.tan(math.radians(tool.clearance_angle))
+            c6 = 318.0 / ((tan_lead + 1.0 / tan_clear) * op.surface_finish_req)
+        else:
+            c7 = 318.0 / (4.0 * tool.diameter * op.surface_finish_req)
+    c8 = None if tool.permitted_force is None else 1.0 / tool.permitted_force
+    return DerivedCoefficients(k1=k1, k3=k3, c5=c5, c6=c6, c7=c7, c8=c8)
 
 
 def _check_positive_pair(v: float, f: float) -> None:
@@ -607,7 +619,6 @@ class EvalContext:
     coefficients are the plan's DerivedCoefficients that compile_context
     packed, for the scalar functions; dataclasses.replace carries them
     over unchanged.
-    change_time[i] is operation i's tool change time; the fixed terms hold their sum.
     """
 
     sale_price: float
@@ -615,7 +626,6 @@ class EvalContext:
     cost_fixed: float
     time_fixed: float
     k1: np.ndarray
-    change_time: np.ndarray
     tool_cost_coef: np.ndarray
     speed_exponent: np.ndarray
     feed_exponent: np.ndarray
@@ -645,7 +655,9 @@ def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float
     Starts from the closed form min(f_hi, 1/c6 or c7**-0.5,
     (c8 * force at f = 1)**-1.25), which rounding leaves a few ulps off,
     then steps up while the next double is accepted and down while the
-    current one is not.
+    current one is not.  Where no positive double is accepted, it returns
+    0.0, below every feed, without testing f = 0, where the force is
+    undefined.
     """
     f_hi = plan.operations[op_index].feed_bounds[1]
 
@@ -661,7 +673,7 @@ def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float
         cap = min(cap, (c.c8 * _cutting_force(op_index, 1.0, plan)) ** -1.25)
     while cap < f_hi and accepted(math.nextafter(cap, math.inf)):
         cap = math.nextafter(cap, math.inf)
-    while not accepted(cap):
+    while cap > 0.0 and not accepted(cap):
         cap = math.nextafter(cap, 0.0)
     return cap
 
@@ -679,8 +691,7 @@ def compile_context(plan: MillingPlan) -> EvalContext:
     machine = plan.machine
     rate = eco.minute_rate
     tools = [plan.tool_for(op) for op in ops]
-    change_time = np.array([tool.change_time for tool in tools])
-    change_total = sum(change_time.tolist())
+    change_total = sum(tool.change_time for tool in tools)
     feed_exponent_base = machine.chip_area_exponent + machine.slenderness_exponent
 
     ctx = EvalContext(
@@ -689,7 +700,6 @@ def compile_context(plan: MillingPlan) -> EvalContext:
         cost_fixed=eco.material_cost + rate * (eco.setup_time + change_total),
         time_fixed=eco.setup_time + change_total,
         k1=np.array([c.k1 for c in coeffs]),
-        change_time=change_time,
         tool_cost_coef=np.array([tools[i].price * coeffs[i].k3 for i in range(plan.m)]),
         speed_exponent=np.array([1.0 / tool.life_exponent - 1.0 for tool in tools]),
         feed_exponent=np.array(

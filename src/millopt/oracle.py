@@ -150,7 +150,6 @@ class OpGrid:
     wear_blocks: np.ndarray
     rate: float
     k1: float
-    change_time: float
 
 
 def prepare_op_grid(op_index: int, ctx: EvalContext, grid: GridSpec) -> OpGrid | None:
@@ -206,7 +205,6 @@ def prepare_op_grid(op_index: int, ctx: EvalContext, grid: GridSpec) -> OpGrid |
         wear_blocks=np.minimum.reduceat(wear_rows[:nrow], row_starts),
         rate=ctx.rate,
         k1=float(ctx.k1[i]),
-        change_time=float(ctx.change_time[i]),
     )
 
 
@@ -218,18 +216,18 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     Returns (speed, feed, value), or None when no feasible value is finite.
 
     A point's value is ((weight * k1) * (1 / v)) * (1 / f), plus
-    (tool_cost_coef * v**a) * f**b, plus weight * change_time, where
-    weight = rate + lam.  A tile is one row of the staircase times one band
-    of _BAND consecutive feeds.  Its lower bound is the same expression
-    with 1 / f and f**b replaced by their smallest computed values over
-    the band's columns, or by their largest where the row factor they
-    multiply is negative (the time term under weight < 0, the wear term
-    under a negative tool_cost_coef).  The bound needs no convexity, only
-    that rounding is monotone: fl(c * x) is monotone in x for a fixed-sign
-    c, and fl(x + y) is nondecreasing in each argument, so no point of a
-    tile lies below its bound.  Bands at or past a row's width hold no
-    feasible point; inside a kept band, the columns at or past it are
-    masked with inf.
+    (tool_cost_coef * v**a) * f**b, where weight = rate + lam; the tool
+    change, alike at every point, is priced once in the fixed terms.  A
+    tile is one row of the staircase times one band of _BAND consecutive
+    feeds.  Its lower bound is the same expression with 1 / f and f**b
+    replaced by their smallest computed values over the band's columns, or
+    by their largest where the row factor they multiply is negative (the
+    time term under weight < 0, the wear term under a negative
+    tool_cost_coef).  The bound needs no convexity, only that rounding is
+    monotone: fl(c * x) is monotone in x for a fixed-sign c, and fl(x + y)
+    is nondecreasing in each argument, so no point of a tile lies below
+    its bound.  Bands at or past a row's width hold no feasible point;
+    inside a kept band, the columns at or past it are masked with inf.
 
     A block tile, _BAND rows times one band, is bounded first by the same
     routine, with each row factor replaced by its smallest computed value
@@ -254,7 +252,6 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     """
     weight = op.rate + lam
     time_coef = weight * op.k1
-    change_value = weight * op.change_time
     time_rows = time_coef * op.inv_speeds
     time_band = op.inv_band_min if time_coef >= 0.0 else op.inv_band_max
     wear_rows, wear_band, widths = op.wear_rows, op.wear_band, op.widths
@@ -265,7 +262,6 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     ) -> np.ndarray:
         bounds = time_f * time_band[bands]
         bounds += wear_f * wear_band[bands]
-        bounds += change_value
         np.copyto(bounds, math.inf, where=bands * _BAND >= width)
         return bounds
 
@@ -285,7 +281,6 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
     upper = np.min(
         time_rows[row] * op.inv_bands.flat[probe]
         + wear_rows[row] * op.wear_bands.flat[probe]
-        + change_value
     )
 
     # Row tiles of the blocks bounded by U; only those bounded by U stay,
@@ -310,7 +305,6 @@ def per_op_grid_min(op: OpGrid, lam: float) -> tuple[float, float, float] | None
         op.wear_bands.take(chunk_bands, axis=0, out=wear)
         np.multiply(wear, wear_rows[chunk_rows, None], out=wear)
         np.add(values, wear, out=values)
-        np.add(values, change_value, out=values)
         feasible = widths[chunk_rows] - chunk_bands * _BAND
         np.copyto(values, math.inf, where=band_columns >= feasible[:, None])
         flat = int(np.argmin(values))

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -856,6 +857,73 @@ class TestOverflowAboveTheCorner:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "overflows" in err
+
+
+def edited_builtin_path(tmp_path, section, key, value):
+    """The bundled document with key set to value in its section, or in the
+    section's first entry where the section is a list."""
+    document = json.loads(builtin_document_bytes().decode("utf-8"))
+    entry = document[section]
+    (entry[0] if isinstance(entry, list) else entry)[key] = value
+    path = tmp_path / f"{section}_{key}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+BUILTIN_POINT = ("--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388")
+
+
+class TestForceLimitBelowEveryFeed:
+    # At 1e-300 N the closed-form feed cap, (c8 * force at f = 1)**-1.25,
+    # underflows to 0.0, and no positive feed passes the force test.
+    @pytest.mark.parametrize("command", ["optimize", "oracle", "compare"])
+    def test_plan_is_infeasible(self, capsys, tmp_path, command):
+        path = edited_builtin_path(tmp_path, "tools", "permitted_force", 1e-300)
+        code, report = run_json(capsys, command, "--config", path)
+        assert code == 3
+        if command == "compare":
+            assert report["rows"] == [] and report["evaluations"] == 0
+        else:
+            assert report["feasible"] is False
+
+    def test_evaluate_reports_a_violated_finite_force_margin(self, capsys, tmp_path):
+        path = edited_builtin_path(tmp_path, "tools", "permitted_force", 1e-300)
+        code, report = run_json(capsys, "evaluate", "--config", path, *BUILTIN_POINT)
+        assert code == 0
+        force = report["margins"][0]["force"]
+        assert math.isfinite(force) and force > 1.0
+        assert report["margins"][0]["force_ok"] is False and report["fitness"] == 0.0
+
+    def test_feed_cap_lies_below_every_feed(self, tmp_path):
+        path = edited_builtin_path(tmp_path, "tools", "permitted_force", 1e-300)
+        ctx = milling.compile_context(case_study.load_document_file(path).plan)
+        assert ctx.feed_cap[0] == 0.0 and not ctx.corner.feasible[0]
+
+
+class TestCoefficientFaultNamesTheOperation:
+    @pytest.mark.parametrize(
+        "section, key, value, reason",
+        [
+            ("operations", "travel", 1e308, "k1 must be > 0"),
+            ("operations", "axial_depth", 1e308, "c5 must be > 0"),
+            ("machine", "motor_power", 1e-320, "c5 must be > 0"),
+            ("operations", "surface_finish_req", 1e-310, "c6 must be > 0 when present"),
+            ("tools", "taylor_constant", 1e-300, "OverflowError while deriving its coefficients"),
+        ],
+        ids=["travel", "axial_depth", "motor_power", "surface_finish_req", "taylor_constant"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "oracle", "compare", "evaluate"])
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, section, key, value, reason, command):
+        path = edited_builtin_path(tmp_path, section, key, value)
+        extra = BUILTIN_POINT if command == "evaluate" else ()
+        code, out, err = run_cli(capsys, command, "--config", path, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: operation 1: {reason}\n"
+
+    def test_direct_construction_keeps_its_message(self):
+        with pytest.raises(PlanError, match=r"^k1 must be > 0$"):
+            milling.DerivedCoefficients(k1=math.inf, k3=1.0, c5=1.0)
 
 
 class TestUsageAndErrors:

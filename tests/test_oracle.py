@@ -81,7 +81,7 @@ def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
             x = DecisionVector(tuple(probe_speeds), tuple(probe_feeds))
             if not constraint_margins(plan, x, coeffs)[op_index].satisfied:
                 continue
-            time = c.k1 / (float(v) * float(f)) + tool.change_time
+            time = c.k1 / (float(v) * float(f))
             cost = rate * time + tool.price * c.k3 * v**speed_exp * f**feed_exp
             value = cost + lam * time
             if best is None or value < best[2] - 1e-15:
@@ -152,7 +152,7 @@ class TestPerOpGridMin:
         v, f, value = grid_min(toy_single_plan, coeffs, 0, 0.0, 9)
         tool = toy_single_plan.tools[0]
         rate = toy_single_plan.economics.minute_rate
-        time = coeffs[0].k1 / (v * f) + tool.change_time
+        time = coeffs[0].k1 / (v * f)
         speed_exp = 1.0 / tool.life_exponent - 1.0
         feed_exp = (
             toy_single_plan.machine.chip_area_exponent
@@ -160,6 +160,33 @@ class TestPerOpGridMin:
         ) / tool.life_exponent - 1.0
         wear = tool.price * coeffs[0].k3 * v**speed_exp * f**feed_exp
         assert value == pytest.approx(rate * time + wear, rel=1e-12)
+
+    def test_tool_change_time_moves_no_scan_result(self):
+        # Tool changes are priced once, in the fixed terms: no change time
+        # reaches the scan, so neither its point nor its value moves.
+        rng = np.random.default_rng(7)
+        grid = GridSpec(resolution=65)
+        found = 0
+        for _ in range(50):
+            plan = random_plan(rng)
+            results = []
+            for change_time in (0.0, None, 7.0):
+                tools = tuple(
+                    t if change_time is None else dataclasses.replace(t, change_time=change_time)
+                    for t in plan.tools
+                )
+                ctx = compile_context(dataclasses.replace(plan, tools=tools))
+                ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
+                results.append(
+                    [
+                        None if op is None else per_op_grid_min(op, lam)
+                        for lam in (0.0, 0.7, -ctx.rate, -(ctx.rate + 1.0))
+                        for op in ops
+                    ]
+                )
+            assert results[0] == results[1] == results[2]
+            found += sum(r is not None for r in results[0])
+        assert found > 0
 
     def test_every_grid_point_infeasible_returns_none(self, toy_infeasible_plan):
         coeffs = derive_coefficients(toy_infeasible_plan)
@@ -195,7 +222,6 @@ def reference_grid_min(op_index, lam, plan, ctx, grid):
     with inf before the arg-min.  The staircase scan must return exactly
     what this returns."""
     i, m = op_index, ctx.m
-    change_time = plan.tool_for(plan.operations[i]).change_time
     weight = ctx.rate + lam
 
     speeds = np.linspace(ctx.lower[i], ctx.upper[i], grid.resolution)
@@ -213,7 +239,6 @@ def reference_grid_min(op_index, lam, plan, ctx, grid):
         values = (
             weight * ctx.k1[i] * (1.0 / v) * inv_feeds[None, :]
             + ctx.tool_cost_coef[i] * v ** ctx.speed_exponent[i] * wear_feeds[None, :]
-            + weight * change_time
         )
         ok = feed_ok[None, :] & (ctx.c5[i] * v * feeds_pow[None, :] <= 1.0)
         if not ok.any():
@@ -415,12 +440,11 @@ class TestStaircaseEdges:
             assert scan_both(plan, ctx, 0, lam, 301) is not None
 
     def test_all_ties_keep_the_first_point_across_blocks(self):
-        # k1 and tool_cost_coef 0 make every value weight * change_time; the
-        # 301 x 301 grid spans three blocks
+        # k1 and tool_cost_coef 0 make every value 0.0; the 301 x 301 grid
+        # spans three blocks
         plan, ctx = edge_context(**UNBOUND, k1=0.0)
         speeds, feeds = grid_axes(plan, 301)
-        tie = (ctx.rate + 2.0) * plan.tools[0].change_time
-        assert scan_both(plan, ctx, 0, 2.0, 301) == (speeds[0], feeds[0], tie)
+        assert scan_both(plan, ctx, 0, 2.0, 301) == (speeds[0], feeds[0], 0.0)
 
 
 class TestBandEdges:
