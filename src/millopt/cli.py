@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     es_parent.add_argument(
         "--alpha", type=float, default=None, help="step-size recombination mixing weight"
     )
-    es_parent.add_argument("--sigma-init", type=float, default=None, help="initial step size")
+    es_parent.add_argument(
+        "--sigma-init", type=float, default=None, help="initial step size in box widths, capped at 1"
+    )
     es_parent.add_argument(
         "--verbose", action="store_true", help="log best-so-far improvements to stderr"
     )

@@ -1,49 +1,37 @@
 """Self-adaptive (mu, eta) evolution strategy over milling decision vectors.
 
-The population is a pair of arrays with one row per individual: genomes
-[v_1..v_m, f_1..f_m] and one mutation step size per component.  The
-operators act on whole populations.  Offspring are built by discrete
-recombination of the genome, intermediate recombination of the step
-sizes, then log-normal step-size mutation followed by a Gaussian genome
-perturbation.  Selection is comma-style: only the eta children compete,
-the mu parents are discarded every generation.
+The strategy searches u in [0, 1]^(2m), box-normalised coordinates
+[u_v1..u_vm, u_f1..u_fm], and a Decoder maps each child to the speeds
+and feeds batch_evaluate prices, inside the box the feasible points
+fill.  So step sizes are in box widths whatever the plan's units.  The
+population is a pair of arrays with one row per individual: coordinates
+and one step size per component.  Offspring are built by discrete
+recombination of the coordinates, intermediate recombination of the
+step sizes, log-normal step-size mutation within [SIGMA_FLOOR,
+SIGMA_CAP], and a Gaussian perturbation reflected into [0, 1].
+Selection is comma-style: only the eta children compete.
 
 A generation is a few dozen numpy calls on small arrays, so per-call
-overhead, not arithmetic, sets its speed, and numpy's cheapest loop is
-the one over equal-shape contiguous operands.  So the children live in
-contiguous (eta, L) blocks, and mutate clips them to the box as (eta, L)
-rows rather than an (L,) row broadcast over every child; batch_evaluate
-lays its work out the same way, in its PricingBuffers.
-
-The arrays a generation works in, and their views, are made once per
-run: initial_state gives the state a Workspace that lives for the whole
-run.  It holds the box rows, the copies of each child's two parents, the
-buffers in which the parents and crossover masks are drawn, the buffer
-of normal draws in which mutate turns the step-size draws and
-the perturbations into the children's step sizes and genomes, and
-batch_evaluate's PricingBuffers for eta children, result included.
-Every generation overwrites all of it.  What a state shows is copied
-out of it: the mu survivors are taken into fresh arrays and a new
-record's row is copied, so an observer may keep any state's genomes,
-sigmas and record, but never an array of its workspace.
+overhead sets its speed, and numpy's cheapest loop is the one over
+equal-shape contiguous operands: the children live in contiguous (eta,
+L) blocks, and the Decoder and batch_evaluate's PricingBuffers work
+operation-major against constants repeated to that shape.  initial_state
+makes these arrays once, in a Workspace that every generation
+overwrites; the survivors and a new record's row are copied out of it,
+so an observer may keep any state's genomes, sigmas and record.
 
 A run stops when its stall counter reaches stall_limit, or sooner, at
-the first generation whose record is certified within STALL_GAIN of the
-optimum: the record's fitness times (1 + STALL_GAIN) has reached
-rate_hi, the certified upper bound on every fitness of the box that
-oracle.solve_exact computes once per run.  No child can then raise the
-record by more than STALL_GAIN, the relative gain the stall counter
-counts as progress.  The bound rests on convexity in log space, on a
-polygon that holds every genome the rounded tests accept, and on a
-rounding allowance (milling._cost_floor).  Before the first generation
-the record is 0, so the stop is the gate that skips a plan with no
-profitable point, or no feasible one, before any population is drawn.
+the first generation whose record's fitness times (1 + STALL_GAIN)
+reaches rate_hi, the certified upper bound on every fitness of the box
+that oracle.solve_exact computes once per run: no child can then raise
+the record by more than STALL_GAIN, the relative gain the stall counter
+counts as progress.  Before the first generation the record is 0, so
+the same test skips a plan with no profitable point, or no feasible one.
 
 All randomness flows through a single numpy Generator; for a fixed seed
 the draws of a generation happen in a fixed documented order (parent
 indices, recombination masks, step-size mutations, genome perturbations),
-so runs are reproducible bit for bit.  The parent indices and masks come
-from one block of raw generator output (MatingDraws).
+so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -65,18 +53,22 @@ from .milling import (
     _is_integer,
     batch_evaluate,
     compile_context,
+    feasible_polygons,
+    unit_cost,
+    unit_time,
 )
 from .oracle import solve_exact
 
 __all__ = [
     "SIGMA_FLOOR",
+    "SIGMA_CAP",
     "MAX_GENERATIONS",
     "STALL_GAIN",
     "EsConfig",
     "learning_rates",
     "BestRecord",
     "NormalDraws",
-    "MatingDraws",
+    "Decoder",
     "Workspace",
     "EsState",
     "RunResult",
@@ -89,8 +81,10 @@ __all__ = [
 ]
 
 
-# Step sizes never fall below this floor, so they cannot collapse to zero.
+# Step sizes never fall below this floor, so they cannot collapse to zero,
+# nor rise above this cap, one box width, so they cannot overflow.
 SIGMA_FLOOR = 1e-8
+SIGMA_CAP = 1.0
 
 # A run stops after this many generations even if it is still improving.
 MAX_GENERATIONS = 100_000
@@ -107,7 +101,8 @@ class EsConfig:
     """Strategy settings.
 
     mu parents breed eta children per generation; every step size starts
-    at sigma_init, and alpha weights the first parent's step sizes in
+    at sigma_init box widths, or at SIGMA_CAP when that is smaller, and
+    alpha weights the first parent's step sizes in
     recombination.  The run stops after stall_limit generations in a row
     without a relative rise of the best fitness above STALL_GAIN, at
     MAX_GENERATIONS, or at the first generation whose record the certified
@@ -153,8 +148,9 @@ class BestRecord:
     population so comma selection cannot lose it.
 
     fitness starts at 0.0, the death-penalty value, so only genuinely
-    profitable feasible individuals are ever recorded; genome and sigmas
-    stay None until one is.  Every strict rise updates the record.
+    profitable feasible individuals are ever recorded; genome, the point
+    batch_evaluate priced, and sigmas, in box widths, stay None until one
+    is.  Every strict rise updates the record.
     stall_fitness is the fitness when stall_counter last reset: the
     counter resets only on a rise above stall_fitness * (1 + STALL_GAIN),
     and counts every other generation.  run's certified stop tests
@@ -173,12 +169,14 @@ class NormalDraws(NamedTuple):
     one buffer of n * (1 + 2L) floats in draw order, and views of it: the
     shared draw of each child, (n, 1), then the step-size draws and the
     genome perturbations, (n, L) each.  mutate turns the last two into the
-    children's step sizes and genomes in place."""
+    children's step sizes and genomes in place, and reflects the genomes
+    with the help of spare, (n, L)."""
 
     buffer: np.ndarray
     shared: np.ndarray
     steps: np.ndarray
     perturbations: np.ndarray
+    spare: np.ndarray
 
     @classmethod
     def empty(cls, n: int, length: int) -> NormalDraws:
@@ -188,86 +186,79 @@ class NormalDraws(NamedTuple):
             buffer[:n].reshape(n, 1),
             buffer[n : n * (1 + length)].reshape(n, length),
             buffer[n * (1 + length) :].reshape(n, length),
+            np.empty((n, length)),
         )
 
 
-class MatingDraws:
-    """One generation's mating draws for eta children of genome length L:
-    each child's first and second parent index among mu, below 2**32,
-    and its crossover mask, drawn in buffers made once per run.
+class Decoder:
+    """Maps n children u in [0, 1]^(2m) to the speeds and feeds that
+    batch_evaluate prices, in buffers made once per run.
 
-    draw splits a block of the PCG64 generator's 64-bit words into 32-bit
-    halves u, low half first, as many words as the halves need.  A parent
-    index below a bound k is (u * k) >> 32 (Lemire's multiply-shift, ACM
-    TOMACS 29(1), 2019), and takes no half for k = 1; a mask bit is
-    u >= 2**31; a last odd half is left unused.  Lemire's method rejects u
-    when the low 32 bits of u * k fall below 2**32 % k, and a block with a
-    rejected index is dropped whole and the next one drawn.  Each half is
-    accepted or not on its own, so every value stays uniform.  When the
-    halves fill whole words and the block rejects nothing, these are the
-    values, and the words, of numpy's integers(0, mu, eta),
-    integers(0, mu - 1, eta) and integers(0, 2, (eta, L)).astype(bool)
-    on a generator holding no spare half.
+    The feed comes first, f = f_lo + u_f * (f_top - f_lo), with f_top from
+    feasible_polygons: the largest feed, at most feed_cap, that the power
+    test accepts at v_lo (f_lo where none is).  The speed follows, v = v_lo
+    + u_v * (top - v_lo), with top = min(v_hi, f**-0.8 / c5), the closed
+    form of milling.v_max, or v_lo where that lies below it.  u = 0 decodes
+    to the lowest corner exactly, and every point is clipped below
+    [v_hi, f_top], so it lies in [lower, feasible_upper]; a child that the
+    rounded power test then rejects by an ulp dies, as any infeasible child
+    does.  Where the lowest corner is feasible every accepted speed and
+    feed is, up to rounding, the decoding of some u.  decode works
+    operation-major on (2m, n) blocks, and returns an (n, 2m) view of one,
+    which the next call overwrites.
     """
 
-    def __init__(self, mu: int, eta: int, length: int) -> None:
-        bounds = [k for k in (mu, mu - 1) if k > 1]
-        parents = eta * len(bounds)
-        self.mu = mu
-        self.halves = parents + eta * length
-        self.words = -(-self.halves // 2)
-        self.bounds = np.repeat(np.array(bounds, dtype=np.uint32), eta)
-        self.thresholds = np.repeat(np.array([2**32 % k for k in bounds], dtype=np.uint32), eta)
-        self.products = np.empty(parents, dtype=np.uint64)
-        self.low = np.empty(parents, dtype=np.uint32)
-        self.rejected = np.empty(parents, dtype=bool)
-        # The first parent's draws, then the second's before it skips the
-        # first; a row with no draws stays 0.  The draws are shifted in as
-        # unsigned words, the same bits below 2**32.
-        indices = np.zeros((2, eta), dtype=np.int64)
-        self.first, self.second_drawn = indices
-        self.shifted = indices.view(np.uint64).reshape(-1)[:parents]
-        self.second = np.zeros(eta, dtype=np.int64)
-        self.mask = np.empty((eta, length), dtype=bool)
-        self.mask_bits = self.mask.reshape(-1)
+    def __init__(self, ctx: EvalContext, n: int) -> None:
+        m = ctx.m
+        f_lo = ctx.lower[m:]
+        f_top = np.maximum(feasible_polygons(ctx).f_top, f_lo)
+        upper = np.concatenate((ctx.upper[:m], f_top))
+        with np.errstate(over="ignore"):  # an infinite limit leaves v_hi
+            power_limit = 1.0 / ctx.c5
+        lower, upper, feed_widths, power_limits = (
+            np.repeat(values, n).reshape(-1, n) for values in (ctx.lower, upper, f_top - f_lo, power_limit)
+        )
+        self.v_lo, self.f_lo = lower[:m], lower[m:]
+        self.upper, self.v_hi = upper, upper[:m]
+        self.feed_widths, self.power_limits = feed_widths, power_limits
+        self.coordinates = np.empty((2 * m, n))
+        self.decoded = np.empty((2 * m, n))
+        self.speed_widths = np.empty((m, n))
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first, second, take_a): two distinct parents per child,
-        uniform over the population (both 0 when mu == 1), and which
-        genome components come from the first.  The arrays are this
-        object's buffers, which the next draw overwrites."""
-        while True:
-            # The halves in the generator's order, whatever this machine's.
-            halves = rng.bit_generator.random_raw(self.words).astype("<u8", copy=False).view("<u4")
-            drawn = halves[: self.low.size]
-            np.multiply(drawn, self.bounds, out=self.low)  # mod 2**32
-            np.less(self.low, self.thresholds, out=self.rejected)
-            if not np.count_nonzero(self.rejected):
-                break
-        np.multiply(drawn, self.bounds, out=self.products, dtype=np.uint64)
-        np.right_shift(self.products, 32, out=self.shifted)
-        if self.mu > 1:
-            np.greater_equal(self.second_drawn, self.first, out=self.second)
-            self.second += self.second_drawn
-        np.greater_equal(halves[drawn.size : self.halves], 2**31, out=self.mask_bits)
-        return self.first, self.second, self.mask
+    def decode(self, genomes: np.ndarray) -> np.ndarray:
+        m = self.speed_widths.shape[0]
+        u = self.coordinates
+        np.copyto(u, genomes.T)
+        speeds, feeds = self.decoded[:m], self.decoded[m:]
+        np.multiply(u[m:], self.feed_widths, out=feeds)
+        feeds += self.f_lo
+        widths = np.power(feeds, -0.8, out=self.speed_widths)
+        widths *= self.power_limits
+        np.minimum(widths, self.v_hi, out=widths)
+        np.maximum(widths, self.v_lo, out=widths)
+        widths -= self.v_lo
+        np.multiply(u[:m], widths, out=speeds)
+        speeds += self.v_lo
+        np.minimum(self.decoded, self.upper, out=self.decoded)
+        return self.decoded.T
 
 
 class Workspace(NamedTuple):
     """A run's working arrays, made once by initial_state for one context
     and config; every generation overwrites them.
 
-    box holds the rows mutate clips the children to, lower and upper as
-    (eta, L) each; parents the first and second parents' genomes and step
-    sizes, alike; mating the parent indices and crossover masks; draws
-    the generation's normal draws, in which mutate makes the children;
-    pricing batch_evaluate's buffers for eta genomes.
+    parents holds the first and second parents' genomes and step sizes,
+    (eta, L) each; coins the uniform draws of the crossover masks, and
+    mask the masks; draws the generation's normal draws, in which mutate
+    makes the children; decoder the points they decode to; pricing
+    batch_evaluate's buffers for eta points.
     """
 
-    box: tuple[np.ndarray, np.ndarray]
     parents: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    mating: MatingDraws
+    coins: np.ndarray
+    mask: np.ndarray
     draws: NormalDraws
+    decoder: Decoder
     pricing: PricingBuffers
 
 
@@ -275,8 +266,10 @@ class Workspace(NamedTuple):
 class EsState:
     """Parent population plus bookkeeping between generations.
 
-    genomes, sigmas and record are fresh arrays every generation, so an
-    observer may keep them; workspace is overwritten by the next one.
+    genomes are the parents' coordinates in [0, 1]^(2m) and sigmas their
+    step sizes, in box widths.  genomes, sigmas and record are fresh
+    arrays every generation, so an observer may keep them; workspace is
+    overwritten by the next one.
     """
 
     genomes: np.ndarray
@@ -293,7 +286,7 @@ class RunResult:
     """Outcome of one optimization run.
 
     When no feasible solution was ever found, feasible is False and the
-    solution fields are None.
+    solution fields are None.  sigmas_final are in box widths.
     """
 
     feasible: bool
@@ -308,24 +301,26 @@ class RunResult:
 
 
 def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
-    """Generation 0: mu genomes uniform inside the box, all step sizes
-    equal to sigma_init, nothing evaluated yet, and the run's workspace."""
+    """Generation 0: mu genomes uniform in [0, 1]^(2m), all step sizes
+    equal to sigma_init or SIGMA_CAP, whichever is smaller, nothing
+    evaluated yet, and the run's workspace."""
     rng = np.random.default_rng(config.seed)
     length = ctx.lower.size
-    genomes = rng.uniform(ctx.lower, ctx.upper, size=(config.mu, length))
+    genomes = rng.random((config.mu, length))
     parents = np.empty((4, config.eta, length))
     return EsState(
         genomes=genomes,
-        sigmas=np.full(genomes.shape, config.sigma_init, dtype=float),
+        sigmas=np.full(genomes.shape, min(config.sigma_init, SIGMA_CAP)),
         record=BestRecord(),
         generation=0,
         evaluations=0,
         rng=rng,
         workspace=Workspace(
-            box=(ctx.lower[None].repeat(config.eta, axis=0), ctx.upper[None].repeat(config.eta, axis=0)),
             parents=tuple(parents),
-            mating=MatingDraws(config.mu, config.eta, length),
+            coins=np.empty((config.eta, length)),
+            mask=np.empty((config.eta, length), dtype=bool),
             draws=NormalDraws.empty(config.eta, length),
+            decoder=Decoder(ctx, config.eta),
             pricing=PricingBuffers(ctx, config.eta),
         ),
     )
@@ -343,8 +338,8 @@ def recombine(
 
     Discrete on the genome: each component from the first parent where
     the boolean take_a, of the genomes' shape, is true, else from the
-    second; step draws it with equal odds (MatingDraws).  Intermediate
-    on the step sizes.
+    second; step draws it with equal odds.  Intermediate on the step
+    sizes.
     """
     if not genomes_a.shape == genomes_b.shape == take_a.shape:
         raise ContractError(
@@ -359,26 +354,23 @@ def recombine(
 def mutate(
     genomes: np.ndarray,
     sigmas: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
     rng: np.random.Generator,
     draws: NormalDraws | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Self-adapt the step sizes, perturb the genomes, clip to the box.
+    """Self-adapt the step sizes, perturb the genomes, reflect into [0, 1].
 
     Each child's step sizes are scaled by exp(tau_global * g + tau_local *
     e_j), with one draw g per child and one e_j per component, at the
-    learning rates for the genome length, and kept at or above
-    SIGMA_FLOOR.  lower and upper bound one genome, (length,), or each
-    row, (n, length); step passes rows, so that the clipping runs on
-    operands of one shape.  The inputs are left unchanged.  The normal
-    draws fill draws, NormalDraws for n children of this length, or
-    fresh ones, and the children are returned in its steps and
-    perturbations.
+    learning rates for the genome length, and kept within [SIGMA_FLOOR,
+    SIGMA_CAP].  A perturbed component outside [0, 1] is reflected at
+    its bounds as often as it takes; one inside is left as it is.  The
+    inputs are left unchanged.  The normal draws fill draws, NormalDraws
+    for n children of this length, or fresh ones, and the children are
+    returned in its steps and perturbations.
     """
     n, length = genomes.shape
-    if length != lower.shape[-1]:
-        raise ContractError(f"genome length {length} does not match bounds length {lower.shape[-1]}")
+    if sigmas.shape != genomes.shape:
+        raise ContractError(f"step sizes of shape {sigmas.shape} for genomes of shape {genomes.shape}")
     if draws is None:
         draws = NormalDraws.empty(n, length)
     elif draws.steps.shape != genomes.shape:
@@ -395,11 +387,18 @@ def mutate(
     new_sigmas += global_draw
     np.exp(new_sigmas, out=new_sigmas)
     new_sigmas *= sigmas
+    np.minimum(new_sigmas, SIGMA_CAP, out=new_sigmas)
     np.maximum(new_sigmas, SIGMA_FLOOR, out=new_sigmas)
     new_genomes *= new_sigmas
     new_genomes += genomes
-    np.maximum(new_genomes, lower, out=new_genomes)
-    np.minimum(new_genomes, upper, out=new_genomes)
+    # u - 2*rint(u/2) folds u into [-1, 1] with period 2, and its magnitude
+    # mirrors that onto [0, 1].  The difference is exact, so a component
+    # inside [0, 1], where rint(u/2) is 0, keeps its bits.
+    folds = np.multiply(new_genomes, 0.5, out=draws.spare)
+    np.rint(folds, out=folds)
+    folds *= 2.0
+    new_genomes -= folds
+    np.abs(new_genomes, out=new_genomes)
     return new_genomes, new_sigmas
 
 
@@ -418,15 +417,19 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     """Advance one generation: breed eta children, evaluate, select mu.
 
     Draw order within the generation: parent indices, recombination
-    masks, step-size mutation draws, genome perturbation draws.  The
-    first two are taken in one raw block (MatingDraws).
-    The children are bred and priced in state.workspace, which state
-    must have from initial_state(ctx, config).
+    masks, step-size mutation draws, genome perturbation draws.  Each
+    child's second parent is uniform over the parents other than its
+    first.  The children are bred, decoded and priced in state.workspace,
+    which state must have from initial_state(ctx, config).
     """
     rng = state.rng
     work = state.workspace
     mu, eta = config.mu, config.eta
-    first, second, take_a = work.mating.draw(rng)
+    first = second = rng.integers(0, mu, eta)
+    if mu > 1:
+        second = rng.integers(0, mu - 1, eta)
+        second += second >= first
+    take_a = np.less(rng.random(out=work.coins), 0.5, out=work.mask)
     genomes_a, genomes_b, sigmas_a, sigmas_b = work.parents
     # In-range indices: "clip" takes them as they are, without the copy
     # that "raise" makes of out.
@@ -435,9 +438,10 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
     state.sigmas.take(first, axis=0, out=sigmas_a, mode="clip")
     state.sigmas.take(second, axis=0, out=sigmas_b, mode="clip")
     genomes, sigmas = recombine(genomes_a, genomes_b, sigmas_a, sigmas_b, config.alpha, take_a)
-    genomes, sigmas = mutate(genomes, sigmas, *work.box, rng, draws=work.draws)
+    genomes, sigmas = mutate(genomes, sigmas, rng, draws=work.draws)
+    points = work.decoder.decode(genomes)
 
-    fitnesses = batch_evaluate(ctx, genomes, work.pricing).fitness
+    fitnesses = batch_evaluate(ctx, points, work.pricing).fitness
     order = select(fitnesses, mu)
 
     best_idx = int(order[0])
@@ -449,7 +453,7 @@ def step(state: EsState, ctx: EvalContext, config: EsConfig) -> EsState:
         stall_counter, stall_fitness = last.stall_counter + 1, last.stall_fitness
     # A new record every generation: an observer may keep the last one.
     if best > last.fitness:
-        record = BestRecord(genomes[best_idx].copy(), sigmas[best_idx].copy(), best, stall_counter, stall_fitness)
+        record = BestRecord(points[best_idx].copy(), sigmas[best_idx].copy(), best, stall_counter, stall_fitness)
     else:
         record = BestRecord(last.genome, last.sigmas, last.fitness, stall_counter, stall_fitness)
 
@@ -473,28 +477,22 @@ def run(
 
     Before the first generation the run computes rate_hi, a certified
     upper bound on every fitness batch_evaluate can return in the box
-    (the rate_hi of oracle.solve_exact's OracleResult), without calling
-    batch_evaluate.  The run stops at the first generation whose record's
-    fitness times (1 + STALL_GAIN) reaches rate_hi: the record is then
-    certified within a relative STALL_GAIN of every fitness of the box, so
-    no later child could raise it by more than STALL_GAIN, the relative
+    (oracle.solve_exact), and it stops at the first generation whose
+    record's fitness times (1 + STALL_GAIN) reaches rate_hi: no later
+    child could raise the record by more than STALL_GAIN, the relative
     gain that step counts as progress.  The result is the one the stall
     counter alone gives with MAX_GENERATIONS set to that generation.  The
-    bound rests on the premises solve_exact names (convexity in log space,
-    a polygon holding every genome the rounded tests accept, a rounding
-    allowance); where none is certified it is +inf and the stall counter
-    alone stops the run.
+    bound rests on the premises solve_exact names; where none is
+    certified it is +inf and the stall counter alone stops the run.  When
+    rate_hi is 0, because the lowest corner (ctx.corner) is infeasible or
+    no point has a positive profit rate, the run sets up no population:
+    generations and evaluations are 0, the observer sees no generation,
+    and the result is the infeasible one every generation would give.
 
-    Before the first generation the record is 0, and the same test is the
-    gate: when rate_hi is 0, because the lowest corner (ctx.corner) is
-    infeasible, and with it every point, or because no point has a
-    positive profit rate, the run sets up no population, so that
-    generations and evaluations are 0 and the observer sees no
-    generation.  The result is the infeasible one that running every
-    generation would report.
-
-    Raises DomainError as compile_context does, and OracleError as
-    solve_exact does, when its iteration does not settle.
+    The reported point is the record's, priced by the scalar unit_cost
+    and unit_time, as evaluate prices it.  Raises DomainError as
+    compile_context does, and OracleError as solve_exact does, when its
+    iteration does not settle.
     """
     config = config or EsConfig()
     ctx = compile_context(plan)
@@ -531,14 +529,14 @@ def run(
             seed=config.seed,
         )
 
-    # Only a feasible genome has a positive fitness, so the record holds
-    # one that batch_evaluate's feasibility test passed.
-    evaluation = batch_evaluate(ctx, record.genome[None, :])
-    cost = float(evaluation.unit_cost[0])
-    time = float(evaluation.unit_time[0])
+    # Only a feasible point has a positive fitness, so the record holds one
+    # that batch_evaluate's feasibility test passed.
+    best = DecisionVector.from_genome(record.genome)
+    cost = unit_cost(plan, best, ctx.coefficients)
+    time = unit_time(plan, best, ctx.coefficients)
     return RunResult(
         feasible=True,
-        best=DecisionVector.from_genome(record.genome),
+        best=best,
         sigmas_final=tuple(float(s) for s in record.sigmas),
         unit_cost=cost,
         unit_time=time,

@@ -331,13 +331,13 @@ class DerivedCoefficients:
         for name in ("k1", "k3", "c5"):
             value = getattr(self, name)
             if not (_finite(value) and value > 0.0):
-                raise PlanError(f"{name} must be > 0")
+                raise PlanError(f"{name} must be finite and > 0")
         if not (self.c6 is None or self.c7 is None):
             raise PlanError("at most one finish coefficient may be present")
         for name in ("c6", "c7", "c8"):
             value = getattr(self, name)
             if value is not None and not (_finite(value) and value > 0.0):
-                raise PlanError(f"{name} must be > 0 when present")
+                raise PlanError(f"{name} must be finite and > 0 when present")
 
 
 @dataclass(frozen=True)

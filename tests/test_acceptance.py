@@ -10,6 +10,7 @@ any edit to the stored table fails a case.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -39,7 +40,7 @@ from millopt import (
 from millopt.case_study import REFERENCE_ROWS, load_document
 from millopt.cli import main
 from millopt import es
-from millopt.es import SIGMA_FLOOR, learning_rates, mutate
+from millopt.es import SIGMA_CAP, SIGMA_FLOOR, learning_rates, mutate
 from millopt.milling import compile_context
 from millopt.oracle import solve_exact
 
@@ -321,7 +322,8 @@ def test_objective_is_zero_exactly_when_infeasible(builtin_plan, builtin_coeffs)
 # individual, the log step-size changes have mean 0 and variance
 # tau_global^2 + tau_local^2, each within three standard errors.  The
 # standard errors account for the shared per-individual draw, which
-# correlates the ten components of each mutation.
+# correlates the ten components of each mutation.  The base step size lies
+# so far inside [SIGMA_FLOOR, SIGMA_CAP] that neither bound acts.
 # ---------------------------------------------------------------------------
 
 
@@ -331,16 +333,15 @@ def test_mutation_step_size_statistics(builtin_plan):
     tau_g, tau_l = learning_rates(length)
     a, b = tau_g**2, tau_l**2
 
-    lower = np.full(length, 1e-12)
-    upper = np.full(length, 1e12)
-    base_genome, base_sigmas = np.full((1, length), 50.0), np.full((1, length), 3.0)
+    base_genome, base_sigmas = np.full((1, length), 0.5), np.full((1, length), 1e-3)
     rng = np.random.default_rng(2024)
 
     n = 100_000
     log_ratios = np.empty((n, length))
     for i in range(n):
-        _, child_sigmas = mutate(base_genome, base_sigmas, lower, upper, rng)
+        _, child_sigmas = mutate(base_genome, base_sigmas, rng)
         log_ratios[i] = np.log(child_sigmas[0] / base_sigmas[0])
+    assert math.log(SIGMA_FLOOR / 1e-3) < log_ratios.min() and log_ratios.max() < math.log(SIGMA_CAP / 1e-3)
 
     sample_mean = float(log_ratios.mean())
     sample_var = float((log_ratios**2).mean() - sample_mean**2)
@@ -361,17 +362,21 @@ def test_mutation_step_size_statistics(builtin_plan):
 
 # ---------------------------------------------------------------------------
 # requirement 7: over a two-thousand-generation run, the best-ever
-# record never decreases, every genome stays inside its box, and every
-# step size stays at or above the floor — checked every generation.
+# record never decreases, every genome stays inside its box, [0, 1]^(2m),
+# and decodes to a point inside the plan's, and every step size stays
+# within [SIGMA_FLOOR, SIGMA_CAP] — checked every generation.  The run's
+# certified stop is switched off, so that it runs all two thousand.
 # ---------------------------------------------------------------------------
 
 
 def test_long_run_invariants_hold_every_generation(builtin_plan, monkeypatch):
     started = time.monotonic()
     ctx = compile_context(builtin_plan)
-    lower, upper = ctx.lower, ctx.upper
+    lower, upper = ctx.lower, ctx.feasible_upper
     monkeypatch.setattr(es, "MAX_GENERATIONS", 2000)
+    monkeypatch.setattr(es, "solve_exact", lambda c: dataclasses.replace(solve_exact(c), rate_hi=math.inf))
     config = EsConfig(seed=0, stall_limit=2000)
+    decoder = es.Decoder(ctx, config.mu)
     best_so_far = [0.0]
     generations_seen = [0]
 
@@ -379,9 +384,11 @@ def test_long_run_invariants_hold_every_generation(builtin_plan, monkeypatch):
         generations_seen[0] = state.generation
         assert state.record.fitness >= best_so_far[0]
         best_so_far[0] = state.record.fitness
-        assert np.all(state.genomes >= lower - 1e-12)
-        assert np.all(state.genomes <= upper + 1e-12)
-        assert np.all(state.sigmas >= SIGMA_FLOOR)
+        assert np.all(state.genomes >= 0.0) and np.all(state.genomes <= 1.0)
+        points = decoder.decode(state.genomes)
+        assert np.all(points >= lower) and np.all(points <= upper)
+        assert np.all(state.record.genome >= lower) and np.all(state.record.genome <= upper)
+        assert np.all(state.sigmas >= SIGMA_FLOOR) and np.all(state.sigmas <= SIGMA_CAP)
 
     result = run(builtin_plan, config, observer=check)
     assert generations_seen[0] == result.generations == 2000
