@@ -53,7 +53,6 @@ from .milling import (
     _is_integer,
     batch_evaluate,
     compile_context,
-    feasible_polygons,
     unit_cost,
     unit_time,
 )
@@ -101,8 +100,8 @@ class EsConfig:
     """Strategy settings.
 
     mu parents breed eta children per generation; every step size starts
-    at sigma_init box widths, or at SIGMA_CAP when that is smaller, and
-    alpha weights the first parent's step sizes in
+    at sigma_init box widths, and a sigma_init above SIGMA_CAP is taken
+    as SIGMA_CAP; alpha weights the first parent's step sizes in
     recombination.  The run stops after stall_limit generations in a row
     without a relative rise of the best fitness above STALL_GAIN, at
     MAX_GENERATIONS, or at the first generation whose record the certified
@@ -112,7 +111,7 @@ class EsConfig:
 
     mu: int = 15
     eta: int = 105
-    sigma_init: float = 3.0
+    sigma_init: float = SIGMA_CAP
     alpha: float = 0.5
     stall_limit: int = 1000
     seed: int = 0
@@ -124,6 +123,7 @@ class EsConfig:
             raise ValueError("eta must be an integer > mu")
         if not (_finite(self.sigma_init) and self.sigma_init > 0.0):
             raise ValueError("sigma_init must be finite and > 0")
+        object.__setattr__(self, "sigma_init", min(self.sigma_init, SIGMA_CAP))
         if not (_finite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be strictly between 0 and 1")
         if not (_is_integer(self.stall_limit) and self.stall_limit >= 1):
@@ -195,7 +195,7 @@ class Decoder:
     batch_evaluate prices, in buffers made once per run.
 
     The feed comes first, f = f_lo + u_f * (f_top - f_lo), with f_top from
-    feasible_polygons: the largest feed, at most feed_cap, that the power
+    ctx.polygons: the largest feed, at most feed_cap, that the power
     test accepts at v_lo (f_lo where none is).  The speed follows, v = v_lo
     + u_v * (top - v_lo), with top = min(v_hi, f**-0.8 / c5), the closed
     form of milling.v_max, or v_lo where that lies below it.  u = 0 decodes
@@ -211,7 +211,7 @@ class Decoder:
     def __init__(self, ctx: EvalContext, n: int) -> None:
         m = ctx.m
         f_lo = ctx.lower[m:]
-        f_top = np.maximum(feasible_polygons(ctx).f_top, f_lo)
+        f_top = np.maximum(ctx.polygons.f_top, f_lo)
         upper = np.concatenate((ctx.upper[:m], f_top))
         with np.errstate(over="ignore"):  # an infinite limit leaves v_hi
             power_limit = 1.0 / ctx.c5
@@ -302,15 +302,14 @@ class RunResult:
 
 def initial_state(ctx: EvalContext, config: EsConfig) -> EsState:
     """Generation 0: mu genomes uniform in [0, 1]^(2m), all step sizes
-    equal to sigma_init or SIGMA_CAP, whichever is smaller, nothing
-    evaluated yet, and the run's workspace."""
+    equal to sigma_init, nothing evaluated yet, and the run's workspace."""
     rng = np.random.default_rng(config.seed)
     length = ctx.lower.size
     genomes = rng.random((config.mu, length))
     parents = np.empty((4, config.eta, length))
     return EsState(
         genomes=genomes,
-        sigmas=np.full(genomes.shape, min(config.sigma_init, SIGMA_CAP)),
+        sigmas=np.full(genomes.shape, config.sigma_init),
         record=BestRecord(),
         generation=0,
         evaluations=0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -616,6 +617,8 @@ class EvalContext:
     followed by feed_cap, the box a feasible genome lies below.  So is
     corner, batch_evaluate's evaluation of lower, the corner where every
     margin is smallest: no genome is feasible unless it is.
+    polygons is feasible_polygons(self), computed on first use and kept,
+    so oracle.solve_exact and the ES decoder of one run share it.
     coefficients are the plan's DerivedCoefficients that compile_context
     packed, for the scalar functions; dataclasses.replace carries them
     over unchanged.
@@ -647,6 +650,10 @@ class EvalContext:
     @property
     def m(self) -> int:
         return self.k1.size
+
+    @cached_property
+    def polygons(self) -> FeasiblePolygons:
+        return feasible_polygons(self)
 
 
 def _feed_cap(plan: MillingPlan, op_index: int, c: DerivedCoefficients) -> float:
@@ -783,7 +790,8 @@ _SPEED_ROWS = ~_FEED_ROWS
 
 class FeasiblePolygons(NamedTuple):
     """What operation_minima needs of a context that does not depend on the
-    multiplier, computed once per context by feasible_polygons.
+    multiplier, computed once per context by feasible_polygons (see
+    EvalContext.polygons).
 
     In x = ln v and y = ln f, the speeds and feeds batch_evaluate accepts
     for operation i lie in the box [ln v_lo, ln v_hi] x [ln f_lo, ln f_top]

@@ -60,7 +60,6 @@ from .milling import (
     _is_integer,
     _rate_bound,
     compile_context,
-    feasible_polygons,
     operation_minima,
     unit_cost,
     unit_time,
@@ -422,7 +421,7 @@ def solve_exact(ctx: EvalContext) -> OracleResult:
 
     def prepare() -> Callable[[float], tuple]:
         nonlocal polygons
-        polygons = feasible_polygons(ctx)
+        polygons = ctx.polygons
         return step
 
     def step(lam: float) -> tuple[DecisionVector, float, float]:

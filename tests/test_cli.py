@@ -81,7 +81,7 @@ optimize report
   seed                    1
   config.mu               15
   config.eta              105
-  config.sigma_init       3.0000
+  config.sigma_init       1.0000
   config.alpha            0.5000
   config.stall_limit      10
   config.max_generations  100000
@@ -105,7 +105,7 @@ evaluations,2100
 seed,1
 config.mu,15
 config.eta,105
-config.sigma_init,3.0000
+config.sigma_init,1.0000
 config.alpha,0.5000
 config.stall_limit,10
 config.max_generations,100000
@@ -187,7 +187,7 @@ class TestOptimizeCommand:
         assert report["config"] == {
             "mu": 15,
             "eta": 105,
-            "sigma_init": 3.0,
+            "sigma_init": 1.0,
             "alpha": 0.5,
             "stall_limit": 20,
             "max_generations": 100000,
@@ -242,7 +242,7 @@ class TestOptimizeCommand:
             capsys,
             "optimize", "--config", toy_config_path,
             "--mu", "15", "--lambda", "105", "--stall", "1000", "--seed", "0",
-            "--alpha", "0.5", "--sigma-init", "3.0",
+            "--alpha", "0.5", "--sigma-init", "1.0",
         )
         assert plain == spelled
 
@@ -259,7 +259,7 @@ class TestOptimizeCommand:
         report = json.loads(out, parse_constant=reject)
         assert (code, err) == (0, "")
         assert all(0.0 < s <= es.SIGMA_CAP for s in report["sigmas_final"])
-        assert report["config"]["sigma_init"] == 1e308
+        assert report["config"]["sigma_init"] == es.SIGMA_CAP  # the step size the run started at
 
     @pytest.mark.parametrize("sigma_init", ["0.3", "3.0"])
     def test_evaluate_prices_the_reported_point_bit_for_bit(self, capsys, sigma_init):

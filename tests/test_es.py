@@ -85,7 +85,7 @@ class TestEsConfig:
     def test_defaults(self):
         cfg = EsConfig()
         assert (cfg.mu, cfg.eta) == (15, 105)
-        assert cfg.sigma_init == 3.0
+        assert cfg.sigma_init == SIGMA_CAP
         assert cfg.alpha == 0.5
         assert cfg.stall_limit == 1000
         assert cfg.seed == 0
@@ -198,7 +198,9 @@ class TestInitPopulation:
 
     @pytest.mark.parametrize("sigma_init", [1.25, 3.0, 1e308])
     def test_step_sizes_start_at_most_at_the_cap(self, toy_single_plan, sigma_init):
-        state = initial_state(compile_context(toy_single_plan), toy_config(sigma_init=sigma_init))
+        cfg = toy_config(sigma_init=sigma_init)
+        assert cfg.sigma_init == SIGMA_CAP  # the config holds the step size the run starts at
+        state = initial_state(compile_context(toy_single_plan), cfg)
         assert np.all(state.sigmas == SIGMA_CAP)
 
     def test_same_seed_same_population(self, toy_single_plan):
@@ -276,14 +278,12 @@ class TestRecombine:
         expected_sigmas = np.clip(sigmas * np.exp(tau_g * global_draw + tau_l * local_draws), SIGMA_FLOOR, SIGMA_CAP)
         parents = np.where(take_a, genomes_a, genomes_b)
         moved = parents + expected_sigmas * rng.standard_normal((n, length))
-        expected = np.minimum(np.mod(moved, 2.0), 2.0 - np.mod(moved, 2.0))
+        expected = np.where(moved < 0.0, -moved, np.where(moved > 1.0, 2.0 - moved, moved))
         bred = np.random.default_rng(5)
         child, child_sigmas = recombine(genomes_a, genomes_b, sigmas, sigmas.copy(), 0.5, coin_mask(bred, (n, length)))
         assert np.array_equal(child, parents)
         child, child_sigmas = mutate(child, child_sigmas, bred)
-        assert np.allclose(child, expected, rtol=0.0, atol=1e-15) and np.array_equal(child_sigmas, expected_sigmas)
-        inside = (moved >= 0.0) & (moved <= 1.0)
-        assert np.array_equal(child[inside], moved[inside])
+        assert np.array_equal(child, expected) and np.array_equal(child_sigmas, expected_sigmas)
         assert bred.standard_normal() == rng.standard_normal()
 
     def test_length_mismatch_rejected(self):
@@ -691,9 +691,12 @@ class TestStep:
         children = np.concatenate(priced)
         assert children.shape == (5 * cfg.eta, ctx.lower.size)
         assert np.all(children >= ctx.lower) and np.all(children <= ctx.feasible_upper)
-        m = ctx.m
-        assert np.any(children[:, :m] > compiled.upper[:m] * 0.45)  # they do reach the narrowed top
-        assert not np.array_equal(ctx.feasible_upper, compiled.feasible_upper)
+        # u = 1 decodes to the replaced context's tops: its speeds of 90,
+        # 55 and 40, not the 120, 70 and 50 it was narrowed from
+        m, f_top = ctx.m, ctx.polygons.f_top
+        top = state.workspace.decoder.decode(np.ones((cfg.eta, ctx.lower.size)))[0]
+        assert np.array_equal(top[m:], f_top)
+        assert np.allclose(top[:m], np.minimum(ctx.upper[:m], f_top**-0.8 / ctx.c5), rtol=4e-16, atol=0.0)
 
     def test_all_infeasible_leaves_record_empty(self, toy_infeasible_plan):
         cfg = toy_config(mu=3, eta=9)
@@ -707,6 +710,18 @@ class TestStep:
 
 
 class TestRun:
+    def test_feasible_polygons_are_computed_once_per_run(self, builtin_plan, monkeypatch):
+        # solve_exact and the decoder share the context's polygons
+        calls = []
+
+        def counted(ctx):
+            calls.append(ctx)
+            return feasible_polygons(ctx)
+
+        monkeypatch.setattr(milling, "feasible_polygons", counted)
+        result = run(builtin_plan, EsConfig(stall_limit=5))
+        assert result.generations >= 1 and len(calls) == 1
+
     def test_same_seed_bit_identical(self, toy_single_plan):
         cfg = EsConfig(seed=42, stall_limit=40)
         first = run(toy_single_plan, cfg)
