@@ -7,8 +7,8 @@ Run it on two checkouts and diff the outputs to see which reports changed:
 
 The script imports millopt from the checkout it lives in (``src/``), and
 the random plan generator from that checkout's ``perfbench/workloads.py``.
-Every report but the fourteen before the last three runs is JSON, so
-full precision counts; those fourteen are text and csv, which round, so
+Every report but fourteen is JSON, so full precision counts; those
+fourteen, the text and csv runs listed below, round, so
 their key order, widths and rows count.  The set:
 
   * optimize and compare on the bundled case, seeds 0-4;
@@ -80,6 +80,9 @@ their key order, widths and rows count.  The set:
     naming the operation), or that no positive feed passes the force limit
     (permitted_force 1e-300; the plan is infeasible), and at 1e-254, where
     some still does.
+  * oracle on the bundled case at one more than the largest grid
+    resolution (MAX_GRID_RESOLUTION), which is rejected with one error
+    line before any grid is allocated.
 
 A run whose main raises is printed as exit=raised:<ExceptionType>, next to
 the digests of what it wrote before that; its traceback goes to stderr.
@@ -107,6 +110,7 @@ import numpy as np  # noqa: E402
 
 from millopt.case_study import builtin_case, builtin_document_bytes  # noqa: E402
 from millopt.cli import main  # noqa: E402
+from millopt.oracle import MAX_GRID_RESOLUTION  # noqa: E402
 from workloads import ES_SEEDS, midpoint_args, random_plan_document  # noqa: E402
 
 SEEDS = range(5)
@@ -345,6 +349,13 @@ def runs(workdir: Path) -> Iterator[tuple[str, tuple[str, ...]]]:
             "evaluate", *edge,
             "--speeds", "91.1,40,40,30,31.3", "--feeds", "0.078,0.325,0.325,0.5,0.388",
         )
+
+    # Appended last: a resolution just above the largest the oracle
+    # allocates a grid for, rejected before any allocation.
+    resolution = MAX_GRID_RESOLUTION + 1
+    yield f"oracle builtin resolution={resolution}", (
+        "oracle", *builtin, "--grid-resolution", str(resolution),
+    )
 
 
 def digest(text: str) -> str:

@@ -93,6 +93,8 @@ _ABSENT = object()
 
 
 def _expect_mapping(value: Any, where: str) -> Mapping[str, Any]:
+    if value.__class__ is dict:  # as json gives it, without the Mapping test's cost
+        return value
     if not isinstance(value, Mapping):
         raise PlanError(f"{where} must be an object")
     if value.__class__ is _Repeated:
@@ -119,6 +121,8 @@ def _number(section: Mapping[str, Any], key: str, where: str) -> float:
 
 def _integer(section: Mapping[str, Any], key: str, where: str) -> int:
     value = section.get(key, _ABSENT)
+    if value.__class__ is int:
+        return value
     if value is _ABSENT:
         raise PlanError(f"missing required key '{key}' in {where}")
     if not _is_integer(value):
@@ -139,8 +143,12 @@ def _flag(section: Mapping[str, Any], key: str, where: str) -> bool:
     return value
 
 
-def _enum(enum_cls: type, section: Mapping[str, Any], key: str, where: str):
+def _enum(enum_cls: type, members: dict[str, Any], section: Mapping[str, Any], key: str, where: str):
+    """The member of enum_cls whose value the key holds; members maps each
+    value to its member, which costs less than calling enum_cls."""
     raw = section.get(key)
+    if raw.__class__ is str and raw in members:
+        return members[raw]
     if not isinstance(raw, str):
         raise PlanError(f"missing or non-string key '{key}' in {where}")
     try:
@@ -174,7 +182,10 @@ _READERS: dict[str, Reader] = {
     "float | None": _optional_number,
     "bool": _flag,
     "tuple[float, float]": _bounds_pair,
-    **{enum_cls.__name__: partial(_enum, enum_cls) for enum_cls in (ToolKind, ToolQuality, OperationKind)},
+    **{
+        enum_cls.__name__: partial(_enum, enum_cls, {member.value: member for member in enum_cls})
+        for enum_cls in (ToolKind, ToolQuality, OperationKind)
+    },
 }
 
 
@@ -277,11 +288,23 @@ def _members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return members
 
 
+# The decoder json.loads would make for _members on every call, made once:
+# it keeps nothing from one document to the next, and a fresh one costs
+# more than the rest of the parse.
+_DECODER = json.JSONDecoder(object_pairs_hook=_members)
+
+
 def load_document_file(path: str | Path) -> LoadedDocument:
-    with open(path, encoding="utf-8") as file:
-        text = file.read()
+    # The text a text-mode file reads, universal newlines and all, from an
+    # unbuffered binary one, which opens and reads in fewer steps.
+    with open(path, "rb", buffering=0) as file:
+        text = file.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        raw = json.loads(text, object_pairs_hook=_members)
+        if text.startswith("\ufeff"):  # json.loads's own test, before it decodes
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # json's decoder recurses once per nesting level.
         raise PlanError(f"{path} is not valid JSON: {exc}") from exc

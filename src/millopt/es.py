@@ -212,15 +212,15 @@ class Decoder:
         m = ctx.m
         f_lo = ctx.lower[m:]
         f_top = np.maximum(ctx.polygons.f_top, f_lo)
-        upper = np.concatenate((ctx.upper[:m], f_top))
         with np.errstate(over="ignore"):  # an infinite limit leaves v_hi
             power_limit = 1.0 / ctx.c5
-        lower, upper, feed_widths, power_limits = (
-            np.repeat(values, n).reshape(-1, n) for values in (ctx.lower, upper, f_top - f_lo, power_limit)
-        )
-        self.v_lo, self.f_lo = lower[:m], lower[m:]
-        self.upper, self.v_hi = upper, upper[:m]
-        self.feed_widths, self.power_limits = feed_widths, power_limits
+        # lower, upper, the feed widths and the power limits, each n times
+        # in a row, from one repeat.
+        repeated = np.concatenate((ctx.lower, ctx.upper[:m], f_top, f_top - f_lo, power_limit)).repeat(n)
+        rows = repeated.reshape(-1, n)
+        self.v_lo, self.f_lo = rows[:m], rows[m : 2 * m]
+        self.upper, self.v_hi = rows[2 * m : 4 * m], rows[2 * m : 3 * m]
+        self.feed_widths, self.power_limits = rows[4 * m : 5 * m], rows[5 * m :]
         self.coordinates = np.empty((2 * m, n))
         self.decoded = np.empty((2 * m, n))
         self.speed_widths = np.empty((m, n))

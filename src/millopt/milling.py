@@ -286,16 +286,17 @@ class MillingPlan:
     operations: tuple[OperationSpec, ...]
 
     def __post_init__(self) -> None:
-        tool_ids = [tool.id for tool in self.tools]
-        if len(set(tool_ids)) != len(tool_ids):
+        tools = {tool.id: tool for tool in self.tools}
+        if len(tools) != len(self.tools):
             raise PlanError("tool ids must be unique")
         numbers = [op.number for op in self.operations]
         if len(set(numbers)) != len(numbers):
             raise PlanError("operation numbers must be unique")
-        known = set(tool_ids)
         for op in self.operations:
-            if op.tool_id not in known:
+            if op.tool_id not in tools:
                 raise PlanError(f"operation {op.number} references unknown tool id {op.tool_id}")
+        # tool_for's index: every pricing routine asks it once per operation.
+        object.__setattr__(self, "_tools", tools)
 
     @property
     def m(self) -> int:
@@ -303,10 +304,10 @@ class MillingPlan:
         return len(self.operations)
 
     def tool_for(self, op: OperationSpec) -> ToolSpec:
-        for tool in self.tools:
-            if tool.id == op.tool_id:
-                return tool
-        raise PlanError(f"operation {op.number} references unknown tool id {op.tool_id}")
+        tool = self._tools.get(op.tool_id)
+        if tool is None:
+            raise PlanError(f"operation {op.number} references unknown tool id {op.tool_id}")
+        return tool
 
 
 @dataclass(frozen=True)
@@ -621,7 +622,9 @@ class EvalContext:
     so oracle.solve_exact and the ES decoder of one run share it.
     coefficients are the plan's DerivedCoefficients that compile_context
     packed, for the scalar functions; dataclasses.replace carries them
-    over unchanged.
+    over unchanged.  constants, derived too, lays PricingBuffers._REPEATED
+    end to end, so that a PricingBuffers repeats them in one call;
+    feasible_upper is its tail.
     """
 
     sale_price: float
@@ -639,10 +642,16 @@ class EvalContext:
     coefficients: tuple[DerivedCoefficients, ...] = field(repr=False, compare=False)
     feasible_upper: np.ndarray = field(init=False, repr=False, compare=False)
     corner: BatchEval = field(init=False, repr=False, compare=False)
+    constants: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        feasible_upper = np.concatenate((self.upper[: self.m], self.feed_cap))
-        object.__setattr__(self, "feasible_upper", feasible_upper)
+        m = self.m
+        constants = np.concatenate(
+            (self.k1, self.tool_cost_coef, self.speed_exponent, self.feed_exponent, self.c5,
+             self.lower, self.upper[:m], self.feed_cap)
+        )
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "feasible_upper", constants[7 * m :])
         # An overflowing corner is reported by _check_box_prices, not warned of.
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "corner", batch_evaluate(self, self.lower))
@@ -740,12 +749,13 @@ def _check_box_prices(ctx: EvalContext) -> None:
     corner_cost = ctx.corner.unit_cost[0]
     if not math.isfinite(corner_cost):
         raise DomainError(f"unit cost {corner_cost} at the lowest speeds and feeds: the plan overflows")
+    # The speed and then the feed exponents, as ctx.constants lays them out.
+    exponents = ctx.constants[2 * m : 4 * m]
     with np.errstate(over="ignore", invalid="ignore"):
-        speed_factor = np.where(ctx.speed_exponent >= 0.0, v_hi, v_lo) ** ctx.speed_exponent
-        feed_factor = np.where(ctx.feed_exponent >= 0.0, f_hi, f_lo) ** ctx.feed_exponent
-        wear = speed_factor * ctx.tool_cost_coef * feed_factor
-        cost = ctx.cost_fixed + ctx.rate * (ctx.k1 / (v_lo * f_lo)).sum() + wear.sum()
-        rate = max(ctx.sale_price, cost) / (ctx.time_fixed + (ctx.k1 / (v_hi * f_hi)).sum())
+        factors = np.where(exponents >= 0.0, ctx.upper, ctx.lower) ** exponents
+        wear = factors[:m] * ctx.tool_cost_coef * factors[m:]
+        cost = ctx.cost_fixed + ctx.rate * np.add.reduce(ctx.k1 / (v_lo * f_lo)) + np.add.reduce(wear)
+        rate = max(ctx.sale_price, cost) / (ctx.time_fixed + np.add.reduce(ctx.k1 / (v_hi * f_hi)))
     if not (math.isfinite(cost) and math.isfinite(rate)):
         raise DomainError(f"unit cost up to {cost} inside the speed and feed bounds: the plan overflows")
 
@@ -1058,8 +1068,11 @@ class PricingBuffers:
     result arrays, which every call with these buffers overwrites.
     """
 
-    # The context's arrays that __init__ repeats n times, under their own names.
+    # The context's arrays that __init__ repeats n times, under their own
+    # names, as EvalContext.constants lays them out: where each starts and
+    # ends, in operations.
     _REPEATED = ("k1", "tool_cost_coef", "speed_exponent", "feed_exponent", "c5", "lower", "feasible_upper")
+    _BOUNDS = (0, 1, 2, 3, 4, 5, 7, 9)
     __slots__ = (
         *_REPEATED, "ctx", "flat", "by_operation", "speeds", "feeds",
         "machining_terms", "wear_terms", "feed_powers", "genome_major", "term_columns", "term_rows",
@@ -1072,13 +1085,9 @@ class PricingBuffers:
         mn = m * n
         self.ctx = ctx
         # One repeat of the constants laid end to end, viewed per constant.
-        constants = [getattr(ctx, name) for name in self._REPEATED]
-        repeated = np.concatenate(constants).repeat(n)
-        start = 0
-        for name, values in zip(self._REPEATED, constants):
-            end = start + values.size * n
-            setattr(self, name, repeated[start:end])
-            start = end
+        repeated = ctx.constants.repeat(n)
+        for name, start, end in zip(self._REPEATED, self._BOUNDS, self._BOUNDS[1:]):
+            setattr(self, name, repeated[start * mn : end * mn])
         self.flat = np.empty(2 * mn)
         self.by_operation = self.flat.reshape(2 * m, n)
         self.speeds, self.feeds = self.flat[:mn], self.flat[mn:]

@@ -67,6 +67,7 @@ from .milling import (
 
 __all__ = [
     "MAX_DINKELBACH_ITERATIONS",
+    "MAX_GRID_RESOLUTION",
     "GridSpec",
     "OracleResult",
     "OracleError",
@@ -88,6 +89,15 @@ _BAND = 64
 # plans it stops within 7 iterations; reaching it is a fault on either path.
 MAX_DINKELBACH_ITERATIONS = 100
 
+# Largest grid resolution.  Each operation's prepared grid holds about a
+# dozen float64 arrays of resolution elements, and its scan the bounds of
+# (resolution / _BAND)**2 block tiles, with temporaries of that size: at
+# 100,000 that is about 20 MB a tile array, and an oracle on the bundled
+# case peaks near 100 MB and takes well under a second.  The tile arrays
+# grow as the square, past any memory at a few million, so a larger
+# resolution is refused before anything is allocated.
+MAX_GRID_RESOLUTION = 100_000
+
 
 class OracleError(RuntimeError):
     """The multiplier iteration did not settle within the guard."""
@@ -96,13 +106,15 @@ class OracleError(RuntimeError):
 @dataclass(frozen=True)
 class GridSpec:
     """Grid density for the oracle: resolution is the number of points per
-    axis per operation, endpoints included."""
+    axis per operation, endpoints included, at most MAX_GRID_RESOLUTION."""
 
     resolution: int = 500
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.resolution) and self.resolution >= 2):
             raise ValueError("resolution must be an integer >= 2")
+        if self.resolution > MAX_GRID_RESOLUTION:
+            raise ValueError(f"resolution must be at most {MAX_GRID_RESOLUTION}")
 
 
 @dataclass(frozen=True)
@@ -340,8 +352,10 @@ def _power_widths(power: np.ndarray, feeds_pow: np.ndarray) -> np.ndarray:
 def _iterate(ctx: EvalContext, prepare: Callable[[], Callable[[float], tuple]]) -> OracleResult:
     """Dinkelbach's iteration (Management Science 13(7), 1967).  prepare,
     called once the box's lowest corner is known feasible, returns the
-    step: from a multiplier lam, the point of the solver's per-operation
-    minimizers of cost + lam * time, with its unit cost and unit time.
+    step: from a multiplier lam, the speeds and the feeds, as tuples of
+    floats, of the solver's per-operation minimizers of cost + lam * time,
+    with their unit cost and unit time.  Only the returned point becomes
+    a DecisionVector: the others are only compared.
 
     lam starts at the corner's profit rate, as the compiled context priced
     it (EvalContext.corner), and each iteration takes the rate of the
@@ -358,15 +372,17 @@ def _iterate(ctx: EvalContext, prepare: Callable[[], Callable[[float], tuple]]) 
         return OracleResult(False, None, None, None, None, iterations=0, lambda_trace=())
     lam = float(ctx.corner.fitness[0])
     step = prepare()
-    previous = DecisionVector.from_genome(ctx.lower)
+    corner = ctx.lower.tolist()
+    previous = (tuple(corner[: ctx.m]), tuple(corner[ctx.m :]))
     trace: list[float] = [lam]
     for iteration in range(1, MAX_DINKELBACH_ITERATIONS + 1):
-        x, cost, time = step(lam)
+        speeds, feeds, cost, time = step(lam)
         lam_next = (ctx.sale_price - cost) / time
         trace.append(lam_next)
-        if x == previous or lam_next <= lam:
+        if (speeds, feeds) == previous or lam_next <= lam:
+            x = DecisionVector(speeds=speeds, feeds=feeds)
             return OracleResult(True, x, lam_next, cost, time, iteration, tuple(trace))
-        lam, previous = lam_next, x
+        lam, previous = lam_next, (speeds, feeds)
     raise OracleError(
         "multiplier iteration did not converge within "
         f"{MAX_DINKELBACH_ITERATIONS} iterations; trace: {trace}"
@@ -388,10 +404,10 @@ def dinkelbach_solve(plan: MillingPlan, grid: GridSpec | None = None) -> OracleR
     def prepare() -> Callable[[float], tuple]:
         ops = [prepare_op_grid(i, ctx, grid) for i in range(plan.m)]
 
-        def step(lam: float) -> tuple[DecisionVector, float, float]:
+        def step(lam: float) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
             points = [per_op_grid_min(op, lam) for op in ops]
             x = DecisionVector(speeds=tuple(p[0] for p in points), feeds=tuple(p[1] for p in points))
-            return x, unit_cost(plan, x, ctx.coefficients), unit_time(plan, x, ctx.coefficients)
+            return x.speeds, x.feeds, unit_cost(plan, x, ctx.coefficients), unit_time(plan, x, ctx.coefficients)
 
         return step
 
@@ -424,13 +440,14 @@ def solve_exact(ctx: EvalContext) -> OracleResult:
         polygons = ctx.polygons
         return step
 
-    def step(lam: float) -> tuple[DecisionVector, float, float]:
+    def step(lam: float) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
         nonlocal minima
         minima = operation_minima(ctx, polygons, lam)
         machining = np.add.reduce(minima.machining)
         cost = ctx.cost_fixed + ctx.rate * machining + np.add.reduce(minima.wear)
-        x = DecisionVector(speeds=tuple(minima.speeds.tolist()), feeds=tuple(minima.feeds.tolist()))
-        return x, float(cost), float(ctx.time_fixed + machining)
+        # Clipped into the box, so finite: DecisionVector's test would pass.
+        speeds, feeds = tuple(minima.speeds.tolist()), tuple(minima.feeds.tolist())
+        return speeds, feeds, float(cost), float(ctx.time_fixed + machining)
 
     result = _iterate(ctx, prepare)
     rate_hi = _rate_bound(ctx, polygons, result.profit_rate, minima) if result.feasible else 0.0

@@ -429,6 +429,50 @@ class TestLoaderErrors:
             load_document_file(tmp_path / "absent.json")
 
 
+def text_mode_load(path):
+    """load_document_file as a text-mode read and json.loads give it: the
+    reference for its own binary read, newline translation and decoder."""
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    try:
+        raw = json.loads(text, object_pairs_hook=case_study._members)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise PlanError(f"{path} is not valid JSON: {exc}") from exc
+    return load_document(raw)
+
+
+def load_outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except (ValueError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+BUILTIN_BYTES = builtin_document_bytes()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(BUILTIN_BYTES.replace(b"\n", b"\r\n"), id="crlf"),
+        pytest.param(BUILTIN_BYTES.replace(b"\n", b"\r"), id="cr"),
+        pytest.param(BUILTIN_BYTES.replace(b"\n", b"\r\r\n").replace(b'"machine"', b"\r\r\n!", 1), id="crcrlf-bad-json"),
+        pytest.param(BUILTIN_BYTES.replace(b"\n", b"\r\n").replace(b'"sale_price"', b'"sale_price" x', 1), id="crlf-bad-json"),
+        pytest.param(b"\xef\xbb\xbf" + BUILTIN_BYTES, id="bom"),
+        pytest.param(BUILTIN_BYTES[:200] + b"\xc3\x28" + BUILTIN_BYTES[200:], id="invalid-utf8"),
+        pytest.param(BUILTIN_BYTES + b"\xe2\x82", id="truncated-utf8"),
+        pytest.param(BUILTIN_BYTES.replace(b'"Handbook"', b'"Hand\r\nbook"'), id="newline-in-string"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b" " * 70000 + BUILTIN_BYTES.replace(b"\n", b"\r\n") + b"\xff", id="large-invalid-utf8"),
+    ],
+)
+def test_document_file_reads_as_text_mode_and_json_loads_would(tmp_path, data):
+    # the same plan, or the same error and message, line and column and all
+    path = tmp_path / "plan.json"
+    path.write_bytes(data)
+    assert load_outcome(load_document_file, path) == load_outcome(text_mode_load, path)
+
+
 class TestOperationOptions:
     def test_k3_override_honored(self):
         doc = builtin_document()

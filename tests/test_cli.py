@@ -570,8 +570,10 @@ CALL_COUNT_PLANS = {"profitable": 13, "unprofitable": 11, "corner-infeasible": 1
 @pytest.mark.parametrize("plan", sorted(CALL_COUNT_PLANS))
 @pytest.mark.parametrize("command", ["optimize", "oracle", "evaluate"])
 def test_each_command_loads_compiles_and_prices_the_corner_once(capsys, monkeypatch, tmp_path, command, plan):
-    # The fixed work of a call, done once: what a second load, compile or
-    # corner pricing would cost every call is what this keeps out.
+    # The fixed work of a call, done once and only where the call needs
+    # it: what a second load, compile, corner pricing, set of polygons,
+    # pricing buffers or ES set-up would cost every call is what this
+    # keeps out.  Only a search allocates buffers beyond the corner's.
     digest = digest_plan(CALL_COUNT_PLANS[plan])
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(dump_plan(digest)), encoding="utf-8")
@@ -592,8 +594,18 @@ def test_each_command_loads_compiles_and_prices_the_corner_once(capsys, monkeypa
         (oracle, "compile_context"),
         (es, "solve_exact"),
         (oracle, "solve_exact"),
+        (milling, "feasible_polygons"),
+        (es, "initial_state"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    class PricingBuffers(milling.PricingBuffers):
+        def __init__(self, ctx, n):
+            counts["PricingBuffers"] += 1
+            super().__init__(ctx, n)
+
+    monkeypatch.setattr(milling, "PricingBuffers", PricingBuffers)
+    monkeypatch.setattr(es, "PricingBuffers", PricingBuffers)
     batch_evaluate = milling.batch_evaluate
 
     def pricing(ctx, genomes, buffers=None):
@@ -616,12 +628,18 @@ def test_each_command_loads_compiles_and_prices_the_corner_once(capsys, monkeypa
     # the grid reports a feasible point however unprofitable
     found = plan == "profitable" or plan == "unprofitable" and command == "oracle"
     assert code == (0 if found or command == "evaluate" else 3)
+    # optimize needs the polygons wherever the corner is feasible, for the
+    # certified bound, and sets up a search only where that bound is above 0
+    searched = command == "optimize" and plan == "profitable"
     assert counts == {
         "load_document_file": 1,
         "load_document": 1,
         "compile_context": 1,
         "corner": 1,
+        "PricingBuffers": 2 if searched else 1,
         **({"solve_exact": 1} if command == "optimize" else {}),
+        **({"feasible_polygons": 1} if command == "optimize" and plan != "corner-infeasible" else {}),
+        **({"initial_state": 1} if searched else {}),
     }
 
 
@@ -1067,6 +1085,10 @@ class TestUsageAndErrors:
         "argv",
         [
             ("optimize", "--builtin-case", "--seed", "3", "--out", "json"),
+            ("optimize", "--builtin-case", "--out", "xml"),
+            ("optimize", "--config", "plan.json", "--seed", "x"),
+            ("optimize", "--builtin-case", "--verbose", "--seed", "3", "--seed", "4"),
+            ("evaluate", "--builtin-case", "--speeds", "1,2"),
             ("evaluate", "--builtin-case", "--speeds", "-5,40", "--feeds", "0.1,0.2"),
             ("oracle", "--builtin-case", "--grid-resolution", "bogus"),
             ("optimize", "--builtin-case", "--foo", "bar"),
@@ -1095,6 +1117,38 @@ class TestUsageAndErrors:
             return result, capsys.readouterr()
 
         assert outcome(cli._parse_args) == outcome(parser.parse_args)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_reading_gives_argparse_namespace_or_leaves_it_to_argparse(self, data):
+        # _read_plain returns a namespace only where argparse returns that
+        # namespace with no extras; every other argv goes to argparse.
+        # Options and values are drawn so that most argvs read plainly.
+        _, commands = cli._parser()
+        name = data.draw(st.sampled_from(sorted(commands)))
+        command = commands[name]
+        options = [action for action in command._actions if action.option_strings and action.dest != "help"]
+        values = {
+            int: ["3", "12", "0", "-2", "5_0", " 7", "x", "1.5"],
+            float: ["0.3", "2", "1e-3", "nan", "-1", "abc"],
+            None: ["plan.json", "91.1,40", "", "-5,40", "a b", "--", "-h"],
+        }
+        argv = data.draw(st.sampled_from([[], ["--builtin-case"], ["--config", "plan.json"]]))
+        for _ in range(data.draw(st.integers(0, 6))):
+            action = data.draw(st.sampled_from(options))
+            if data.draw(st.integers(0, 9)):
+                argv.append(action.option_strings[0])
+            else:
+                argv.append(data.draw(st.sampled_from(["--sig", "--out=json", "extra", "--"])))
+            if action.nargs is None and data.draw(st.integers(0, 9)):
+                pool = [*action.choices, "xml"] if action.choices else values[action.type]
+                argv.append(data.draw(st.sampled_from(pool)))
+        plain = cli._read_plain(command, list(argv))
+        if plain is not None:
+            with contextlib.redirect_stderr(io.StringIO()):
+                namespace, extra = command.parse_known_args(list(argv))
+            assert extra == []
+            assert repr(sorted(vars(plain).items())) == repr(sorted(vars(namespace).items()))
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -54,8 +54,30 @@ class TestGridSpec:
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^resolution must be an integer >= 2$"):
             GridSpec(**kwargs)
+
+    def test_accepts_the_largest_resolution_and_rejects_one_more(self):
+        assert GridSpec(resolution=oracle.MAX_GRID_RESOLUTION).resolution == 100_000
+        with pytest.raises(ValueError, match=r"^resolution must be at most 100000$"):
+            GridSpec(resolution=oracle.MAX_GRID_RESOLUTION + 1)
+
+    @pytest.mark.parametrize("source", ["flag", "document"])
+    def test_oversized_resolution_exits_two_before_any_grid(self, capsys, monkeypatch, tmp_path, source):
+        # Only the refusal runs: an oversized grid is never prepared.
+        monkeypatch.setattr(oracle, "prepare_op_grid", lambda *args: pytest.fail("a grid was prepared"))
+        resolution = 100_000_000
+        if source == "flag":
+            argv = ["oracle", "--builtin-case", "--grid-resolution", str(resolution)]
+        else:
+            document = json.loads(cli.case_study.builtin_document_bytes().decode("utf-8"))
+            document["oracle"] = {"resolution": resolution}
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            argv = ["oracle", "--config", str(path)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: resolution must be at most 100000\n")
 
 
 def brute_force_op_min(plan, coeffs, op_index, lam, resolution, fill):
