@@ -288,9 +288,10 @@ def _members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return members
 
 
-# The decoder json.loads would make for _members on every call, made once:
-# it keeps nothing from one document to the next, and a fresh one costs
-# more than the rest of the parse.
+# The decoder json.loads would make for _members on every call, made once,
+# as json.loads keeps its own default one: it keeps nothing from one
+# document to the next, and a fresh one costs more than the rest of the
+# parse.
 _DECODER = json.JSONDecoder(object_pairs_hook=_members)
 
 
